@@ -25,7 +25,6 @@ from .errors import (
     ParameterError,
     PreconditionError,
 )
-from .hullgeom import CmParams, MemberReport, STRICTNESS_TOL
 from .lipmetric import (
     FiniteMetricSpace,
     LipFunction,
@@ -373,27 +372,6 @@ def ivakhno_verify(
             _at_most(f"mix-approx[{i}]", diff, (4.0 + 2.0 * epsilon) / k + 1e-9)
         )
     return CertificateReport(checks)
-
-
-def lip_member_report(
-    M: FiniteMetricSpace,
-    funcs: Sequence[LipFunction],
-    params: CmParams,
-    tol: float = STRICTNESS_TOL,
-) -> MemberReport:
-    """Membership check with the seminorm playing the block norm."""
-    if len(funcs) != params.n:
-        raise ParameterError(f"{len(funcs)} components for n={params.n}")
-    sup = max(lip_seminorm(M, f) for f in funcs)
-    tot = np.sum([f.values for f in funcs], axis=0)
-    mean = lip_seminorm(M, LipFunction(tot)) / params.n
-    return MemberReport(
-        sup_norm=sup,
-        mean_norm=mean,
-        sup_ok=sup <= params.alpha + tol,
-        mean_ok=mean > 1.0 - params.epsilon - tol,
-        tol=tol,
-    )
 
 
 # ---------------------------------------------------------------------------

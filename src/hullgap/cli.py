@@ -31,7 +31,7 @@ from .errors import (
     InternalInconsistencyError,
     VerificationError,
 )
-from .spaces import FunctionModule, INF, LpFinite, dim, norm, parse_space
+from .spaces import FunctionModule, dim, norm, parse_space
 from .lipmetric import (
     FiniteMetricSpace,
     LipFunction,
@@ -55,7 +55,7 @@ from .certificates import (
     module_section_norm,
     validate_ring_family,
 )
-from .dkprofile import DkProfile, constructive_dk_upper, estimate_dk
+from .dkprofile import DkProfile, _as_module, constructive_dk_upper, estimate_dk
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -175,17 +175,6 @@ def _render_json(doc: dict) -> str:
 def _config_preamble(cfg: RunConfig) -> str:
     doc = cfg.to_jsonable()
     return "".join(f"# {key}={json.dumps(doc[key])}\n" for key in sorted(doc))
-
-
-def _as_module(space) -> FunctionModule:
-    if isinstance(space, FunctionModule):
-        return space
-    if isinstance(space, LpFinite) and (space.p == INF or space.d == 1):
-        return FunctionModule(space.d, LpFinite(INF, 1))
-    raise _InputError(
-        "this command needs a function module or sup-norm space, got "
-        f"{type(space).__name__}"
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -354,6 +343,12 @@ def cmd_dk(cfg: RunConfig) -> Tuple[str, int]:
     space = parse_space(cfg.space)
     ks = _k_range(cfg.k)
     if isinstance(space, FunctionModule):
+        if cfg.alpha < 1.0:
+            # the partition panel verifies the alpha = 1 construction, and
+            # its ceilings carry over to alpha >= 1 only (the hull grows)
+            raise _InputError(
+                f"the partition-ceiling route needs --alpha >= 1, got {cfg.alpha}"
+            )
         route = "partition-ceiling"
         prof = _ceiling_profile(cfg, space, ks)
     else:

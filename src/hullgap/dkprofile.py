@@ -421,70 +421,3 @@ def constructive_dk_upper(
     if family is not None:
         raise ParameterError("a ring family only applies to a finite metric space")
     return _partition_ceilings(_as_module(target), int(n), epsilon, ks, panel, seed)
-
-
-# ---------------------------------------------------------------------------
-# certified floor
-
-
-@dataclass(frozen=True, eq=False)
-class FloorReport:
-    """Largest uniform certified lower bound across k <= k_max."""
-
-    n: int
-    epsilon: float
-    alpha: float
-    k_max: int
-    resolution: Optional[float]
-    per_k: Tuple[Tuple[int, float], ...]
-    floor: float
-    conclusive: bool
-
-    def to_jsonable(self) -> dict:
-        return {
-            "n": self.n,
-            "epsilon": self.epsilon,
-            "alpha": self.alpha,
-            "k_max": self.k_max,
-            "resolution": self.resolution,
-            "per_k": {str(k): v for k, v in self.per_k},
-            "floor": self.floor,
-            "conclusive": self.conclusive,
-        }
-
-
-def dk_floor_check(
-    space: Space,
-    n: int,
-    epsilon: float,
-    k_max: int,
-    resolution: float = 0.01,
-    alpha: float = 1.0,
-    budget: int = 8,
-    seed: int = 0,
-) -> FloorReport:
-    """Certify that the deficiency stays above a positive floor up to k_max.
-
-    The floor is the minimum over k <= k_max of the grid-certified lower
-    bounds, i.e. the largest value every profile entry provably exceeds.
-    A positive floor shows the averaging hull leaves part of the ball
-    uncovered at this scale; a floor at numerical zero is inconclusive,
-    not a negative result.  Grid guard refusals propagate.
-    """
-    if int(k_max) != k_max or k_max < 0:
-        raise ParameterError(f"k_max must be a nonnegative integer, got {k_max}")
-    if k_max == 0:
-        return FloorReport(
-            n=n, epsilon=epsilon, alpha=alpha, k_max=0, resolution=resolution,
-            per_k=(), floor=0.0, conclusive=False,
-        )
-    prof = estimate_dk(
-        space, n, epsilon, alpha=alpha, k_range=range(1, int(k_max) + 1),
-        budget=budget, seed=seed, resolution=resolution,
-    )
-    per = tuple((k, b.lower) for k, b in prof.entries)
-    floor = min(v for _, v in per)
-    return FloorReport(
-        n=n, epsilon=epsilon, alpha=alpha, k_max=int(k_max), resolution=resolution,
-        per_k=per, floor=floor, conclusive=floor > 1e-9,
-    )

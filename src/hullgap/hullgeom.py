@@ -20,6 +20,7 @@ the closure of the constraint set; the infimum is the same.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -31,16 +32,17 @@ from .errors import CapabilityRefusal, InternalInconsistencyError, ParameterErro
 from .spaces import (
     INF,
     DirectSum,
-    FunctionModule,
     LpFinite,
     Space,
     SupTuple,
     as_coords,
     canonical_unit,
+    combine,
     dim,
     mean_block,
     norm,
     norming_section,
+    parts,
     sup_slots,
 )
 
@@ -210,28 +212,15 @@ def norm_evaluator(space: Space) -> Callable[[np.ndarray], np.ndarray]:
         if p == 2.0:
             return lambda X: np.sqrt(np.einsum("td,td->t", X, X))
         return lambda X: np.sum(np.abs(X) ** p, axis=1) ** (1.0 / p)
-    if isinstance(space, (SupTuple, FunctionModule)):
-        part = space.inner if isinstance(space, SupTuple) else space.fiber
-        count = space.n if isinstance(space, SupTuple) else space.base_size
-        sub = norm_evaluator(part)
-        dp = dim(part)
-
-        def ev(X: np.ndarray) -> np.ndarray:
-            return np.maximum.reduce(
-                [sub(X[:, k * dp : (k + 1) * dp]) for k in range(count)]
-            )
-
-        return ev
-    if isinstance(space, DirectSum):
-        dl = dim(space.left)
-        evl, evr = norm_evaluator(space.left), norm_evaluator(space.right)
-        p = space.p
-        if p == INF:
-            return lambda X: np.maximum(evl(X[:, :dl]), evr(X[:, dl:]))
-        if p == 1.0:
-            return lambda X: evl(X[:, :dl]) + evr(X[:, dl:])
-        return lambda X: (evl(X[:, :dl]) ** p + evr(X[:, dl:]) ** p) ** (1.0 / p)
-    raise TypeError(f"not a space: {space!r}")
+    p, subs = parts(space)
+    evs = [(off, off + dim(part), norm_evaluator(part)) for off, part in subs]
+    if p == INF:
+        return lambda X: functools.reduce(np.maximum, [ev(X[:, a:b]) for a, b, ev in evs])
+    if p == 1.0:
+        return lambda X: functools.reduce(np.add, [ev(X[:, a:b]) for a, b, ev in evs])
+    return lambda X: functools.reduce(
+        np.add, [ev(X[:, a:b]) ** p for a, b, ev in evs]
+    ) ** (1.0 / p)
 
 
 def mean_norm_evaluator(space: Space, n: int) -> Callable[[np.ndarray], np.ndarray]:
@@ -257,24 +246,10 @@ def _dual_arr(space: Space, x: np.ndarray) -> float:
         if q == INF:
             return float(np.max(np.abs(x)))
         return float(np.linalg.norm(x, ord=q))
-    if isinstance(space, (SupTuple, FunctionModule)):
-        part = space.inner if isinstance(space, SupTuple) else space.fiber
-        count = space.n if isinstance(space, SupTuple) else space.base_size
-        dp = dim(part)
-        return float(
-            sum(_dual_arr(part, x[k * dp : (k + 1) * dp]) for k in range(count))
-        )
-    if isinstance(space, DirectSum):
-        dl = dim(space.left)
-        a = _dual_arr(space.left, x[:dl])
-        b = _dual_arr(space.right, x[dl:])
-        q = _conjugate(space.p)
-        if q == INF:
-            return max(a, b)
-        if q == 1.0:
-            return a + b
-        return float(np.linalg.norm([a, b], ord=q))
-    raise TypeError(f"not a space: {space!r}")
+    p, subs = parts(space)
+    return combine(
+        _conjugate(p), [_dual_arr(part, x[off : off + dim(part)]) for off, part in subs]
+    )
 
 
 def _conjugate(p: float) -> float:
@@ -288,24 +263,18 @@ def _conjugate(p: float) -> float:
 def dual_space(space: Space) -> Space:
     """A space whose norm is the dual norm of the given one.
 
-    Max-combines conjugate to sum-combines: the dual of a sup-tuple is the
-    1-sum of the block duals, realized as a nested two-term sum chain.
+    Each l_p combiner turns into its conjugate l_q combiner over the part
+    duals, realized as a right-nested chain of two-term sums: the dual of a
+    sup-tuple is the 1-sum of the block duals.
     """
     if isinstance(space, LpFinite):
         return LpFinite(_conjugate(space.p), space.d)
-    if isinstance(space, (SupTuple, FunctionModule)):
-        part = space.inner if isinstance(space, SupTuple) else space.fiber
-        count = space.n if isinstance(space, SupTuple) else space.base_size
-        dpart = dual_space(part)
-        out = dpart
-        for _ in range(count - 1):
-            out = DirectSum(1.0, dpart, out)
-        return out
-    if isinstance(space, DirectSum):
-        return DirectSum(
-            _conjugate(space.p), dual_space(space.left), dual_space(space.right)
-        )
-    raise TypeError(f"not a space: {space!r}")
+    p, subs = parts(space)
+    duals = [dual_space(part) for _, part in subs]
+    out = duals[-1]
+    for dpart in reversed(duals[:-1]):
+        out = DirectSum(_conjugate(p), dpart, out)
+    return out
 
 
 def _norming_candidates(space: Space, v: np.ndarray, tie_tol: float) -> List[np.ndarray]:
@@ -315,59 +284,25 @@ def _norming_candidates(space: Space, v: np.ndarray, tie_tol: float) -> List[np.
         return []
     if isinstance(space, LpFinite):
         return _lp_candidates(space.p, v, nv, tie_tol)
-    if isinstance(space, (SupTuple, FunctionModule)):
-        part = space.inner if isinstance(space, SupTuple) else space.fiber
-        count = space.n if isinstance(space, SupTuple) else space.base_size
-        dp = dim(part)
+    p, subs = parts(space)
+    blocks = [(off, part, v[off : off + dim(part)]) for off, part in subs]
+    if p == INF:
+        # the union over the parts that attain the max
         out = []
-        for k in range(count):
-            block = v[k * dp : (k + 1) * dp]
+        for off, part, block in blocks:
             if _batch_norm_single(part, block) >= (1.0 - tie_tol) * nv:
                 for psi in _norming_candidates(part, block, tie_tol):
                     full = np.zeros(v.shape[0])
-                    full[k * dp : (k + 1) * dp] = psi
+                    full[off : off + block.shape[0]] = psi
                     out.append(full)
         return out
-    if isinstance(space, DirectSum):
-        dl = dim(space.left)
-        left, right = v[:dl], v[dl:]
-        a = _batch_norm_single(space.left, left)
-        b = _batch_norm_single(space.right, right)
-        out = []
-        for (ca, cb) in _pair_weights(space.p, a, b, nv, tie_tol):
-            lcands = _norming_candidates(space.left, left, tie_tol) if ca else [np.zeros(dl)]
-            rcands = (
-                _norming_candidates(space.right, right, tie_tol)
-                if cb
-                else [np.zeros(v.shape[0] - dl)]
-            )
-            if ca and not lcands:
-                lcands = [np.zeros(dl)]
-            if cb and not rcands:
-                rcands = [np.zeros(v.shape[0] - dl)]
-            for pl in lcands[:6]:
-                for pr in rcands[:6]:
-                    out.append(np.concatenate([ca * pl, cb * pr]))
-        return out
-    raise TypeError(f"not a space: {space!r}")
-
-
-def _pair_weights(p: float, a: float, b: float, nv: float, tie_tol: float):
-    """Weight pairs (ca, cb) norming (a, b) in the l_p plane; dual l_q norm <= 1."""
-    if p == INF:
-        pairs = []
-        if a >= (1.0 - tie_tol) * nv:
-            pairs.append((1.0, 0.0))
-        if b >= (1.0 - tie_tol) * nv:
-            pairs.append((0.0, 1.0))
-        return pairs or [(1.0, 0.0)]
-    if p == 1.0:
-        return [(1.0, 1.0)]
-    if nv == 0.0:
-        return [(1.0, 0.0)]
-    ca = (a / nv) ** (p - 1.0)
-    cb = (b / nv) ** (p - 1.0)
-    return [(ca, cb)]
+    # the product over the parts, each weighted by its dual l_q coefficient
+    scaled = []
+    for _, part, block in blocks:
+        c = (_batch_norm_single(part, block) / nv) ** (p - 1.0)
+        cands = _norming_candidates(part, block, tie_tol)[:6] or [np.zeros(block.shape[0])]
+        scaled.append([c * psi for psi in cands])
+    return [np.concatenate(combo) for combo in itertools.product(*scaled)]
 
 
 def _lp_candidates(p: float, v: np.ndarray, nv: float, tie_tol: float) -> List[np.ndarray]:
@@ -432,31 +367,20 @@ def _attain_arr(space: Space, phi: np.ndarray) -> np.ndarray:
         q = _conjugate(p)
         nq = float(np.linalg.norm(phi, ord=q))
         return np.sign(phi) * (np.abs(phi) / nq) ** (q - 1.0)
-    if isinstance(space, (SupTuple, FunctionModule)):
-        part = space.inner if isinstance(space, SupTuple) else space.fiber
-        count = space.n if isinstance(space, SupTuple) else space.base_size
-        dp = dim(part)
-        return np.concatenate(
-            [_attain_block(part, phi[k * dp : (k + 1) * dp]) for k in range(count)]
-        )
-    if isinstance(space, DirectSum):
-        dl = dim(space.left)
-        xl = _attain_block(space.left, phi[:dl])
-        xr = _attain_block(space.right, phi[dl:])
-        a = _dual_arr(space.left, phi[:dl])
-        b = _dual_arr(space.right, phi[dl:])
-        p = space.p
-        if p == INF:
-            sa, sb = 1.0, 1.0
-        elif p == 1.0:
-            sa, sb = (1.0, 0.0) if a >= b else (0.0, 1.0)
-        else:
-            q = _conjugate(p)
-            nq = float(np.linalg.norm([a, b], ord=q))
-            sa = 0.0 if nq == 0.0 else (a / nq) ** (q - 1.0)
-            sb = 0.0 if nq == 0.0 else (b / nq) ** (q - 1.0)
-        return np.concatenate([sa * xl, sb * xr])
-    raise TypeError(f"not a space: {space!r}")
+    p, subs = parts(space)
+    slices = [(part, phi[off : off + dim(part)]) for off, part in subs]
+    xs = [_attain_block(part, psi) for part, psi in slices]
+    if p == INF:
+        return np.concatenate(xs)
+    duals = [_dual_arr(part, psi) for part, psi in slices]
+    if p == 1.0:
+        scales = np.zeros(len(xs))
+        scales[int(np.argmax(duals))] = 1.0
+    else:
+        q = _conjugate(p)
+        nq = combine(q, duals)
+        scales = [0.0 if nq == 0.0 else (a / nq) ** (q - 1.0) for a in duals]
+    return np.concatenate([s * x for s, x in zip(scales, xs)])
 
 
 def _attain_block(space: Space, phi: np.ndarray) -> np.ndarray:
@@ -857,38 +781,27 @@ class _NormEpigraph:
             a = self.new_var(val)
             self.pows.append((space.p, a, list(exprs)))
             return ({a: 1.0}, 0.0), val
-        if isinstance(space, (SupTuple, FunctionModule)):
-            part = space.inner if isinstance(space, SupTuple) else space.fiber
-            count = space.n if isinstance(space, SupTuple) else space.base_size
-            w = dim(part)
-            kids = [
-                self.build(part, exprs[i * w:(i + 1) * w], vals[i * w:(i + 1) * w])
-                for i in range(count)
-            ]
-            val = max(v for _, v in kids)
+        p, subs = parts(space)
+        kids = [
+            self.build(part, exprs[off : off + dim(part)], vals[off : off + dim(part)])
+            for off, part in subs
+        ]
+        if p == 1.0:
+            coef = {}
+            for ke, _ in kids:
+                for k, c in ke[0].items():
+                    coef[k] = coef.get(k, 0.0) + c
+            return (coef, sum(ke[1] for ke, _ in kids)), sum(kv for _, kv in kids)
+        if p == INF:
+            val = max(kv for _, kv in kids)
             a = self.new_var(val)
             for ke, _ in kids:
                 self._ge(({a: 1.0}, 0.0), ke)
             return ({a: 1.0}, 0.0), val
-        if isinstance(space, DirectSum):
-            dl = dim(space.left)
-            le, lv = self.build(space.left, exprs[:dl], vals[:dl])
-            re_, rv = self.build(space.right, exprs[dl:], vals[dl:])
-            if space.p == 1.0:
-                coef = dict(le[0])
-                for k, c in re_[0].items():
-                    coef[k] = coef.get(k, 0.0) + c
-                return (coef, le[1] + re_[1]), lv + rv
-            if space.p == INF:
-                a = self.new_var(max(lv, rv))
-                self._ge(({a: 1.0}, 0.0), le)
-                self._ge(({a: 1.0}, 0.0), re_)
-                return ({a: 1.0}, 0.0), max(lv, rv)
-            val = float((lv ** space.p + rv ** space.p) ** (1.0 / space.p))
-            a = self.new_var(val)
-            self.pows.append((space.p, a, [le, re_]))
-            return ({a: 1.0}, 0.0), val
-        raise TypeError(f"not a space: {space!r}")
+        val = float(sum(kv ** p for _, kv in kids) ** (1.0 / p))
+        a = self.new_var(val)
+        self.pows.append((p, a, [ke for ke, _ in kids]))
+        return ({a: 1.0}, 0.0), val
 
     def compiled_constraints(self):
         n = self.n
@@ -1118,6 +1031,9 @@ def min_norm_point(
     for it in range(45):
         iterations = it + 1
         new_cuts = add_cuts(zz - best_lam @ G)
+        if not cuts:
+            # only a zero residual has no norming functional: distance 0 is exact
+            break
         if len(cuts) > 400:
             del cuts[: len(cuts) - 400]
         sol = _kelley_lp(G, zz, cuts)

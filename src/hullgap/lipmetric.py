@@ -163,23 +163,6 @@ def mcshane_extend(M: FiniteMetricSpace, f: LipFunction, L: float) -> LipFunctio
     return LipFunction(ext, mask=None)
 
 
-def least_extension(M: FiniteMetricSpace, f: LipFunction, L: float) -> LipFunction:
-    """Sup-convolution companion: x -> max over mask p of f(p) - L*d(x,p).
-
-    The smallest L-Lipschitz extension; mcshane_extend dominates it pointwise.
-    """
-    f._check(M)
-    s = restricted_seminorm(M, f)
-    if L < s:
-        raise PreconditionError(
-            f"extension constant L={L} is below the restricted seminorm {s}"
-        )
-    idx = f.mask_indices(M)
-    ext = np.max(f.values[idx][None, :] - L * M.dist[:, idx], axis=1)
-    ext[idx] = f.values[idx]
-    return LipFunction(ext, mask=None)
-
-
 def line_metric(points: Sequence[float]) -> FiniteMetricSpace:
     """Metric space of distinct reals with |x - y|, base point = points[0]."""
     pts = np.asarray(list(points), dtype=float)

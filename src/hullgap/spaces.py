@@ -10,6 +10,12 @@ A space is described by a small recursive grammar of building blocks:
 * ``FunctionModule(base_size, fiber)`` -- sections over a finite discrete
   base with the sup-over-base norm of fiber norms.
 
+Every composite is the l_p norm of its parts' norms: a sup tuple or a
+module is n copies of one part under p = inf, a direct sum is two parts
+under its own p.  ``parts()`` is the one place that knows this layout;
+every walker here and in ``hullgeom`` handles the ``LpFinite`` atom and the
+composite ``(p, parts)`` and nothing else.
+
 Vectors are flat coordinate arrays; the space descriptor drives the block
 interpretation.  ``p = inf`` is the ``math.inf`` marker and infinity norms
 are always computed by ``max``, never by large-exponent powers.
@@ -17,10 +23,11 @@ are always computed by ``max``, never by large-exponent powers.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -89,17 +96,40 @@ class FunctionModule:
 Space = Union[LpFinite, SupTuple, DirectSum, FunctionModule]
 
 
+@functools.lru_cache(maxsize=None)
+def parts(space: Space) -> Tuple[float, Tuple[Tuple[int, Space], ...]]:
+    """Layout of a composite space: (p, ((offset, part), ...)).
+
+    The norm is the l_p norm of the parts' norms, each part reading the
+    coordinates from its offset on.  Atoms have no parts.
+    """
+    if isinstance(space, SupTuple):
+        copies, part = space.n, space.inner
+    elif isinstance(space, FunctionModule):
+        copies, part = space.base_size, space.fiber
+    elif isinstance(space, DirectSum):
+        return space.p, ((0, space.left), (dim(space.left), space.right))
+    else:
+        raise TypeError(f"not a composite space: {space!r}")
+    step = dim(part)
+    return INF, tuple((k * step, part) for k in range(copies))
+
+
+def combine(p: float, values: Sequence[float]) -> float:
+    """The l_p norm of the part values (a plain max for inf, a plain sum for 1)."""
+    if p == INF:
+        return max(values)
+    if p == 1.0:
+        return sum(values)
+    return float(np.linalg.norm(values, ord=p))
+
+
 def dim(space: Space) -> int:
     """Total coordinate dimension of a space."""
     if isinstance(space, LpFinite):
         return space.d
-    if isinstance(space, SupTuple):
-        return space.n * dim(space.inner)
-    if isinstance(space, DirectSum):
-        return dim(space.left) + dim(space.right)
-    if isinstance(space, FunctionModule):
-        return space.base_size * dim(space.fiber)
-    raise TypeError(f"not a space: {space!r}")
+    off, last = parts(space)[1][-1]
+    return off + dim(last)
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,39 +177,8 @@ def _norm_arr(space: Space, x: np.ndarray) -> float:
         if space.p == INF:
             return float(np.max(np.abs(x)))
         return float(np.linalg.norm(x, ord=space.p))
-    if isinstance(space, SupTuple):
-        di = dim(space.inner)
-        return max(
-            _norm_arr(space.inner, x[k * di : (k + 1) * di]) for k in range(space.n)
-        )
-    if isinstance(space, DirectSum):
-        dl = dim(space.left)
-        a = _norm_arr(space.left, x[:dl])
-        b = _norm_arr(space.right, x[dl:])
-        if space.p == INF:
-            return max(a, b)
-        if space.p == 1.0:
-            return a + b
-        return float(np.linalg.norm([a, b], ord=space.p))
-    if isinstance(space, FunctionModule):
-        df = dim(space.fiber)
-        return max(
-            _norm_arr(space.fiber, x[t * df : (t + 1) * df])
-            for t in range(space.base_size)
-        )
-    raise TypeError(f"not a space: {space!r}")
-
-
-def blocks(space: Space, v) -> List[np.ndarray]:
-    """The n (or base_size) component blocks of a SupTuple / FunctionModule vector."""
-    x = as_coords(space, v)
-    if isinstance(space, SupTuple):
-        di = dim(space.inner)
-        return [x[k * di : (k + 1) * di] for k in range(space.n)]
-    if isinstance(space, FunctionModule):
-        df = dim(space.fiber)
-        return [x[t * df : (t + 1) * df] for t in range(space.base_size)]
-    raise TypeError(f"blocks() needs a SupTuple or FunctionModule, got {format_space(space)}")
+    p, subs = parts(space)
+    return combine(p, [_norm_arr(part, x[off : off + dim(part)]) for off, part in subs])
 
 
 def mean_block(space: SupTuple, z) -> Vector:
@@ -204,47 +203,31 @@ def sup_slots(space: Space) -> Optional[List[Tuple[int, Space]]]:
         if space.p == INF and space.d >= 2:
             return [(i, LpFinite(INF, 1)) for i in range(space.d)]
         return None
-    if isinstance(space, SupTuple):
-        return _tile_slots(space.inner, space.n)
-    if isinstance(space, FunctionModule):
-        return _tile_slots(space.fiber, space.base_size)
-    if isinstance(space, DirectSum):
-        if space.p != INF:
-            return None
-        ls = sup_slots(space.left) or [(0, space.left)]
-        rs = sup_slots(space.right) or [(0, space.right)]
-        dl = dim(space.left)
-        return ls + [(off + dl, sub) for off, sub in rs]
-    raise TypeError(f"not a space: {space!r}")
-
-
-def _tile_slots(part: Space, copies: int) -> List[Tuple[int, Space]]:
-    dp = dim(part)
-    inner = sup_slots(part)
-    out: List[Tuple[int, Space]] = []
-    for k in range(copies):
-        if inner:
-            out.extend((k * dp + off, sub) for off, sub in inner)
-        else:
-            out.append((k * dp, part))
-    return out
+    p, subs = parts(space)
+    if p != INF:
+        return None
+    return [
+        (off + inner_off, sub)
+        for off, part in subs
+        for inner_off, sub in sup_slots(part) or [(0, part)]
+    ]
 
 
 def canonical_unit(space: Space) -> np.ndarray:
-    """A fixed deterministic unit vector of the space."""
+    """A fixed deterministic unit vector of the space.
+
+    A max of equal parts gets the part's unit in every part; any other
+    composite gets its first part's unit and zeros elsewhere.
+    """
     x = np.zeros(dim(space))
     if isinstance(space, LpFinite):
         x[0] = 1.0
-    elif isinstance(space, SupTuple):
-        u = canonical_unit(space.inner)
-        x = np.tile(u, space.n)
-    elif isinstance(space, DirectSum):
-        x[: dim(space.left)] = canonical_unit(space.left)
-    elif isinstance(space, FunctionModule):
-        u = canonical_unit(space.fiber)
-        x = np.tile(u, space.base_size)
-    else:
-        raise TypeError(f"not a space: {space!r}")
+        return x
+    p, subs = parts(space)
+    first = subs[0][1]
+    if p == INF and all(part == first for _, part in subs):
+        return np.tile(canonical_unit(first), len(subs))
+    x[: dim(first)] = canonical_unit(first)
     return x
 
 

@@ -15,12 +15,16 @@ from hullgap.certificates import (
     find_ring_family,
     ivakhno_construct,
     ivakhno_verify,
-    lip_member_report,
     module_section_norm,
     validate_ring_family,
 )
 from hullgap.errors import ParameterError, PreconditionError
-from hullgap.hullgeom import CmParams, ConvexDecomposition, validate_decomposition
+from hullgap.hullgeom import (
+    STRICTNESS_TOL,
+    CmParams,
+    ConvexDecomposition,
+    validate_decomposition,
+)
 from hullgap.lipmetric import (
     FiniteMetricSpace,
     LipFunction,
@@ -211,11 +215,13 @@ class TestIvakhnoPanel:
     def test_rescaled_tuples_are_plain_members(self):
         M, fam, z = self.make()
         built = ivakhno_construct(M, z, fam, self.EPS)
-        params = CmParams(n=len(z), epsilon=self.EPS)
+        n = len(z)
         for tup in built:
             scaled = [LipFunction(f.values / (1.0 + self.EPS)) for f in tup]
-            rep = lip_member_report(M, scaled, params)
-            assert rep.passed
+            sup = max(lip_seminorm(M, f) for f in scaled)
+            mean = lip_seminorm(M, LipFunction(np.sum([f.values for f in scaled], axis=0))) / n
+            assert sup <= 1.0 + STRICTNESS_TOL
+            assert mean > 1.0 - self.EPS - STRICTNESS_TOL
 
     def test_rejects_oversized_seminorm(self):
         M, fam, _ = self.make()

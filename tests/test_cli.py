@@ -282,6 +282,29 @@ class TestDk:
         assert doc["route"] == "partition-ceiling"
         assert set(doc["profile"]["entries"]) == {"1", "2"}
 
+    def test_function_module_refuses_alpha_below_one(self, capsys):
+        # the partition panel is verified for alpha = 1 only
+        code, out, err = run(
+            capsys,
+            "dk", "--space", "fmod(4, lp(2,1))", "--n", "2", "--eps", "0.2",
+            "--alpha", "0.85", "--k", "1..4", "--seed", "0", "--format", "json",
+        )
+        assert code == EXIT_INPUT
+        assert not out and "--alpha" in err
+
+    def test_function_module_ceilings_hold_above_alpha_one(self, capsys):
+        # the hull only grows with alpha, so the alpha = 1 ceilings stand
+        docs = {}
+        for alpha in ("1", "1.2"):
+            code, docs[alpha] = run_json(
+                capsys,
+                "dk", "--space", "fmod(4, lp(2,1))", "--n", "2", "--eps", "0.2",
+                "--alpha", alpha, "--k", "1..4", "--seed", "0", "--format", "json",
+            )
+            assert code == EXIT_OK
+        assert docs["1.2"]["profile"]["alpha"] == 1.2
+        assert docs["1.2"]["profile"]["entries"] == docs["1"]["profile"]["entries"]
+
     def test_byte_identical_reruns(self, capsys, tmp_path):
         out = tmp_path / "profile.csv"
         argv = [

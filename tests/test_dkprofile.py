@@ -10,9 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from hullgap.dkprofile import (
     DkProfile,
-    FloorReport,
     constructive_dk_upper,
-    dk_floor_check,
     estimate_dk,
     _adversaries,
 )
@@ -250,29 +248,19 @@ class TestConstructiveCeilings:
 
 
 class TestFloorCheck:
+    # the certified floor up to k is the smallest grid-certified lower side
     def test_scalar_floor(self):
-        rep = dk_floor_check(R1, 2, 0.1, 4, resolution=0.01)
-        assert rep.floor >= 0.85
-        assert rep.conclusive
-        assert [k for k, _ in rep.per_k] == [1, 2, 3, 4]
-        assert all(v >= rep.floor for _, v in rep.per_k)
+        prof = estimate_dk(R1, 2, 0.1, k_range=range(1, 5), resolution=0.01)
+        assert list(prof.ks) == [1, 2, 3, 4]
+        assert min(b.lower for _, b in prof.entries) >= 0.85
 
     def test_floor_below_constructive(self):
-        rep = dk_floor_check(LpFinite(INF, 2), 2, 0.2, 2, resolution=0.2)
+        prof = estimate_dk(LpFinite(INF, 2), 2, 0.2, k_range=(1, 2), resolution=0.2)
+        floor = min(b.lower for _, b in prof.entries)
         ceilings = constructive_dk_upper(LpFinite(INF, 2), 2, 0.2, (1, 2), panel=4, seed=0)
-        assert rep.floor <= ceilings[2] + 1e-9
-
-    def test_empty(self):
-        rep = dk_floor_check(R1, 2, 0.1, 0)
-        assert rep.per_k == () and rep.floor == 0.0 and not rep.conclusive
-        doc = rep.to_jsonable()
-        assert doc["per_k"] == {} and doc["conclusive"] is False
-
-    def test_negative_k_max(self):
-        with pytest.raises(ParameterError, match="nonnegative"):
-            dk_floor_check(R1, 2, 0.1, -1)
+        assert floor <= ceilings[2] + 1e-9
 
     def test_guard_propagates(self):
         with pytest.raises(CapabilityRefusal) as exc:
-            dk_floor_check(LpFinite(INF, 4), 4, 0.2, 1, resolution=0.05)
+            estimate_dk(LpFinite(INF, 4), 4, 0.2, k_range=(1,), resolution=0.05)
         assert exc.value.report["dimension"] == 16

@@ -28,7 +28,7 @@ from hullgap.hullgeom import (
     require_nonempty,
     validate_decomposition,
 )
-from hullgap.spaces import INF, DirectSum, LpFinite, SupTuple, dim, norm
+from hullgap.spaces import INF, DirectSum, FunctionModule, LpFinite, SupTuple, dim, norm
 
 SCALARS = LpFinite(2.0, 1)
 PLANE = LpFinite(INF, 2)
@@ -41,6 +41,13 @@ POOL = [
     SupTuple(2, LpFinite(2.0, 2)),
     DirectSum(1.0, LpFinite(2.0, 2), LpFinite(INF, 2)),
     DirectSum(INF, LpFinite(1.0, 2), LpFinite(2.0, 2)),
+]
+
+# the norm-machinery properties also cover modules and three-level nesting;
+# POOL itself stays as it is, so the seeded solver loops draw what they drew
+NORM_POOL = POOL + [
+    FunctionModule(3, LpFinite(2.0, 2)),
+    SupTuple(2, DirectSum(2.0, LpFinite(1.0, 2), LpFinite(INF, 2))),
 ]
 
 
@@ -159,9 +166,9 @@ class TestDecompositions:
 
 class TestNormMachinery:
     @settings(max_examples=40, deadline=None)
-    @given(st.integers(0, len(POOL) - 1), st.integers(0, 2**31 - 1))
+    @given(st.integers(0, len(NORM_POOL) - 1), st.integers(0, 2**31 - 1))
     def test_batch_evaluator_matches_scalar_norm(self, si, seed):
-        sp = POOL[si]
+        sp = NORM_POOL[si]
         rng = np.random.default_rng(seed)
         X = rng.uniform(-3.0, 3.0, (7, dim(sp)))
         batch = norm_evaluator(sp)(X)
@@ -169,9 +176,9 @@ class TestNormMachinery:
             assert batch[i] == pytest.approx(norm(sp, X[i]), abs=1e-12)
 
     @settings(max_examples=40, deadline=None)
-    @given(st.integers(0, len(POOL) - 1), st.integers(0, 2**31 - 1))
+    @given(st.integers(0, len(NORM_POOL) - 1), st.integers(0, 2**31 - 1))
     def test_dual_norm_matches_conjugate_space(self, si, seed):
-        sp = POOL[si]
+        sp = NORM_POOL[si]
         rng = np.random.default_rng(seed)
         phi = rng.uniform(-2.0, 2.0, dim(sp))
         ds = dual_space(sp)
@@ -179,9 +186,9 @@ class TestNormMachinery:
         assert dual_norm(sp, phi) == pytest.approx(norm(ds, phi), abs=1e-12)
 
     @settings(max_examples=40, deadline=None)
-    @given(st.integers(0, len(POOL) - 1), st.integers(0, 2**31 - 1))
+    @given(st.integers(0, len(NORM_POOL) - 1), st.integers(0, 2**31 - 1))
     def test_pairing_inequality(self, si, seed):
-        sp = POOL[si]
+        sp = NORM_POOL[si]
         rng = np.random.default_rng(seed)
         phi = rng.uniform(-2.0, 2.0, dim(sp))
         x = rng.uniform(-2.0, 2.0, dim(sp))
@@ -194,9 +201,9 @@ class TestNormMachinery:
         assert dual_norm(LpFinite(2.0, 3), phi) == pytest.approx(np.linalg.norm(phi))
 
     @settings(max_examples=30, deadline=None)
-    @given(st.integers(0, len(POOL) - 1), st.integers(0, 2**31 - 1))
+    @given(st.integers(0, len(NORM_POOL) - 1), st.integers(0, 2**31 - 1))
     def test_norming_cuts_support_the_norm(self, si, seed):
-        sp = POOL[si]
+        sp = NORM_POOL[si]
         rng = np.random.default_rng(seed)
         v = rng.uniform(-2.0, 2.0, dim(sp))
         nv = norm(sp, v)
@@ -249,6 +256,16 @@ class TestMinNormPoint:
             assert res.distance == pytest.approx(
                 two_gen_scan(sp, z, g0, g1), abs=1e-10
             ), f"trial {trial} on {sp}"
+
+    def test_zero_residual_in_grid_hull(self):
+        # a point inside the relaxed grid hull: the polished residual is
+        # exactly zero, so no norming functional exists and the distance 0
+        # is exact
+        z = (-0.30745611501811365, -0.35837208652377983, -0.8087053505681521)
+        p = CmParams(n=3, epsilon=0.263, alpha=1.0, m=2)
+        g = dist_to_cm_grid(SCALARS, z, p, resolution=0.25)
+        assert g.lower == 0.0 and g.lower_method == "grid-dual-certificate"
+        assert validate_decomposition(SCALARS, p, g.witness)
 
     def test_random_instances_certify(self):
         rng = np.random.default_rng(3)

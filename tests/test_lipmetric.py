@@ -14,7 +14,6 @@ from hullgap.lipmetric import (
     dump_metric,
     geometric_chain,
     integer_ray,
-    least_extension,
     line_metric,
     lip_seminorm,
     mcshane_extend,
@@ -145,8 +144,10 @@ class TestMcShane:
             f = LipFunction(rng.uniform(-2, 2, size=7), mask=mask)
             L = restricted_seminorm(M, f) + rng.uniform(0, 1)
             hi = mcshane_extend(M, f, L)
-            lo = least_extension(M, f, L)
-            assert np.all(hi.values >= lo.values - ATOL)
+            # the least L-Lipschitz extension: sup-convolution over the mask
+            idx = list(mask)
+            lo = np.max(f.values[idx][None, :] - L * M.dist[:, idx], axis=1)
+            assert np.all(hi.values >= lo - ATOL)
 
 
 class TestGenerators:

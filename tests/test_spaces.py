@@ -15,7 +15,6 @@ from hullgap.spaces import (
     SpaceGrammarError,
     SupTuple,
     Vector,
-    blocks,
     canonical_unit,
     dim,
     format_space,
@@ -23,6 +22,7 @@ from hullgap.spaces import (
     norm,
     norming_section,
     parse_space,
+    parts,
     sample_unit_ball,
     sup_slots,
 )
@@ -149,7 +149,8 @@ class TestHelpers:
     def test_blocks_roundtrip(self):
         sp = SupTuple(2, LpFinite(2, 3))
         v = np.arange(6.0)
-        got = blocks(sp, v)
+        _, subs = parts(sp)
+        got = [v[off : off + dim(part)] for off, part in subs]
         assert np.array_equal(np.concatenate(got), v)
 
 
@@ -176,6 +177,23 @@ def space_and_vectors(draw, n_vectors=1):
         np.array([draw(st.floats(-10, 10)) for _ in range(D)]) for _ in range(n_vectors)
     ]
     return sp, vecs
+
+
+class TestLayout:
+    @settings(max_examples=200, deadline=None)
+    @given(space_strategy())
+    def test_parts_tile_the_coordinates(self, sp):
+        if isinstance(sp, LpFinite):
+            with pytest.raises(TypeError):
+                parts(sp)
+            return
+        p, subs = parts(sp)
+        offsets = [off for off, _ in subs]
+        ends = [off + dim(part) for off, part in subs]
+        assert offsets[0] == 0
+        assert offsets[1:] == ends[:-1]
+        assert ends[-1] == dim(sp)
+        assert p == (sp.p if isinstance(sp, DirectSum) else INF)
 
 
 class TestNormAxioms:
