@@ -2,12 +2,17 @@
 
 Draws random generator clouds and query points over a mixed pool of norms
 (polyhedral, smooth, and composites of both) and reports the distribution
-of duality gaps and solve times.  A healthy run has every gap at or below
-the requested target.
+of duality gaps and solve times, and how many solves each solver stage
+certified.  A healthy run has every gap at or below the requested target;
+the script exits 1 otherwise, so it can serve as a check:
+
+    PYTHONPATH=src python scripts/certificate_bench.py --trials 180 --seed 42
 """
 
 import argparse
+import sys
 import time
+from collections import Counter
 
 import numpy as np
 
@@ -27,7 +32,7 @@ POOL = [
 ]
 
 
-def main() -> None:
+def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--trials", type=int, default=100)
     ap.add_argument("--seed", type=int, default=42)
@@ -35,7 +40,7 @@ def main() -> None:
     args = ap.parse_args()
 
     rng = np.random.default_rng(args.seed)
-    gaps, times, worst = [], [], (-1.0, None, None, None)
+    gaps, times, stages, worst = [], [], Counter(), (-1.0, None, None, None)
     for trial in range(args.trials):
         sp = POOL[trial % len(POOL)]
         D = dim(sp)
@@ -47,6 +52,7 @@ def main() -> None:
         dt = time.perf_counter() - t0
         gaps.append(res.gap)
         times.append(dt)
+        stages[res.stage] += 1
         if res.gap > worst[0]:
             worst = (res.gap, trial, sp, K)
 
@@ -62,7 +68,13 @@ def main() -> None:
         f"count gap > 1e-9: {int((gaps_a > 1e-9).sum())}"
         f"   > 1e-10: {int((gaps_a > 1e-10).sum())}"
     )
+    print("stages: " + "  ".join(f"{name} {count}" for name, count in sorted(stages.items())))
+    misses = int((gaps_a > args.target_gap).sum())
+    if misses:
+        print(f"FAIL: {misses} gaps above the target {args.target_gap:g}")
+        return 1
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

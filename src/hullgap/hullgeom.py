@@ -7,7 +7,11 @@ module answers "how far is z from that set" three ways:
 
 * ``min_norm_point`` -- distance from a point to the convex hull of finitely
   many generators in any of our norms, with a rigorous lower bound built
-  from an explicit dual functional (so the reported gap is a real gap);
+  from an explicit dual functional rescaled by its exactly computed dual
+  norm (so the reported gap is a real gap).  A polyhedral norm (every atom
+  and combiner with p in {1, inf}) takes one LP, whose marginals are the
+  functional; a curved norm takes a descent on the primal side, norming
+  functionals at the residual, and one SLSQP refinement on each side;
 * ``dist_to_cm_upper`` -- a deterministic feasible-decomposition search whose
   reported value is monotone in m, eps and alpha by construction;
 * ``dist_to_cm_grid`` -- an enumeration oracle producing two-sided brackets
@@ -343,138 +347,29 @@ def _batch_norm_single(space: Space, x: np.ndarray) -> float:
     return float(norm_evaluator(space)(x[None, :])[0])
 
 
-def primal_norming_vector(space: Space, phi: np.ndarray) -> np.ndarray:
-    """A vector x with norm <= 1 attaining phi(x) = dual_norm(phi)."""
-    x = _attain_arr(space, np.asarray(phi, dtype=float))
-    nx = _batch_norm_single(space, x)
-    if nx > 1.0:
-        x = x / nx
-    return x
+def _dual_unit(space: Space, phi: np.ndarray) -> Optional[np.ndarray]:
+    """phi divided by its exactly computed dual norm, so that norm is at most 1.
 
-
-def _attain_arr(space: Space, phi: np.ndarray) -> np.ndarray:
-    if not np.any(phi):
-        return np.zeros_like(phi)
-    if isinstance(space, LpFinite):
-        p = space.p
-        if p == INF:
-            return np.where(phi >= 0.0, 1.0, -1.0) * (phi != 0.0)
-        if p == 1.0:
-            j = int(np.argmax(np.abs(phi)))
-            x = np.zeros_like(phi)
-            x[j] = math.copysign(1.0, phi[j])
-            return x
-        q = _conjugate(p)
-        nq = float(np.linalg.norm(phi, ord=q))
-        return np.sign(phi) * (np.abs(phi) / nq) ** (q - 1.0)
-    p, subs = parts(space)
-    slices = [(part, phi[off : off + dim(part)]) for off, part in subs]
-    xs = [_attain_block(part, psi) for part, psi in slices]
-    if p == INF:
-        return np.concatenate(xs)
-    duals = [_dual_arr(part, psi) for part, psi in slices]
-    if p == 1.0:
-        scales = np.zeros(len(xs))
-        scales[int(np.argmax(duals))] = 1.0
-    else:
-        q = _conjugate(p)
-        nq = combine(q, duals)
-        scales = [0.0 if nq == 0.0 else (a / nq) ** (q - 1.0) for a in duals]
-    return np.concatenate([s * x for s, x in zip(scales, xs)])
-
-
-def _attain_block(space: Space, phi: np.ndarray) -> np.ndarray:
-    x = _attain_arr(space, phi)
-    nx = _batch_norm_single(space, x)
-    return x / nx if nx > 1.0 else x
-
-
-def dual_ball_lower(
-    space: Space,
-    z: np.ndarray,
-    G: np.ndarray,
-    v_hat: np.ndarray,
-    target_gap: float = 1e-11,
-    max_iters: int = 250,
-) -> Tuple[float, Optional[np.ndarray], List[np.ndarray]]:
-    """Certified lower bound via cutting planes on the dual unit ball.
-
-    Maximizes the concave, piecewise-linear bound phi(z) - max_j phi(g_j)
-    over the dual ball, outer-approximated by constraints phi(x_i) <= 1 for
-    explicit primal vectors x_i of norm <= 1.  The separation oracle is the
-    exact attaining vector of the current LP iterate.  Every iterate is
-    renormalized by its exactly computed dual norm before evaluation, so the
-    best bound returned is rigorous regardless of LP tolerances; the LP
-    objective value is a certified ceiling used only for termination.
-
-    Returns (lower, best functional, feasible iterate functionals); the
-    iterates are useful as cuts for the primal side.
+    The dual norm is evaluated here, never taken from a solver, so every
+    bound built on the result holds whatever the solver's tolerances.
+    Returns None for a zero or non-finite functional.
     """
-    try:
-        from scipy.optimize import linprog
-    except Exception:
-        lo, phi = certified_hull_lower(space, z, G, v_hat)
-        return lo, phi, []
-    D = z.shape[0]
-    K = G.shape[0]
-    ball_cuts: List[np.ndarray] = []
-    for i in range(D):
-        e = np.zeros(D)
-        e[i] = 1.0
-        ne = _batch_norm_single(space, e)
-        ball_cuts.append(e / ne)
-        ball_cuts.append(-e / ne)
-    nv = _batch_norm_single(space, v_hat)
-    if nv > 0:
-        ball_cuts.append(v_hat / nv)
-        # attaining vectors of the residual's norming functionals carve the
-        # ball precisely where the optimal functional lives
-        for psi in norming_cuts(space, v_hat):
-            ball_cuts.append(primal_norming_vector(space, psi))
+    dn = _dual_arr(space, phi)
+    if not (np.isfinite(dn) and dn > 0.0):
+        return None
+    phi = phi / dn
+    dn = _dual_arr(space, phi)
+    return phi / dn if dn > 1.0 else phi
 
-    # objective rows: s <= phi . (z - g_j)
-    obj_rows = np.hstack([G - z[None, :], np.ones((K, 1))])
-    best_lower = 0.0
-    best_phi: Optional[np.ndarray] = None
-    iterates: List[np.ndarray] = []
-    c_obj = np.concatenate([np.zeros(D), [-1.0]])
-    since_improve = 0
-    for _ in range(max_iters):
-        ball_A = np.hstack([np.stack(ball_cuts), np.zeros((len(ball_cuts), 1))])
-        A_ub = np.vstack([obj_rows, ball_A])
-        b_ub = np.concatenate([np.zeros(K), np.ones(len(ball_cuts))])
-        res = linprog(
-            c_obj, A_ub=A_ub, b_ub=b_ub,
-            bounds=[(None, None)] * D + [(None, None)], method="highs",
-        )
-        if res.status != 0 or res.x is None:
-            break
-        phi = res.x[:D]
-        ceiling = float(res.x[D])
-        dn = _dual_arr(space, phi)
-        scaled = phi if dn <= 1.0 else phi / dn
-        dn2 = _dual_arr(space, scaled)
-        if dn2 > 1.0:
-            scaled = scaled / dn2
-        iterates.append(scaled)
-        val = float(scaled @ z - np.max(scaled @ G.T))
-        if val > best_lower + 1e-15:
-            best_lower, best_phi = val, scaled
-            since_improve = 0
-        else:
-            since_improve += 1
-        if ceiling - best_lower <= max(target_gap, 1e-13):
-            break
-        if dn > 1.0 + 1e-12:
-            ball_cuts.append(primal_norming_vector(space, phi))
-        else:
-            # iterate already feasible: the LP relaxation is tight enough
-            break
-        if since_improve >= 25:
-            break
-    if len(iterates) > 60:
-        iterates = iterates[-60:]
-    return max(0.0, best_lower), best_phi, iterates
+
+def _dual_lower(
+    space: Space, z: np.ndarray, G: np.ndarray, phi: Optional[np.ndarray]
+) -> Tuple[float, Optional[np.ndarray]]:
+    """The bound phi(z) - max_j phi(g_j) on d(z, co(rows of G)), phi rescaled first."""
+    phi = None if phi is None else _dual_unit(space, phi)
+    if phi is None:
+        return 0.0, None
+    return max(0.0, float(phi @ z - np.max(G @ phi))), phi
 
 
 def norming_cuts(space: Space, v: np.ndarray) -> List[np.ndarray]:
@@ -483,12 +378,9 @@ def norming_cuts(space: Space, v: np.ndarray) -> List[np.ndarray]:
     seen = set()
     for tie_tol in (1e-12, 1e-9, 1e-6, 1e-3):
         for psi in _norming_candidates(space, v, tie_tol):
-            dn = _dual_arr(space, psi)
-            if dn > 1.0:
-                psi = psi / dn
-                dn2 = _dual_arr(space, psi)
-                if dn2 > 1.0:
-                    psi = psi / dn2
+            psi = _dual_unit(space, psi)
+            if psi is None:
+                continue
             key = tuple(np.round(psi, 10))
             if key not in seen:
                 seen.add(key)
@@ -497,73 +389,42 @@ def norming_cuts(space: Space, v: np.ndarray) -> List[np.ndarray]:
 
 
 def certified_hull_lower(
-    space: Space,
-    z: np.ndarray,
-    G: np.ndarray,
-    v_hat: np.ndarray,
-    extra_candidates: Optional[Sequence[np.ndarray]] = None,
-    cap: int = 160,
+    space: Space, z: np.ndarray, G: np.ndarray, v_hat: np.ndarray, cap: int = 160
 ) -> Tuple[float, Optional[np.ndarray]]:
     """Rigorous lower bound on d(z, co(rows of G)) from a dual functional.
 
     Any phi with dual norm <= 1 gives the bound phi(z) - max_j phi(g_j).  The
     best convex combination of extreme norming candidates at the residual
-    v_hat (plus any supplied cuts) is selected by a small LP, and the result
-    is renormalized by its exactly computed dual norm, so the bound stays
-    valid no matter how sloppily the LP was solved.
+    v_hat is selected by a small LP and then rescaled by its exactly
+    computed dual norm, so the bound stays valid however the LP was solved.
     """
-    cands: List[np.ndarray] = []
-    seen = set()
-    for psi in list(norming_cuts(space, v_hat)) + list(extra_candidates or []):
-        key = tuple(np.round(psi, 10))
-        if key not in seen:
-            seen.add(key)
-            cands.append(psi)
+    cands = norming_cuts(space, v_hat)[:cap]
     if not cands:
         return 0.0, None
-    if len(cands) > cap:
-        cands = cands[:cap]
     P = np.stack(cands)  # C x D
-    vals_z = P @ z
-    vals_G = P @ G.T  # C x K
-    phi = _best_dual_combination(P, vals_z, vals_G)
-    dn = _dual_arr(space, phi)
-    if dn > 1.0:
-        phi = phi / dn
-        dn2 = _dual_arr(space, phi)
-        if dn2 > 1.0:
-            phi = phi / dn2
-    lower = float(phi @ z - np.max(phi @ G.T))
-    return max(0.0, lower), phi
+    return _dual_lower(space, z, G, _best_dual_combination(P, P @ z, P @ G.T))
 
 
 def _best_dual_combination(P: np.ndarray, vals_z: np.ndarray, vals_G: np.ndarray) -> np.ndarray:
+    from scipy import optimize
+
     C = P.shape[0]
     if C == 1:
         return P[0].copy()
-    try:
-        from scipy.optimize import linprog
-
-        # maximize sum_c mu_c vals_z[c] - t  s.t.  sum_c mu_c vals_G[c, j] <= t
-        K = vals_G.shape[1]
-        c_obj = np.concatenate([-vals_z, [1.0]])
-        A_ub = np.hstack([vals_G.T, -np.ones((K, 1))])
-        b_ub = np.zeros(K)
-        A_eq = np.concatenate([np.ones(C), [0.0]])[None, :]
-        b_eq = np.array([1.0])
-        bounds = [(0.0, None)] * C + [(None, None)]
-        res = linprog(
-            c_obj, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=bounds,
-            method="highs",
-        )
-        if res.status == 0 and res.x is not None:
-            mu = np.clip(res.x[:C], 0.0, None)
-            total = float(mu.sum())
-            if total > 0:
-                return np.einsum("c,cd->d", mu / total, P)
-    except Exception:
-        pass
-    # fallback: the single best extreme candidate
+    # maximize sum_c mu_c vals_z[c] - t  s.t.  sum_c mu_c vals_G[c, j] <= t
+    K = vals_G.shape[1]
+    res = optimize.linprog(
+        np.concatenate([-vals_z, [1.0]]),
+        A_ub=np.hstack([vals_G.T, -np.ones((K, 1))]), b_ub=np.zeros(K),
+        A_eq=np.concatenate([np.ones(C), [0.0]])[None, :], b_eq=np.array([1.0]),
+        bounds=[(0.0, None)] * C + [(None, None)], method="highs",
+    )
+    if res.status == 0:
+        mu = np.clip(res.x[:C], 0.0, None)
+        total = float(mu.sum())
+        if total > 0:
+            return np.einsum("c,cd->d", mu / total, P)
+    # the LP failed: the single best extreme candidate
     scores = vals_z - np.max(vals_G, axis=1)
     return P[int(np.argmax(scores))].copy()
 
@@ -580,7 +441,11 @@ class MinNormResult:
     gap: float
     lower: float
     converged: bool
-    iterations: int
+    # the step that produced ``lower``: "vertex" (z is a generator), "lp"
+    # (the polyhedral route), or, on curved norms, "norming" (norming
+    # functionals at the polished residual), "slsqp-primal" (the same after
+    # the primal refinement) or "slsqp-dual" (the dual refinement)
+    stage: str
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -697,41 +562,15 @@ def _polish_true_norm(
     return lam
 
 
-def _kelley_lp(G: np.ndarray, z: np.ndarray, cuts: List[np.ndarray]):
-    """One cutting-plane LP: min t subject to phi(z - G'lam) <= t per cut."""
-    try:
-        from scipy.optimize import linprog
-    except Exception:
-        return None
-    K = G.shape[0]
-    P = np.stack(cuts)  # C x D
-    cut_G = P @ G.T  # C x K, entries phi(g_j)
-    cut_z = P @ z
-    c_obj = np.concatenate([np.zeros(K), [1.0]])
-    A_ub = np.hstack([-cut_G, -np.ones((len(cuts), 1))])
-    b_ub = -cut_z
-    A_eq = np.concatenate([np.ones(K), [0.0]])[None, :]
-    res = linprog(
-        c_obj, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=np.array([1.0]),
-        bounds=[(0.0, None)] * K + [(None, None)], method="highs",
-    )
-    if res.status != 0 or res.x is None:
-        return None
-    lam = np.clip(res.x[:K], 0.0, None)
-    total = lam.sum()
-    if total <= 0:
-        return None
-    return lam / total, float(res.x[K])
-
-
 class _NormEpigraph:
     """Smooth inequality model of a norm over affine coordinate expressions.
 
     Max-type nodes (sup tuples, infinity atoms, coordinate absolute values)
     become linear rows on fresh bound variables, p-type nodes become single
-    power rows |a|^p >= sum |child|^p, and 1-sums stay plain affine sums.  The
-    result is a model a smooth NLP solver can drive to machine precision,
-    which the piecewise-linear cutting planes alone cannot on curved norms.
+    power rows |a|^p >= sum |child|^p, and 1-sums stay plain affine sums.  On
+    a polyhedral norm there are no power rows, and the linear rows alone are
+    an exact LP model; on a curved norm the model is one a smooth NLP solver
+    can drive to machine precision.
 
     Affine expressions are (coef dict, const) pairs over the variable vector;
     rows in ``lin`` assert expr >= 0.
@@ -803,16 +642,21 @@ class _NormEpigraph:
         self.pows.append((p, a, [ke for ke, _ in kids]))
         return ({a: 1.0}, 0.0), val
 
+    def linear_rows(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The rows of ``lin`` as a dense system A y + b >= 0."""
+        A = np.zeros((len(self.lin), self.n))
+        b = np.empty(len(self.lin))
+        for r, (coef, const) in enumerate(self.lin):
+            for k, c in coef.items():
+                A[r, k] = c
+            b[r] = const
+        return A, b
+
     def compiled_constraints(self):
         n = self.n
         cons = []
         if self.lin:
-            A = np.zeros((len(self.lin), n))
-            b = np.empty(len(self.lin))
-            for r, (coef, const) in enumerate(self.lin):
-                for k, c in coef.items():
-                    A[r, k] = c
-                b[r] = const
+            A, b = self.linear_rows()
             cons.append({
                 "type": "ineq",
                 "fun": lambda y, A=A, b=b: A @ y + b,
@@ -854,10 +698,8 @@ class _NormEpigraph:
 def _slsqp_primal(space, nrm, G: np.ndarray, z: np.ndarray,
                   lam0: np.ndarray, cap: int = 60) -> Optional[np.ndarray]:
     """Refine hull weights with a smooth NLP over the norm's epigraph model."""
-    try:
-        from scipy.optimize import minimize
-    except Exception:
-        return None
+    from scipy.optimize import minimize
+
     K, D = G.shape
     if K > cap:
         support = set(np.nonzero(lam0 > 1e-14)[0].tolist())
@@ -920,16 +762,12 @@ def _slsqp_dual(space, G: np.ndarray, z: np.ndarray,
     caller must renormalize the result by the exactly computed dual norm
     before trusting any bound derived from it.
     """
-    try:
-        from scipy.optimize import minimize
-    except Exception:
-        return None
+    from scipy.optimize import minimize
+
+    phi0 = None if phi0 is None else _dual_unit(space, phi0)
     if phi0 is None:
         return None
-    dn0 = _dual_arr(space, phi0)
-    if not np.isfinite(dn0) or dn0 <= 1e-14:
-        return None
-    phi0 = phi0 / dn0 * (1.0 - 1e-9)
+    phi0 = phi0 * (1.0 - 1e-9)
     K, D = G.shape
     rows = z[None, :] - G
     if K > 150:
@@ -970,133 +808,126 @@ def _slsqp_dual(space, G: np.ndarray, z: np.ndarray,
     return phi
 
 
+def _polyhedral(space: Space) -> bool:
+    """Every atom and every combiner of the space has p in {1, inf}."""
+    if isinstance(space, LpFinite):
+        return space.p in (1.0, INF)
+    p, subs = parts(space)
+    return p in (1.0, INF) and all(_polyhedral(part) for _, part in subs)
+
+
+def _hull_lp(space: Space, z: np.ndarray, G: np.ndarray):
+    """min ||v|| s.t. v + G'lam = z, lam on the simplex, as one HiGHS LP.
+
+    The norm is modelled by the linear rows of its epigraph, so the space
+    must be polyhedral.  Returns (weights, phi) or None if the LP fails;
+    phi holds the marginals of the D coupling rows: the derivative of the
+    distance in z, which is the optimal separating functional.
+    """
+    from scipy import optimize
+
+    K, D = G.shape
+    eb = _NormEpigraph(K + D)
+    root, _ = eb.build(space, [({K + i: 1.0}, 0.0) for i in range(D)], np.zeros(D))
+    A, b = eb.linear_rows()
+    c = np.zeros(eb.n)
+    for k, w in root[0].items():
+        c[k] = w
+    A_eq = np.zeros((D + 1, eb.n))
+    A_eq[:D, :K] = G.T
+    A_eq[:D, K : K + D] = np.eye(D)
+    A_eq[D, :K] = 1.0
+    bounds = [(0.0, None)] * K + [(None, None)] * D + [(0.0, None)] * (eb.n - K - D)
+    res = optimize.linprog(
+        c, A_ub=-A, b_ub=b, A_eq=A_eq, b_eq=np.append(z, 1.0), bounds=bounds,
+        method="highs",
+    )
+    if res.status != 0:
+        return None
+    lam = np.clip(res.x[:K], 0.0, None)
+    return lam / lam.sum(), res.eqlin.marginals[:D]
+
+
 def min_norm_point(
     space: Space,
     z,
     generators: Sequence,
     target_gap: float = 1e-10,
-    budget: int = 400,
 ) -> MinNormResult:
     """Distance from z to the convex hull of the generators, with certificate.
 
-    Pipeline: away-step conditional gradient on the Euclidean surrogate for a
-    warm start, pairwise-transfer polish in the true norm, then a
-    cutting-plane loop: the norm is the max of its norming functionals, so
-    accumulated dual cuts turn the problem into a small LP whose solution
-    re-seeds the polish and whose cut set feeds the final certificate.  The
-    reported lower bound is always re-derived from an explicit dual
-    functional with exactly computed dual norm, so the gap is rigorous even
-    if the LP solver is sloppy or absent.
+    ``distance`` is the norm of z - lam G for the returned weights lam on
+    the simplex; ``lower`` is phi(z) - max_j phi(g_j) for a functional phi
+    rescaled by its exactly computed dual norm, so the gap is rigorous
+    whatever the solvers' tolerances.  One of two routes runs:
+
+    * polyhedral norms (every atom and combiner has p in {1, inf}): one LP,
+      whose equality marginals are the functional (stage "lp");
+    * curved norms: conditional gradient on the Euclidean surrogate and a
+      pairwise polish in the true norm, certified by the norming functionals
+      at the residual; while the gap exceeds the target, an SLSQP primal
+      refinement, an SLSQP dual refinement, and last the sup-norm LP as one
+      more primal candidate, which finds the hull point exactly when z lies
+      in the hull.
     """
     if len(generators) == 0:
         raise ParameterError("generator set must be nonempty")
     zz = as_coords(space, z)
     G = np.stack([as_coords(space, g) for g in generators])
-    K = G.shape[0]
+    K, D = G.shape
     nrm = norm_evaluator(space)
 
+    def dist(lam: np.ndarray) -> float:
+        return float(nrm((zz - lam @ G)[None, :])[0])
+
     vertex_dists = nrm(zz[None, :] - G)
+    j = int(np.argmin(vertex_dists))
     lam = np.zeros(K)
-    lam[int(np.argmin(vertex_dists))] = 1.0
-    if float(np.min(vertex_dists)) == 0.0:
-        j = int(np.argmin(vertex_dists))
-        return MinNormResult(0.0, G[j].copy(), lam, 0.0, 0.0, True, 0)
+    lam[j] = 1.0
+    if vertex_dists[j] == 0.0:
+        return MinNormResult(0.0, G[j].copy(), lam, 0.0, 0.0, True, "vertex")
 
-    uniform = np.full(K, 1.0 / K)
-    if float(nrm((zz - uniform @ G)[None, :])[0]) < float(np.min(vertex_dists)):
-        lam = uniform
-
-    lam = _fw_surrogate(G, zz, lam, iters=min(budget, 300))
-    lam = _polish_true_norm(nrm, G, zz, lam, sweeps=25)
-
-    best_lam = lam
-    best_val = float(nrm((zz - lam @ G)[None, :])[0])
-
-    cuts: List[np.ndarray] = []
-    cut_keys = set()
-
-    def add_cuts(v: np.ndarray) -> int:
-        added = 0
-        for psi in norming_cuts(space, v):
-            key = tuple(np.round(psi, 10))
-            if key not in cut_keys:
-                cut_keys.add(key)
-                cuts.append(psi)
-                added += 1
-        return added
-
-    iterations = 0
-    t_star = 0.0
-    stall = 0
-    for it in range(45):
-        iterations = it + 1
-        new_cuts = add_cuts(zz - best_lam @ G)
-        if not cuts:
-            # only a zero residual has no norming functional: distance 0 is exact
-            break
-        if len(cuts) > 400:
-            del cuts[: len(cuts) - 400]
-        sol = _kelley_lp(G, zz, cuts)
+    if _polyhedral(space):
+        sol = _hull_lp(space, zz, G)
         if sol is None:
-            break
-        lam_lp, t_lp = sol
-        t_star = max(t_star, t_lp)
-        val_lp = float(nrm((zz - lam_lp @ G)[None, :])[0])
-        if val_lp < best_val:
-            best_val, best_lam = val_lp, lam_lp
-        polished = _polish_true_norm(nrm, G, zz, lam_lp, sweeps=6)
-        val_pol = float(nrm((zz - polished @ G)[None, :])[0])
-        if val_pol < best_val:
-            best_val, best_lam = val_pol, polished
-        if best_val - t_lp <= max(target_gap * 0.5, 1e-14):
-            add_cuts(zz - best_lam @ G)
-            break
-        stall = stall + 1 if new_cuts == 0 else 0
-        if stall >= 3:
-            break
-
-    best_lam = _polish_true_norm(nrm, G, zz, best_lam, sweeps=30)
-    best_val = min(best_val, float(nrm((zz - best_lam @ G)[None, :])[0]))
-    lower, best_phi = certified_hull_lower(
-        space, zz, G, zz - best_lam @ G, extra_candidates=cuts
-    )
-    if best_val - lower > target_gap:
-        # cutting planes stall on curved norms; hand both sides to a smooth
-        # NLP over the epigraph model and keep whichever bound improves
-        lam_ref = _slsqp_primal(space, nrm, G, zz, best_lam)
-        if lam_ref is not None:
-            val = float(nrm((zz - lam_ref @ G)[None, :])[0])
-            if val < best_val:
-                best_val, best_lam = val, lam_ref
-        add_cuts(zz - best_lam @ G)
-        lower_r, phi_r = certified_hull_lower(
-            space, zz, G, zz - best_lam @ G, extra_candidates=cuts
-        )
-        if lower_r > lower:
-            lower, best_phi = lower_r, phi_r
-    if best_val - lower > target_gap:
-        lower2, phi2, _ = dual_ball_lower(
-            space, zz, G, zz - best_lam @ G,
-            target_gap=max(target_gap * 0.25, 1e-13), max_iters=80,
-        )
-        if lower2 > lower:
-            lower, best_phi = lower2, phi2
+            raise InternalInconsistencyError(f"hull LP failed on {K} generators in dimension {D}")
+        lam = sol[0]
+        best_val = dist(lam)
+        lower, _ = _dual_lower(space, zz, G, sol[1])
+        stage = "lp"
+    else:
+        uniform = np.full(K, 1.0 / K)
+        if dist(uniform) < vertex_dists[j]:
+            lam = uniform
+        lam = _fw_surrogate(G, zz, lam, iters=300)
+        lam = _polish_true_norm(nrm, G, zz, lam, sweeps=25)
+        best_val = dist(lam)
+        lower, phi = certified_hull_lower(space, zz, G, zz - lam @ G)
+        stage = "norming"
         if best_val - lower > target_gap:
-            phi_ref = _slsqp_dual(space, G, zz, best_phi)
-            if phi_ref is not None:
-                dn = _dual_arr(space, phi_ref)
-                if np.isfinite(dn) and dn > 1e-12:
-                    cand = (float(phi_ref @ zz) - float(np.max(G @ phi_ref))) / dn
-                    lower = max(lower, cand)
+            lam_ref = _slsqp_primal(space, nrm, G, zz, lam)
+            if lam_ref is not None and dist(lam_ref) < best_val:
+                lam, best_val = lam_ref, dist(lam_ref)
+                lower_r, phi_r = certified_hull_lower(space, zz, G, zz - lam @ G)
+                if lower_r > lower:
+                    lower, phi, stage = lower_r, phi_r, "slsqp-primal"
+        if best_val - lower > target_gap:
+            lower_d, _ = _dual_lower(space, zz, G, _slsqp_dual(space, G, zz, phi))
+            if lower_d > lower:
+                lower, stage = lower_d, "slsqp-dual"
+        if best_val - lower > target_gap:
+            sol = _hull_lp(LpFinite(INF, D), zz, G)
+            if sol is not None and dist(sol[0]) < best_val:
+                lam, best_val = sol[0], dist(sol[0])
     gap = max(0.0, best_val - lower)
     return MinNormResult(
         distance=best_val,
-        point=best_lam @ G,
-        weights=best_lam,
+        point=lam @ G,
+        weights=lam,
         gap=gap,
         lower=lower,
         converged=gap <= target_gap,
-        iterations=iterations,
+        stage=stage,
     )
 
 
@@ -1561,22 +1392,24 @@ def _grid_upper(nrm, z, S: np.ndarray, m: int, amb) -> Tuple[float, ConvexDecomp
 
 
 def _hull_edges(S: np.ndarray):
+    from scipy.spatial import ConvexHull, QhullError
+
     if S.shape[1] != 2:
         return None
     try:
-        from scipy.spatial import ConvexHull
-
         hull = ConvexHull(S)
-        return [tuple(simplex) for simplex in hull.simplices]
-    except Exception:
+    except QhullError:
         # degenerate (collinear) point sets: use the extreme pair
         spread = S - S.mean(axis=0)
         _, _, vt = np.linalg.svd(spread, full_matrices=False)
         proj = spread @ vt[0]
         return [(int(np.argmin(proj)), int(np.argmax(proj)))]
+    return [tuple(simplex) for simplex in hull.simplices]
 
 
 def _grid_hull_lower(nrm, amb, z, S: np.ndarray, m: int) -> Tuple[float, str]:
+    from scipy.spatial import ConvexHull, QhullError
+
     if m == 1:
         return float(np.min(nrm(z[None, :] - S))), "grid-point-scan"
     if S.shape[1] == 2:
@@ -1584,30 +1417,16 @@ def _grid_hull_lower(nrm, amb, z, S: np.ndarray, m: int) -> Tuple[float, str]:
         # edge whenever z is outside, so <= 2 generators suffice and the
         # full-hull distance equals the m-fold one for every m >= 2
         try:
-            from scipy.spatial import ConvexHull
-
             hull = ConvexHull(S)
-            inside = np.all(hull.equations @ np.append(z, 1.0) <= 1e-12)
-            if inside:
+        except QhullError:
+            hull = None  # degenerate (collinear) set: the dual certificate below
+        if hull is not None:
+            if np.all(hull.equations @ np.append(z, 1.0) <= 1e-12):
                 return 0.0, "grid-hull-inside"
             edges = [tuple(s) for s in hull.simplices]
             A = S[[a for a, _ in edges]]
             B = S[[b for _, b in edges]]
             val, _, _ = _segment_scan(nrm, z, A, B)
             return val, "grid-hull-exact"
-        except Exception:
-            pass
     # general ambient dimension: certified dual lower bound on the full hull
-    if S.shape[0] <= 600:
-        res = min_norm_point(amb, z, S, target_gap=1e-9, budget=300)
-        return res.lower, "grid-dual-certificate"
-    # too many generators for the cutting-plane LP: quick primal, then a
-    # direct dual certificate evaluated against the full generator set
-    K = S.shape[0]
-    vd = nrm(z[None, :] - S)
-    lam = np.zeros(K)
-    lam[int(np.argmin(vd))] = 1.0
-    lam = _fw_surrogate(S, z, lam, iters=250)
-    lam = _polish_true_norm(nrm, S, z, lam, sweeps=12)
-    lower, _ = certified_hull_lower(amb, z, S, z - lam @ S)
-    return lower, "grid-dual-certificate"
+    return min_norm_point(amb, z, S, target_gap=1e-9).lower, "grid-dual-certificate"

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings, strategies as st
 
 from hullgap.errors import (
@@ -28,7 +29,16 @@ from hullgap.hullgeom import (
     require_nonempty,
     validate_decomposition,
 )
-from hullgap.spaces import INF, DirectSum, FunctionModule, LpFinite, SupTuple, dim, norm
+from hullgap.spaces import (
+    INF,
+    DirectSum,
+    FunctionModule,
+    LpFinite,
+    SupTuple,
+    dim,
+    format_space,
+    norm,
+)
 
 SCALARS = LpFinite(2.0, 1)
 PLANE = LpFinite(INF, 2)
@@ -49,6 +59,53 @@ NORM_POOL = POOL + [
     FunctionModule(3, LpFinite(2.0, 2)),
     SupTuple(2, DirectSum(2.0, LpFinite(1.0, 2), LpFinite(INF, 2))),
 ]
+
+# every atom and combiner has p in {1, inf}: one LP solves the hull problem
+POLYHEDRAL_POOL = [
+    LpFinite(INF, 3),
+    LpFinite(1.0, 4),
+    SupTuple(2, LpFinite(1.0, 2)),
+    DirectSum(1.0, LpFinite(INF, 2), LpFinite(1.0, 3)),
+    FunctionModule(3, LpFinite(INF, 2)),
+    DirectSum(INF, LpFinite(1.0, 2), SupTuple(2, LpFinite(INF, 2))),
+]
+
+STAGES = {"vertex", "lp", "norming", "slsqp-primal", "slsqp-dual"}
+
+
+def criterion_7_instance(seed, trial):
+    # replays the draws of test_acceptance's criterion 7 with another seed
+    pool = [
+        LpFinite(2.0, 4), LpFinite(INF, 6), LpFinite(1.0, 5),
+        LpFinite(2.0, 12), SupTuple(3, LpFinite(INF, 4)), LpFinite(1.5, 3),
+    ]
+    rng = np.random.default_rng(seed)
+    for t in range(trial + 1):
+        space = pool[t % len(pool)]
+        d = dim(space)
+        K = int(rng.integers(1, 21))
+        G = rng.standard_normal((K, d))
+        z = rng.standard_normal(d) * 1.5
+    return space, z, G
+
+
+def certificate_bench_instance(seed, trial):
+    # replays the draws of scripts/certificate_bench.py
+    pool = [
+        LpFinite(INF, 4), LpFinite(1.0, 4), LpFinite(2.0, 5), LpFinite(3.0, 3),
+        SupTuple(3, LpFinite(INF, 2)), SupTuple(2, LpFinite(2.0, 3)),
+        DirectSum(1.0, LpFinite(2.0, 2), LpFinite(INF, 3)),
+        DirectSum(INF, LpFinite(1.0, 3), LpFinite(2.0, 2)),
+        SupTuple(2, DirectSum(2.0, LpFinite(1.0, 2), LpFinite(INF, 2))),
+    ]
+    rng = np.random.default_rng(seed)
+    for t in range(trial + 1):
+        space = pool[t % len(pool)]
+        D = dim(space)
+        K = int(rng.integers(2, 21))
+        G = rng.uniform(-1.0, 1.0, (K, D))
+        z = rng.uniform(-1.5, 1.5, D)
+    return space, z, G
 
 
 def two_gen_scan(space, z, g0, g1):
@@ -278,6 +335,7 @@ class TestMinNormPoint:
             res = min_norm_point(sp, z, G)
             assert res.gap <= 1e-9, f"trial {trial} on {sp}"
             assert res.lower <= res.distance + 1e-12
+            assert res.stage in STAGES
             # the witness must be a genuine convex combination
             assert np.all(res.weights >= -1e-12)
             assert float(res.weights.sum()) == pytest.approx(1.0, abs=1e-12)
@@ -286,6 +344,47 @@ class TestMinNormPoint:
             assert res.distance == pytest.approx(
                 float(ev((np.asarray(z) - res.point)[None, :])[0]), abs=1e-12
             )
+
+    def test_polyhedral_norms_take_one_lp(self, monkeypatch):
+        calls = []
+        original = scipy.optimize.linprog
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.optimize, "linprog", counting)
+        rng = np.random.default_rng(17)
+        for trial in range(24):
+            sp = POLYHEDRAL_POOL[trial % len(POLYHEDRAL_POOL)]
+            D = dim(sp)
+            K = int(rng.integers(2, 21))
+            G = rng.uniform(-1.0, 1.0, (K, D))
+            z = rng.uniform(-1.5, 1.5, D)
+            before = len(calls)
+            res = min_norm_point(sp, z, G)
+            assert len(calls) - before == 1, f"trial {trial} on {sp}"
+            assert res.stage == "lp"
+            assert res.gap <= 1e-12, f"trial {trial} on {sp}: gap {res.gap}"
+            assert res.lower <= res.distance + 1e-12
+
+    def test_curved_gap_on_criterion_7_seed_5(self):
+        # z lies in the hull here: the gap closes only once the primal side
+        # reaches a residual near zero
+        sp, z, G = criterion_7_instance(5, 35)
+        assert format_space(sp) == "lp(1.5,3)"
+        res = min_norm_point(sp, z, list(G))
+        assert res.gap <= 1e-9, res.gap
+        assert res.lower <= res.distance + 1e-12
+
+    def test_direct_sum_converges_on_certificate_bench_trial_25(self):
+        # a curved composite whose primal side needs a refinement after the
+        # polish to meet the default 1e-10 target
+        sp, z, G = certificate_bench_instance(42, 25)
+        assert format_space(sp) == "dsum(inf, lp(1,3), lp(2,2))" and G.shape[0] == 17
+        res = min_norm_point(sp, z, G)
+        assert res.converged, res.gap
+        assert res.lower <= res.distance + 1e-12
 
 
 class TestDescentUpper:
