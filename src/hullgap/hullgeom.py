@@ -9,9 +9,10 @@ module answers "how far is z from that set" three ways:
   many generators in any of our norms, with a rigorous lower bound built
   from an explicit dual functional rescaled by its exactly computed dual
   norm (so the reported gap is a real gap).  A polyhedral norm (every atom
-  and combiner with p in {1, inf}) takes one LP, whose marginals are the
-  functional; a curved norm takes a descent on the primal side, norming
-  functionals at the residual, and one SLSQP refinement on each side;
+  and combiner with p in {1, inf}, or a one-coordinate atom, which is |x|
+  for every p) takes one LP, whose marginals are the functional; a curved
+  norm takes a descent on the primal side, norming functionals at the
+  residual, and one SLSQP refinement on each side;
 * ``dist_to_cm_upper`` -- a deterministic feasible-decomposition search whose
   reported value is monotone in m, eps and alpha by construction;
 * ``dist_to_cm_grid`` -- an enumeration oracle producing two-sided brackets
@@ -39,6 +40,7 @@ from .spaces import (
     LpFinite,
     Space,
     SupTuple,
+    as_coord_rows,
     as_coords,
     canonical_unit,
     combine,
@@ -205,26 +207,136 @@ class DistanceBracket:
 # vectorized norm machinery
 
 
-def norm_evaluator(space: Space) -> Callable[[np.ndarray], np.ndarray]:
-    """Build a batch evaluator mapping an (T, dim) array to the T norms."""
-    if isinstance(space, LpFinite):
-        p = space.p
-        if p == INF:
-            return lambda X: np.max(np.abs(X), axis=1)
-        if p == 1.0:
-            return lambda X: np.sum(np.abs(X), axis=1)
-        if p == 2.0:
-            return lambda X: np.sqrt(np.einsum("td,td->t", X, X))
-        return lambda X: np.sum(np.abs(X) ** p, axis=1) ** (1.0 / p)
-    p, subs = parts(space)
-    evs = [(off, off + dim(part), norm_evaluator(part)) for off, part in subs]
+@dataclass(frozen=True, eq=False)
+class NormPlan:
+    """A space compiled once for batch work on (T, dim) arrays.
+
+    One node is the l_p combination of |x_c| over its own coordinates
+    ``cols`` and of its child nodes' norms.  Same-p nests are flattened on
+    compiling: a max of maxes is one max over the union of their
+    coordinates, a sum of sums one sum, so ``sup(n, lp(inf,d))`` is a single
+    ``np.max(np.abs(X), axis=1)``.  A one-coordinate atom is |x| for every
+    p and joins its parent's combination.
+
+    ``polyhedral`` holds when every node has p in {1, inf}: the norm is then
+    a max of finitely many linear functionals, the hull problem is one LP,
+    and t -> ||V - tW|| is piecewise linear with at most ``pieces`` pieces.
+    """
+
+    p: float
+    cols: object  # None, a slice, or an index array when they are not contiguous
+    kids: Tuple["NormPlan", ...]
+    polyhedral: bool
+    pieces: int
+    evaluate: Callable[[np.ndarray], np.ndarray]
+
+    def probe(self, R: np.ndarray, W: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Value, left and right slope of s -> norm(R - sW) at s = 0, per row.
+
+        Polyhedral plans only.  The value is computed by the same operations
+        in the same order as ``evaluate(R)``, so it equals it bit for bit.
+        """
+        terms = []
+        if self.cols is not None:
+            r, w = R[:, self.cols], W[:, self.cols]
+            a = np.abs(r)
+            slope = -np.sign(r) * w
+            kink = r == 0.0
+            left = np.where(kink, -np.abs(w), slope)
+            right = np.where(kink, np.abs(w), slope)
+            if self.p == INF:
+                f = np.max(a, axis=1)
+                act = a == f[:, None]
+                terms.append((f, np.where(act, left, INF).min(axis=1),
+                              np.where(act, right, -INF).max(axis=1)))
+            else:
+                terms.append((np.sum(a, axis=1), left.sum(axis=1), right.sum(axis=1)))
+        terms += [kid.probe(R, W) for kid in self.kids]
+        if len(terms) == 1:
+            return terms[0]
+        fs, lefts, rights = (np.stack(col) for col in zip(*terms))
+        if self.p == INF:
+            f = functools.reduce(np.maximum, fs)
+            act = fs == f[None, :]
+            return f, np.where(act, lefts, INF).min(axis=0), np.where(act, rights, -INF).max(axis=0)
+        return functools.reduce(np.add, fs), lefts.sum(axis=0), rights.sum(axis=0)
+
+
+def _own_evaluator(p: float, cols) -> Callable[[np.ndarray], np.ndarray]:
+    """The l_p norm of the coordinates ``cols`` of each row."""
     if p == INF:
-        return lambda X: functools.reduce(np.maximum, [ev(X[:, a:b]) for a, b, ev in evs])
+        return lambda X: np.max(np.abs(X[:, cols]), axis=1)
     if p == 1.0:
-        return lambda X: functools.reduce(np.add, [ev(X[:, a:b]) for a, b, ev in evs])
-    return lambda X: functools.reduce(
-        np.add, [ev(X[:, a:b]) ** p for a, b, ev in evs]
-    ) ** (1.0 / p)
+        return lambda X: np.sum(np.abs(X[:, cols]), axis=1)
+    if p == 2.0:
+        return lambda X: np.sqrt(np.einsum("td,td->t", X[:, cols], X[:, cols]))
+    return lambda X: np.sum(np.abs(X[:, cols]) ** p, axis=1) ** (1.0 / p)
+
+
+def _combined_evaluator(p: float, evs: list) -> Callable[[np.ndarray], np.ndarray]:
+    """The l_p norm of the terms' values, for two or more terms."""
+    if p == INF:
+        return lambda X: functools.reduce(np.maximum, [ev(X) for ev in evs])
+    if p == 1.0:
+        return lambda X: functools.reduce(np.add, [ev(X) for ev in evs])
+    return lambda X: functools.reduce(np.add, [ev(X) ** p for ev in evs]) ** (1.0 / p)
+
+
+def _flat_layout(space: Space, off: int) -> Tuple[Optional[float], List[int], list]:
+    """(p, own coordinates, child layouts) with same-p nests spliced in.
+
+    p is None for a one-coordinate atom, which fits under any combiner.
+    """
+    if isinstance(space, LpFinite):
+        return (space.p if space.d > 1 else None), list(range(off, off + space.d)), []
+    p, subs = parts(space)
+    cols: List[int] = []
+    kids = []
+    for o, part in subs:
+        q, c, k = _flat_layout(part, off + o)
+        if q is None or q == p:
+            cols += c
+            kids += k
+        else:
+            kids.append((q, c, k))
+    if not cols and len(kids) == 1:
+        return kids[0]
+    return p, cols, kids
+
+
+def _compile(p: Optional[float], cols: List[int], kids: list) -> NormPlan:
+    p = INF if p is None else p
+    nodes = tuple(_compile(*k) for k in kids)
+    if not cols:
+        sel = None
+    elif cols == list(range(cols[0], cols[0] + len(cols))):
+        sel = slice(cols[0], cols[0] + len(cols))
+    else:
+        sel = np.array(cols)
+    evs = ([_own_evaluator(p, sel)] if cols else []) + [kid.evaluate for kid in nodes]
+    # along a line: |x_c| has two pieces and one kink; a max of convex pieces
+    # has at most as many pieces as its terms together, a sum one more than
+    # the kinks of its terms together
+    if p == INF:
+        pieces = 2 * len(cols) + sum(k.pieces for k in nodes)
+    else:
+        pieces = 1 + len(cols) + sum(k.pieces - 1 for k in nodes)
+    return NormPlan(
+        p=p, cols=sel, kids=nodes,
+        polyhedral=p in (1.0, INF) and all(k.polyhedral for k in nodes),
+        pieces=pieces, evaluate=evs[0] if len(evs) == 1 else _combined_evaluator(p, evs),
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def norm_plan(space: Space) -> NormPlan:
+    """The space's norm plan, compiled once per (frozen) descriptor."""
+    return _compile(*_flat_layout(space, 0))
+
+
+def norm_evaluator(space: Space) -> Callable[[np.ndarray], np.ndarray]:
+    """The batch evaluator mapping an (T, dim) array to the T norms."""
+    return norm_plan(space).evaluate
 
 
 def mean_norm_evaluator(space: Space, n: int) -> Callable[[np.ndarray], np.ndarray]:
@@ -452,17 +564,31 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def _batch_segment_min(
+    space: Space,
+    V: np.ndarray,
+    W: np.ndarray,
+    hi: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """For each row p, minimize t -> norm(V[p] - t*W[p]) over [0, hi[p]].
+
+    Returns (t, f) with f the evaluator's value at t: exact on a polyhedral
+    norm, golden section on a curved one.
+    """
+    plan = norm_plan(space)
+    if plan.polyhedral:
+        return _kelley_segment_min(plan, V, W, hi)
+    return _golden_segment_min(norm_evaluator(space), V, W, hi)
+
+
+def _golden_segment_min(
     nrm: Callable[[np.ndarray], np.ndarray],
     V: np.ndarray,
     W: np.ndarray,
     hi: np.ndarray,
     iters: int = 60,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """For each row p, minimize t -> nrm(V[p] - t*W[p]) over [0, hi[p]].
-
-    The objective is convex in t, so golden-section search is exact up to the
-    final interval; endpoints are compared explicitly afterwards.
-    """
+    """The objective is convex in t, so golden-section search is exact up to
+    the final interval; endpoints are compared explicitly afterwards."""
     lo = np.zeros_like(hi)
     hi_cur = hi.astype(float).copy()
     for _ in range(iters):
@@ -484,6 +610,56 @@ def _batch_segment_min(
     pick = np.argmin(cand_f, axis=0)
     idx = np.arange(hi.shape[0])
     return cand_t[pick, idx], cand_f[pick, idx]
+
+
+def _kelley_segment_min(
+    plan: NormPlan, V: np.ndarray, W: np.ndarray, hi: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Exact minimizer of the piecewise-linear t -> norm(V - tW) on [0, hi].
+
+    Kelley's cutting-plane method in one dimension, on all rows at once.  A
+    row keeps a tangent line at a (slope sa < 0) and one at b (slope sb > 0),
+    steps to where they meet, and there replaces one of them by the line of
+    the one-sided slope pointing downhill.  Every step cuts with a new
+    linear piece, so a row is done after at most ``plan.pieces`` steps: when
+    the slopes at t bracket 0, when f(t) meets the model, or when rounding
+    makes a cut repeat the one it replaces (a tie resolved the other way).
+    The best point seen is returned, with the value the evaluator gives there.
+    """
+    T = V.shape[0]
+    f, left, right = plan.probe(np.concatenate([V, V - hi[:, None] * W]), np.concatenate([W, W]))
+    a, fa, sa = np.zeros(T), f[:T], right[:T]
+    b, fb, sb = hi.astype(float), f[T:], left[T:]
+    t_best = np.where(fb < fa, b, a)
+    f_best = np.minimum(fa, fb)
+    open_ = (sa < 0.0) & (sb > 0.0) & (b > 0.0)
+    for _ in range(plan.pieces):
+        rows = np.nonzero(open_)[0]
+        if rows.shape[0] == 0:
+            break
+        ra, rfa, rsa = a[rows], fa[rows], sa[rows]
+        rb, rfb, rsb = b[rows], fb[rows], sb[rows]
+        t = np.clip((rfb - rfa + rsa * ra - rsb * rb) / (rsa - rsb), ra, rb)
+        model = np.maximum(rfa + rsa * (t - ra), rfb + rsb * (t - rb))
+        f, left, right = plan.probe(V[rows] - t[:, None] * W[rows], W[rows])
+        better = f < f_best[rows]
+        t_best[rows[better]] = t[better]
+        f_best[rows[better]] = f[better]
+        up = right < 0.0  # still descending at t: t becomes the left end
+        down = left > 0.0
+        done = ~(up | down) | (f <= model) | (t <= ra) | (t >= rb)
+        done |= (up & (right <= rsa)) | (down & (left >= rsb))
+        step_a = rows[up & ~done]
+        a[step_a], fa[step_a], sa[step_a] = t[up & ~done], f[up & ~done], right[up & ~done]
+        step_b = rows[down & ~done]
+        b[step_b], fb[step_b], sb[step_b] = t[down & ~done], f[down & ~done], left[down & ~done]
+        open_[rows[done]] = False
+    if np.any(open_):
+        raise InternalInconsistencyError(
+            f"exact segment search still open after {plan.pieces} steps on "
+            f"{int(open_.sum())} of {T} rows"
+        )
+    return t_best, f_best
 
 
 def _fw_surrogate(G: np.ndarray, z: np.ndarray, lam: np.ndarray, iters: int) -> np.ndarray:
@@ -526,7 +702,7 @@ def _fw_surrogate(G: np.ndarray, z: np.ndarray, lam: np.ndarray, iters: int) -> 
 
 
 def _polish_true_norm(
-    nrm: Callable[[np.ndarray], np.ndarray],
+    space: Space,
     G: np.ndarray,
     z: np.ndarray,
     lam: np.ndarray,
@@ -534,7 +710,7 @@ def _polish_true_norm(
     pair_cap: int = 18,
 ) -> np.ndarray:
     """Pairwise weight transfers with exact convex line searches."""
-    K = G.shape[0]
+    nrm = norm_evaluator(space)
     dist_to_z = nrm(z[None, :] - G)
     for _ in range(sweeps):
         support = np.nonzero(lam > 1e-15)[0]
@@ -549,7 +725,7 @@ def _polish_true_norm(
         V = np.repeat(v0[None, :], len(pairs), axis=0)
         W = G[dst] - G[src]
         hi = lam[src]
-        t_best, f_best = _batch_segment_min(nrm, V, W, hi)
+        t_best, f_best = _batch_segment_min(space, V, W, hi)
         base = float(nrm(v0[None, :])[0])
         k = int(np.argmin(f_best))
         if f_best[k] >= base - 1e-15 * (1.0 + base):
@@ -565,7 +741,8 @@ def _polish_true_norm(
 class _NormEpigraph:
     """Smooth inequality model of a norm over affine coordinate expressions.
 
-    Max-type nodes (sup tuples, infinity atoms, coordinate absolute values)
+    Max-type nodes (sup tuples, infinity and one-coordinate atoms,
+    coordinate absolute values)
     become linear rows on fresh bound variables, p-type nodes become single
     power rows |a|^p >= sum |child|^p, and 1-sums stay plain affine sums.  On
     a polyhedral norm there are no power rows, and the linear rows alone are
@@ -608,7 +785,7 @@ class _NormEpigraph:
                     coef[u] = 1.0
                     total += abs(float(v))
                 return (coef, 0.0), total
-            if space.p == INF:
+            if space.p == INF or space.d == 1:
                 val = float(np.max(np.abs(vals))) if len(vals) else 0.0
                 a = self.new_var(val)
                 for e in exprs:
@@ -808,19 +985,11 @@ def _slsqp_dual(space, G: np.ndarray, z: np.ndarray,
     return phi
 
 
-def _polyhedral(space: Space) -> bool:
-    """Every atom and every combiner of the space has p in {1, inf}."""
-    if isinstance(space, LpFinite):
-        return space.p in (1.0, INF)
-    p, subs = parts(space)
-    return p in (1.0, INF) and all(_polyhedral(part) for _, part in subs)
-
-
 def _hull_lp(space: Space, z: np.ndarray, G: np.ndarray):
     """min ||v|| s.t. v + G'lam = z, lam on the simplex, as one HiGHS LP.
 
     The norm is modelled by the linear rows of its epigraph, so the space
-    must be polyhedral.  Returns (weights, phi) or None if the LP fails;
+    must be polyhedral (``norm_plan(space).polyhedral``).  Returns (weights, phi) or None if the LP fails;
     phi holds the marginals of the D coupling rows: the derivative of the
     distance in z, which is the optimal separating functional.
     """
@@ -861,7 +1030,7 @@ def min_norm_point(
     rescaled by its exactly computed dual norm, so the gap is rigorous
     whatever the solvers' tolerances.  One of two routes runs:
 
-    * polyhedral norms (every atom and combiner has p in {1, inf}): one LP,
+    * polyhedral norms (``norm_plan(space).polyhedral``): one LP,
       whose equality marginals are the functional (stage "lp");
     * curved norms: conditional gradient on the Euclidean surrogate and a
       pairwise polish in the true norm, certified by the norming functionals
@@ -873,7 +1042,7 @@ def min_norm_point(
     if len(generators) == 0:
         raise ParameterError("generator set must be nonempty")
     zz = as_coords(space, z)
-    G = np.stack([as_coords(space, g) for g in generators])
+    G = as_coord_rows(space, generators)
     K, D = G.shape
     nrm = norm_evaluator(space)
 
@@ -887,7 +1056,7 @@ def min_norm_point(
     if vertex_dists[j] == 0.0:
         return MinNormResult(0.0, G[j].copy(), lam, 0.0, 0.0, True, "vertex")
 
-    if _polyhedral(space):
+    if norm_plan(space).polyhedral:
         sol = _hull_lp(space, zz, G)
         if sol is None:
             raise InternalInconsistencyError(f"hull LP failed on {K} generators in dimension {D}")
@@ -900,7 +1069,7 @@ def min_norm_point(
         if dist(uniform) < vertex_dists[j]:
             lam = uniform
         lam = _fw_surrogate(G, zz, lam, iters=300)
-        lam = _polish_true_norm(nrm, G, zz, lam, sweeps=25)
+        lam = _polish_true_norm(space, G, zz, lam, sweeps=25)
         best_val = dist(lam)
         lower, phi = certified_hull_lower(space, zz, G, zz - lam @ G)
         stage = "norming"
@@ -1081,7 +1250,7 @@ class _UpperEngine:
                 best_lam, best_val = s, sval
             lam = _fw_surrogate(gens, self.z, s.copy(), iters=250 if accurate else 80)
             lam = _polish_true_norm(
-                self.nrm_sup, gens, self.z, lam, sweeps=60 if accurate else 8
+                self.amb, gens, self.z, lam, sweeps=60 if accurate else 8
             )
             val = float(self.nrm_sup((self.z - lam @ gens)[None, :])[0])
             if val < best_val:
@@ -1204,7 +1373,7 @@ class _UpperEngine:
             mu[int(np.argmin(vd))] = 1.0
             if K > 1:
                 mu = _fw_surrogate(gens0, self.z, mu, iters=200)
-                mu = _polish_true_norm(self.nrm_sup, gens0, self.z, mu, sweeps=40)
+                mu = _polish_true_norm(self.amb, gens0, self.z, mu, sweeps=40)
             dist0 = float(self.nrm_sup((self.z - mu @ gens0)[None, :])[0])
             lo = np.zeros(len(idxs))
             hi = np.ones(len(idxs))
@@ -1287,12 +1456,12 @@ def _grid_points(alpha: float, h: float, D: int) -> np.ndarray:
     return np.stack([g.reshape(-1) for g in grids], axis=1)
 
 
-def _segment_scan(nrm, z, A: np.ndarray, B: np.ndarray) -> Tuple[float, int, float]:
+def _segment_scan(space: Space, z, A: np.ndarray, B: np.ndarray) -> Tuple[float, int, float]:
     """Min over segments [A_i, B_i] of the distance to z; returns (val, index, t)."""
     V = z[None, :] - A
     W = B - A
     hi = np.ones(A.shape[0])
-    t, f = _batch_segment_min(nrm, V, W, hi)
+    t, f = _batch_segment_min(space, V, W, hi)
     k = int(np.argmin(f))
     return float(f[k]), k, float(t[k])
 
@@ -1346,8 +1515,8 @@ def dist_to_cm_grid(space: Space, z, params: CmParams, resolution: float) -> Dis
             "grid too coarse: no members at this resolution", report={**report, **meta}
         )
 
-    upper, witness, upper_method = _grid_upper(nrm, zz, strict, params.m, amb)
-    lower_raw, lower_method = _grid_hull_lower(nrm, amb, zz, relax, params.m)
+    upper, witness, upper_method = _grid_upper(amb, zz, strict, params.m)
+    lower_raw, lower_method = _grid_hull_lower(amb, zz, relax, params.m)
     lower = max(0.0, lower_raw - r_cov)
     lower = min(lower, upper)
     return DistanceBracket(
@@ -1355,8 +1524,8 @@ def dist_to_cm_grid(space: Space, z, params: CmParams, resolution: float) -> Dis
     )
 
 
-def _grid_upper(nrm, z, S: np.ndarray, m: int, amb) -> Tuple[float, ConvexDecomposition, str]:
-    d_point = nrm(z[None, :] - S)
+def _grid_upper(amb: Space, z, S: np.ndarray, m: int) -> Tuple[float, ConvexDecomposition, str]:
+    d_point = norm_evaluator(amb)(z[None, :] - S)
     j = int(np.argmin(d_point))
     best_val = float(d_point[j])
     best_dec = ConvexDecomposition(np.array([1.0]), [S[j].copy()])
@@ -1366,7 +1535,7 @@ def _grid_upper(nrm, z, S: np.ndarray, m: int, amb) -> Tuple[float, ConvexDecomp
         if edges is not None and len(edges):
             A = S[[a for a, _ in edges]]
             B = S[[b for _, b in edges]]
-            val, k, t = _segment_scan(nrm, z, A, B)
+            val, k, t = _segment_scan(amb, z, A, B)
             if val < best_val:
                 a, b = edges[k]
                 best_val = val
@@ -1380,7 +1549,7 @@ def _grid_upper(nrm, z, S: np.ndarray, m: int, amb) -> Tuple[float, ConvexDecomp
         if pairs:
             A = S[[a for a, _ in pairs]]
             B = S[[b for _, b in pairs]]
-            val, k, t = _segment_scan(nrm, z, A, B)
+            val, k, t = _segment_scan(amb, z, A, B)
             if val < best_val - 1e-15:
                 a, b = pairs[k]
                 best_val = val
@@ -1407,11 +1576,11 @@ def _hull_edges(S: np.ndarray):
     return [tuple(simplex) for simplex in hull.simplices]
 
 
-def _grid_hull_lower(nrm, amb, z, S: np.ndarray, m: int) -> Tuple[float, str]:
+def _grid_hull_lower(amb: Space, z, S: np.ndarray, m: int) -> Tuple[float, str]:
     from scipy.spatial import ConvexHull, QhullError
 
     if m == 1:
-        return float(np.min(nrm(z[None, :] - S))), "grid-point-scan"
+        return float(np.min(norm_evaluator(amb)(z[None, :] - S))), "grid-point-scan"
     if S.shape[1] == 2:
         # in the plane, a nearest point of the full hull lies on a boundary
         # edge whenever z is outside, so <= 2 generators suffice and the
@@ -1426,7 +1595,7 @@ def _grid_hull_lower(nrm, amb, z, S: np.ndarray, m: int) -> Tuple[float, str]:
             edges = [tuple(s) for s in hull.simplices]
             A = S[[a for a, _ in edges]]
             B = S[[b for _, b in edges]]
-            val, _, _ = _segment_scan(nrm, z, A, B)
+            val, _, _ = _segment_scan(amb, z, A, B)
             return val, "grid-hull-exact"
     # general ambient dimension: certified dual lower bound on the full hull
     return min_norm_point(amb, z, S, target_gap=1e-9).lower, "grid-dual-certificate"

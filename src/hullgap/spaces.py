@@ -143,13 +143,17 @@ class Vector:
         arr = np.asarray(self.coords, dtype=float)
         if arr.ndim != 1:
             arr = arr.reshape(-1)
-        want = dim(self.space)
-        if arr.shape[0] != want:
-            raise DimensionMismatch(
-                f"vector has {arr.shape[0]} coordinates but space "
-                f"{format_space(self.space)} has dimension {want}"
-            )
+        _check_dim(self.space, arr.shape[0])
         object.__setattr__(self, "coords", arr)
+
+
+def _check_dim(space: Space, got: int) -> None:
+    want = dim(space)
+    if got != want:
+        raise DimensionMismatch(
+            f"vector has {got} coordinates but space "
+            f"{format_space(space)} has dimension {want}"
+        )
 
 
 def as_coords(space: Space, v) -> np.ndarray:
@@ -158,13 +162,20 @@ def as_coords(space: Space, v) -> np.ndarray:
         arr = v.coords
     else:
         arr = np.asarray(v, dtype=float).reshape(-1)
-    want = dim(space)
-    if arr.shape[0] != want:
-        raise DimensionMismatch(
-            f"vector has {arr.shape[0]} coordinates but space "
-            f"{format_space(space)} has dimension {want}"
-        )
+    _check_dim(space, arr.shape[0])
     return arr
+
+
+def as_coord_rows(space: Space, vs) -> np.ndarray:
+    """Stack vectors as the rows of a (K, dim) float array.
+
+    A 2-D array is taken whole, with one shape check; anything else goes
+    through ``as_coords`` one vector at a time.
+    """
+    if isinstance(vs, np.ndarray) and vs.ndim == 2:
+        _check_dim(space, vs.shape[1])
+        return np.asarray(vs, dtype=float)
+    return np.stack([as_coords(space, v) for v in vs])
 
 
 def norm(space: Space, v) -> float:

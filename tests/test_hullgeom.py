@@ -1,5 +1,6 @@
 """Hull-set parameters, the certified distance solver, descent uppers, grid brackets."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 import scipy.optimize
 from hypothesis import given, settings, strategies as st
 
+import hullgap.hullgeom as hullgeom
 from hullgap.errors import (
     CapabilityRefusal,
     InternalInconsistencyError,
@@ -16,6 +18,10 @@ from hullgap.hullgeom import (
     CmParams,
     ConvexDecomposition,
     DistanceBracket,
+    _UpperEngine,
+    _batch_segment_min,
+    _golden_segment_min,
+    _kelley_segment_min,
     cm_member_check,
     dist_to_cm_grid,
     dist_to_cm_upper,
@@ -25,12 +31,14 @@ from hullgap.hullgeom import (
     mean_norm_evaluator,
     min_norm_point,
     norm_evaluator,
+    norm_plan,
     norming_cuts,
     require_nonempty,
     validate_decomposition,
 )
 from hullgap.spaces import (
     INF,
+    DimensionMismatch,
     DirectSum,
     FunctionModule,
     LpFinite,
@@ -38,6 +46,7 @@ from hullgap.spaces import (
     dim,
     format_space,
     norm,
+    parse_space,
 )
 
 SCALARS = LpFinite(2.0, 1)
@@ -58,6 +67,24 @@ POOL = [
 NORM_POOL = POOL + [
     FunctionModule(3, LpFinite(2.0, 2)),
     SupTuple(2, DirectSum(2.0, LpFinite(1.0, 2), LpFinite(INF, 2))),
+]
+
+# the plan must also compile one-coordinate atoms, which are |x| for every p
+PLAN_POOL = NORM_POOL + [
+    LpFinite(2.0, 1),
+    FunctionModule(1, LpFinite(3.0, 1)),
+    SupTuple(6, LpFinite(INF, 1)),
+]
+
+# the exact segment search: polyhedral spaces of NORM_POOL, flat sup-norm
+# ambients, an l_1 composite and one-coordinate atoms
+EXACT_POOL = [sp for sp in NORM_POOL if norm_plan(sp).polyhedral] + [
+    SupTuple(2, LpFinite(INF, 3)),
+    SupTuple(6, LpFinite(INF, 1)),
+    SupTuple(3, LpFinite(INF, 4)),
+    DirectSum(1.0, LpFinite(INF, 2), SupTuple(2, LpFinite(1.0, 2))),
+    SupTuple(2, LpFinite(2.0, 1)),
+    FunctionModule(1, LpFinite(3.0, 1)),
 ]
 
 # every atom and combiner has p in {1, inf}: one LP solves the hull problem
@@ -106,6 +133,23 @@ def certificate_bench_instance(seed, trial):
         G = rng.uniform(-1.0, 1.0, (K, D))
         z = rng.uniform(-1.5, 1.5, D)
     return space, z, G
+
+
+def segment_rows(rng, D, T=12):
+    # random rows, quarter-grid rows (ties between coordinates, flat
+    # bottoms), a zero column of W, V on a kink, hi = 0 and W = 0
+    V = rng.uniform(-1.0, 1.0, (T, D))
+    W = rng.uniform(-1.0, 1.0, (T, D))
+    V[6:] = np.round(4.0 * V[6:]) / 4.0
+    W[6:] = np.round(4.0 * W[6:]) / 4.0
+    W[1:3, 0] = 0.0
+    V[2, -1] = 0.0
+    if D > 1:
+        V[3, -1] = -V[3, 0]
+    hi = rng.uniform(0.0, 2.0, T)
+    hi[4] = 0.0
+    W[5] = 0.0
+    return V, W, hi
 
 
 def two_gen_scan(space, z, g0, g1):
@@ -223,12 +267,13 @@ class TestDecompositions:
 
 class TestNormMachinery:
     @settings(max_examples=40, deadline=None)
-    @given(st.integers(0, len(NORM_POOL) - 1), st.integers(0, 2**31 - 1))
+    @given(st.integers(0, len(PLAN_POOL) - 1), st.integers(0, 2**31 - 1))
     def test_batch_evaluator_matches_scalar_norm(self, si, seed):
-        sp = NORM_POOL[si]
+        sp = PLAN_POOL[si]
         rng = np.random.default_rng(seed)
         X = rng.uniform(-3.0, 3.0, (7, dim(sp)))
-        batch = norm_evaluator(sp)(X)
+        assert norm_evaluator(sp) is norm_plan(sp).evaluate
+        batch = norm_plan(sp).evaluate(X)
         for i in range(X.shape[0]):
             assert batch[i] == pytest.approx(norm(sp, X[i]), abs=1e-12)
 
@@ -271,6 +316,68 @@ class TestNormMachinery:
     def test_mean_evaluator(self):
         ev = mean_norm_evaluator(SCALARS, 2)
         assert ev(np.array([[1.0, 0.8]]))[0] == pytest.approx(0.9)
+
+    def test_plan_flattens_same_p_nests(self):
+        for sp in (SupTuple(6, LpFinite(INF, 1)), SupTuple(3, LpFinite(INF, 4)),
+                   DirectSum(1.0, LpFinite(1.0, 2), LpFinite(1.0, 3))):
+            plan = norm_plan(sp)
+            assert plan.kids == () and plan.cols == slice(0, dim(sp)), sp
+        assert norm_plan(SupTuple(6, LpFinite(INF, 1))) is norm_plan(parse_space("sup(6, lp(inf,1))"))
+        for sp in (LpFinite(2.0, 1), FunctionModule(1, LpFinite(3.0, 1)), SupTuple(2, LpFinite(2.0, 1))):
+            assert norm_plan(sp).polyhedral, sp
+        # two one-coordinate atoms under a 2-sum are the Euclidean plane
+        for sp in (LpFinite(2.0, 2), DirectSum(2.0, LpFinite(INF, 1), LpFinite(INF, 1))):
+            assert not norm_plan(sp).polyhedral, sp
+
+
+class TestSegmentSearch:
+    @pytest.mark.parametrize("sp", EXACT_POOL, ids=format_space)
+    def test_exact_route_matches_brute_force(self, sp):
+        assert norm_plan(sp).polyhedral
+        D = dim(sp)
+        ev = norm_evaluator(sp)
+        rng = np.random.default_rng(D)
+        ts = np.linspace(0.0, 1.0, 20001)
+        for _ in range(5):
+            V, W, hi = segment_rows(rng, D)
+            t, f = _batch_segment_min(sp, V, W, hi)
+            assert np.all((0.0 <= t) & (t <= hi))
+            assert t[4] == 0.0 and t[5] == 0.0
+            # the returned value is the evaluator's, bit for bit
+            assert np.array_equal(f, ev(V - t[:, None] * W))
+            # golden section's 123 evaluations can land, by rounding, a few
+            # ulps below an exact minimum (on a flat bottom, or beside a kink)
+            _, f_golden = _golden_segment_min(ev, V, W, hi)
+            assert np.all(f <= f_golden + 4.0 * np.spacing(f_golden))
+            for i in range(V.shape[0]):
+                scan = ev(V[i][None, :] - (ts * hi[i])[:, None] * W[i][None, :])
+                assert f[i] <= float(np.min(scan)) + 1e-12, (i, f[i], float(np.min(scan)))
+
+    def test_exact_route_step_bound_raises(self):
+        # max(|1 - t|, |t/2|) on [0, 2] needs one step; a plan allowing none
+        plan = dataclasses.replace(norm_plan(LpFinite(INF, 3)), pieces=0)
+        V = np.array([[1.0, 0.0, 0.0]])
+        W = np.array([[1.0, -0.5, 0.0]])
+        with pytest.raises(InternalInconsistencyError, match="exact segment search"):
+            _kelley_segment_min(plan, V, W, np.array([2.0]))
+
+    def test_engine_build_on_sup_norm_never_enters_golden_section(self, monkeypatch):
+        calls = {"golden": 0, "exact": 0}
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(hullgeom, "_golden_segment_min",
+                            counting("golden", hullgeom._golden_segment_min))
+        monkeypatch.setattr(hullgeom, "_kelley_segment_min",
+                            counting("exact", hullgeom._kelley_segment_min))
+        z = np.random.default_rng(4).uniform(-1.0, 1.0, 6)
+        _UpperEngine(LpFinite(INF, 3), 2, z, seed=0, budget=1)
+        assert calls["golden"] == 0
+        assert calls["exact"] > 0
 
 
 class TestMinNormPoint:
@@ -367,6 +474,39 @@ class TestMinNormPoint:
             assert res.stage == "lp"
             assert res.gap <= 1e-12, f"trial {trial} on {sp}: gap {res.gap}"
             assert res.lower <= res.distance + 1e-12
+
+    def test_one_coordinate_atoms_take_one_lp(self, monkeypatch):
+        calls = []
+        original = scipy.optimize.linprog
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.optimize, "linprog", counting)
+        sp = SupTuple(2, LpFinite(2.0, 1))
+        rng = np.random.default_rng(19)
+        for trial in range(6):
+            G = rng.uniform(-1.0, 1.0, (int(rng.integers(2, 12)), 2))
+            z = rng.uniform(-1.5, 1.5, 2)
+            before = len(calls)
+            res = min_norm_point(sp, z, G)
+            assert len(calls) - before == 1, f"trial {trial}"
+            assert res.stage == "lp"
+            assert res.gap <= 1e-12, f"trial {trial}: gap {res.gap}"
+
+    def test_generator_array_taken_whole(self):
+        sp = LpFinite(2.0, 3)
+        rng = np.random.default_rng(29)
+        G = rng.uniform(-1.0, 1.0, (9, 3))
+        z = rng.uniform(-1.5, 1.5, 3)
+        whole, rows = min_norm_point(sp, z, G), min_norm_point(sp, z, list(G))
+        assert whole.distance == rows.distance and whole.lower == rows.lower
+        assert np.array_equal(whole.weights, rows.weights)
+        message = r"vector has 4 coordinates but space lp\(2,3\) has dimension 3"
+        for bad in (np.zeros((5, 4)), list(np.zeros((5, 4)))):
+            with pytest.raises(DimensionMismatch, match=message):
+                min_norm_point(sp, z, bad)
 
     def test_curved_gap_on_criterion_7_seed_5(self):
         # z lies in the hull here: the gap closes only once the primal side
