@@ -36,14 +36,12 @@ import numpy as np
 from .errors import CapabilityRefusal, InternalInconsistencyError, ParameterError
 from .spaces import (
     INF,
-    DirectSum,
     LpFinite,
     Space,
     SupTuple,
     as_coord_rows,
     as_coords,
     canonical_unit,
-    combine,
     dim,
     mean_block,
     norm,
@@ -218,6 +216,13 @@ class NormPlan:
     ``np.max(np.abs(X), axis=1)``.  A one-coordinate atom is |x| for every
     p and joins its parent's combination.
 
+    The dual plan (``dual_plan``) has the same nodes and columns with the
+    conjugate exponent at each node, since the dual of an l_p combination
+    is the l_q combination of the parts' duals.  Everything the hull solver
+    needs of a space comes from these nodes: the norm and the dual norm
+    (``evaluate``), the one-sided slopes (``probe``), the norming
+    functionals (``norming``) and the LP/NLP rows of ``_NormEpigraph``.
+
     ``polyhedral`` holds when every node has p in {1, inf}: the norm is then
     a max of finitely many linear functionals, the hull problem is one LP,
     and t -> ||V - tW|| is piecewise linear with at most ``pieces`` pieces.
@@ -260,6 +265,73 @@ class NormPlan:
             act = fs == f[None, :]
             return f, np.where(act, lefts, INF).min(axis=0), np.where(act, rights, -INF).max(axis=0)
         return functools.reduce(np.add, fs), lefts.sum(axis=0), rights.sum(axis=0)
+
+    def norming(self, v: np.ndarray) -> List[Tuple[float, np.ndarray]]:
+        """Norming candidates at v: pairs (x @ v, x), best-attaining first.
+
+        Each x lies in the conjugate unit ball (up to rounding), and its
+        value x @ v attains this node's norm of v or nearly does: a term
+        within a fraction ``_NEAR_TIE`` of the max, or a coordinate that
+        close to 0 under a sum, counts as a tie.  A max takes the union over
+        its nearly attaining terms; any other combiner the product over its
+        terms, each child scaled by its dual l_q coefficient and cut to its
+        six best candidates.  The candidates of the dual plan at a
+        functional lie in the primal unit ball.
+        """
+        nv = float(self.evaluate(v[None, :])[0])
+        if not nv > 0.0:
+            return []
+        own = [] if self.cols is None else _own_norming(
+            self.p, np.arange(v.shape[0])[self.cols], v, nv)
+        if self.p == INF:
+            cands = own + [
+                x for kid in self.kids
+                if kid.evaluate(v[None, :])[0] >= (1.0 - _NEAR_TIE) * nv
+                for _, x in kid.norming(v)
+            ]
+        else:
+            factors = [[x for _, x in _ranked(own, v)]] if own else []
+            for kid in self.kids:
+                c = (float(kid.evaluate(v[None, :])[0]) / nv) ** (self.p - 1.0)
+                factors.append([c * x for _, x in kid.norming(v)] or [np.zeros(v.shape[0])])
+            cands = factors[0] if len(factors) == 1 else [
+                functools.reduce(np.add, combo)
+                for combo in itertools.product(*(f[:6] for f in factors))
+            ]
+        return _ranked(cands, v)
+
+
+_NEAR_TIE = 1e-3
+
+
+def _ranked(cands: List[np.ndarray], v: np.ndarray) -> List[Tuple[float, np.ndarray]]:
+    """(x @ v, x) for each candidate, largest value first, ties in given order."""
+    return sorted(((float(x @ v), x) for x in cands), key=lambda e: -e[0])
+
+
+def _own_norming(p: float, idx: np.ndarray, v: np.ndarray, nv: float) -> List[np.ndarray]:
+    """A node's norming factor on its own coordinates idx, as full-length vectors.
+
+    Under a max, the signed unit vector of each coordinate that nearly
+    attains nv; under a sum, the sign pattern, with both signs on up to four
+    coordinates that are nearly 0 (or single flips on the first eight of
+    more); under any other p, the gradient sign(v_c) (|v_c| / nv)^(p - 1).
+    """
+    a, sign = np.abs(v[idx]), np.sign(v[idx])
+    base = np.zeros(v.shape[0])
+    if p == INF:
+        hit = a >= (1.0 - _NEAR_TIE) * nv
+        return list(np.eye(v.shape[0])[idx[hit]] * sign[hit][:, None])
+    base[idx] = sign if p == 1.0 else sign * (a / nv) ** (p - 1.0)
+    free = idx[a <= _NEAR_TIE * nv] if p == 1.0 else idx[:0]
+    if free.shape[0] <= 4:
+        X = np.tile(base, (2 ** free.shape[0], 1))
+        X[:, free] = list(itertools.product((-1.0, 1.0), repeat=free.shape[0]))
+        return list(X)
+    k = np.arange(min(free.shape[0], 8))
+    X = np.tile(base, (1 + 2 * k.shape[0], 1))
+    X[1 + 2 * k, free[k]], X[2 + 2 * k, free[k]] = -1.0, 1.0
+    return list(X)
 
 
 def _own_evaluator(p: float, cols) -> Callable[[np.ndarray], np.ndarray]:
@@ -304,9 +376,19 @@ def _flat_layout(space: Space, off: int) -> Tuple[Optional[float], List[int], li
     return p, cols, kids
 
 
-def _compile(p: Optional[float], cols: List[int], kids: list) -> NormPlan:
-    p = INF if p is None else p
-    nodes = tuple(_compile(*k) for k in kids)
+def _conjugate(p: float) -> float:
+    if p == 1.0:
+        return INF
+    if p == INF:
+        return 1.0
+    return p / (p - 1.0)
+
+
+def _compile(layout: tuple, exponent: Callable[[float], float]) -> NormPlan:
+    """The plan of a flat layout, with ``exponent`` applied to each node's p."""
+    p, cols, kids = layout
+    p = exponent(INF if p is None else p)
+    nodes = tuple(_compile(k, exponent) for k in kids)
     if not cols:
         sel = None
     elif cols == list(range(cols[0], cols[0] + len(cols))):
@@ -331,7 +413,13 @@ def _compile(p: Optional[float], cols: List[int], kids: list) -> NormPlan:
 @functools.lru_cache(maxsize=None)
 def norm_plan(space: Space) -> NormPlan:
     """The space's norm plan, compiled once per (frozen) descriptor."""
-    return _compile(*_flat_layout(space, 0))
+    return _compile(_flat_layout(space, 0), lambda p: p)
+
+
+@functools.lru_cache(maxsize=None)
+def dual_plan(space: Space) -> NormPlan:
+    """The plan of the dual norm: the norm plan's nodes with conjugate exponents."""
+    return _compile(_flat_layout(space, 0), _conjugate)
 
 
 def norm_evaluator(space: Space) -> Callable[[np.ndarray], np.ndarray]:
@@ -352,107 +440,7 @@ def mean_norm_evaluator(space: Space, n: int) -> Callable[[np.ndarray], np.ndarr
 
 def dual_norm(space: Space, phi) -> float:
     """Exact dual norm of a functional given by its coordinate vector."""
-    x = as_coords(space, phi)
-    return _dual_arr(space, x)
-
-
-def _dual_arr(space: Space, x: np.ndarray) -> float:
-    if isinstance(space, LpFinite):
-        q = _conjugate(space.p)
-        if q == INF:
-            return float(np.max(np.abs(x)))
-        return float(np.linalg.norm(x, ord=q))
-    p, subs = parts(space)
-    return combine(
-        _conjugate(p), [_dual_arr(part, x[off : off + dim(part)]) for off, part in subs]
-    )
-
-
-def _conjugate(p: float) -> float:
-    if p == 1.0:
-        return INF
-    if p == INF:
-        return 1.0
-    return p / (p - 1.0)
-
-
-def dual_space(space: Space) -> Space:
-    """A space whose norm is the dual norm of the given one.
-
-    Each l_p combiner turns into its conjugate l_q combiner over the part
-    duals, realized as a right-nested chain of two-term sums: the dual of a
-    sup-tuple is the 1-sum of the block duals.
-    """
-    if isinstance(space, LpFinite):
-        return LpFinite(_conjugate(space.p), space.d)
-    p, subs = parts(space)
-    duals = [dual_space(part) for _, part in subs]
-    out = duals[-1]
-    for dpart in reversed(duals[:-1]):
-        out = DirectSum(_conjugate(p), dpart, out)
-    return out
-
-
-def _norming_candidates(space: Space, v: np.ndarray, tie_tol: float) -> List[np.ndarray]:
-    """Extreme candidates phi with dual norm <= 1 and phi(v) close to norm(v)."""
-    nv = _batch_norm_single(space, v)
-    if nv <= 0.0:
-        return []
-    if isinstance(space, LpFinite):
-        return _lp_candidates(space.p, v, nv, tie_tol)
-    p, subs = parts(space)
-    blocks = [(off, part, v[off : off + dim(part)]) for off, part in subs]
-    if p == INF:
-        # the union over the parts that attain the max
-        out = []
-        for off, part, block in blocks:
-            if _batch_norm_single(part, block) >= (1.0 - tie_tol) * nv:
-                for psi in _norming_candidates(part, block, tie_tol):
-                    full = np.zeros(v.shape[0])
-                    full[off : off + block.shape[0]] = psi
-                    out.append(full)
-        return out
-    # the product over the parts, each weighted by its dual l_q coefficient
-    scaled = []
-    for _, part, block in blocks:
-        c = (_batch_norm_single(part, block) / nv) ** (p - 1.0)
-        cands = _norming_candidates(part, block, tie_tol)[:6] or [np.zeros(block.shape[0])]
-        scaled.append([c * psi for psi in cands])
-    return [np.concatenate(combo) for combo in itertools.product(*scaled)]
-
-
-def _lp_candidates(p: float, v: np.ndarray, nv: float, tie_tol: float) -> List[np.ndarray]:
-    d = v.shape[0]
-    if p == INF:
-        out = []
-        for i in range(d):
-            if abs(v[i]) >= (1.0 - tie_tol) * nv:
-                e = np.zeros(d)
-                e[i] = math.copysign(1.0, v[i])
-                out.append(e)
-        return out
-    if p == 1.0:
-        base = np.sign(v)
-        free = np.nonzero(np.abs(v) <= tie_tol * nv)[0]
-        if free.shape[0] == 0:
-            return [base]
-        if free.shape[0] <= 4:
-            out = []
-            for signs in itertools.product((-1.0, 1.0), repeat=free.shape[0]):
-                phi = base.copy()
-                phi[free] = signs
-                out.append(phi)
-            return out
-        out = [base]
-        for i in free[:8]:
-            for s in (-1.0, 1.0):
-                phi = base.copy()
-                phi[i] = s
-                out.append(phi)
-        return out
-    if p == 2.0:
-        return [v / nv]
-    return [np.sign(v) * (np.abs(v) / nv) ** (p - 1.0)]
+    return float(dual_plan(space).evaluate(as_coords(space, phi)[None, :])[0])
 
 
 def _batch_norm_single(space: Space, x: np.ndarray) -> float:
@@ -466,11 +454,12 @@ def _dual_unit(space: Space, phi: np.ndarray) -> Optional[np.ndarray]:
     bound built on the result holds whatever the solver's tolerances.
     Returns None for a zero or non-finite functional.
     """
-    dn = _dual_arr(space, phi)
+    dual = dual_plan(space).evaluate
+    dn = float(dual(phi[None, :])[0])
     if not (np.isfinite(dn) and dn > 0.0):
         return None
     phi = phi / dn
-    dn = _dual_arr(space, phi)
+    dn = float(dual(phi[None, :])[0])
     return phi / dn if dn > 1.0 else phi
 
 
@@ -484,33 +473,46 @@ def _dual_lower(
     return max(0.0, float(phi @ z - np.max(G @ phi))), phi
 
 
-def norming_cuts(space: Space, v: np.ndarray) -> List[np.ndarray]:
-    """Dual-ball functionals nearly attaining the norm of v, renormalized."""
-    out: List[np.ndarray] = []
+def _norming_functionals(space: Space, v: np.ndarray) -> List[Tuple[float, np.ndarray]]:
+    """The norm plan's norming candidates at v, rescaled into the dual ball.
+
+    Pairs (psi @ v, psi) without repeats, in the plan's order: best-attaining
+    first, so the near ties come after every functional that attains the norm.
+    """
+    out: List[Tuple[float, np.ndarray]] = []
     seen = set()
-    for tie_tol in (1e-12, 1e-9, 1e-6, 1e-3):
-        for psi in _norming_candidates(space, v, tie_tol):
-            psi = _dual_unit(space, psi)
-            if psi is None:
-                continue
-            key = tuple(np.round(psi, 10))
-            if key not in seen:
-                seen.add(key)
-                out.append(psi)
+    for _, psi in norm_plan(space).norming(v):
+        psi = _dual_unit(space, psi)
+        if psi is None:
+            continue
+        key = tuple(np.round(psi, 10))
+        if key not in seen:
+            seen.add(key)
+            out.append((float(psi @ v), psi))
     return out
 
 
+def norming_cuts(space: Space, v: np.ndarray) -> List[np.ndarray]:
+    """Dual-ball functionals attaining the norm of v, renormalized."""
+    floor = (1.0 - 1e-12) * _batch_norm_single(space, v)
+    return [psi for val, psi in _norming_functionals(space, v) if val >= floor]
+
+
+_CUT_CAP = 160
+
+
 def certified_hull_lower(
-    space: Space, z: np.ndarray, G: np.ndarray, v_hat: np.ndarray, cap: int = 160
+    space: Space, z: np.ndarray, G: np.ndarray, v_hat: np.ndarray
 ) -> Tuple[float, Optional[np.ndarray]]:
     """Rigorous lower bound on d(z, co(rows of G)) from a dual functional.
 
     Any phi with dual norm <= 1 gives the bound phi(z) - max_j phi(g_j).  The
-    best convex combination of extreme norming candidates at the residual
-    v_hat is selected by a small LP and then rescaled by its exactly
+    best convex combination of the norming functionals at the residual
+    v_hat, near ties included and the best-attaining ``_CUT_CAP`` of them
+    kept, is selected by a small LP and then rescaled by its exactly
     computed dual norm, so the bound stays valid however the LP was solved.
     """
-    cands = norming_cuts(space, v_hat)[:cap]
+    cands = [psi for _, psi in _norming_functionals(space, v_hat)[:_CUT_CAP]]
     if not cands:
         return 0.0, None
     P = np.stack(cands)  # C x D
@@ -701,20 +703,22 @@ def _fw_surrogate(G: np.ndarray, z: np.ndarray, lam: np.ndarray, iters: int) -> 
     return lam
 
 
+_PAIR_CAP = 18
+
+
 def _polish_true_norm(
-    space: Space,
-    G: np.ndarray,
-    z: np.ndarray,
-    lam: np.ndarray,
-    sweeps: int,
-    pair_cap: int = 18,
+    space: Space, G: np.ndarray, z: np.ndarray, lam: np.ndarray, sweeps: int
 ) -> np.ndarray:
-    """Pairwise weight transfers with exact convex line searches."""
+    """Pairwise weight transfers with exact convex line searches.
+
+    Weight moves from the support to the support and the ``_PAIR_CAP``
+    generators nearest z.
+    """
     nrm = norm_evaluator(space)
     dist_to_z = nrm(z[None, :] - G)
     for _ in range(sweeps):
         support = np.nonzero(lam > 1e-15)[0]
-        extra = np.argsort(dist_to_z)[:pair_cap]
+        extra = np.argsort(dist_to_z)[:_PAIR_CAP]
         active = np.unique(np.concatenate([support, extra]))
         pairs = [(i, j) for i in support for j in active if i != j]
         if not pairs:
@@ -739,15 +743,17 @@ def _polish_true_norm(
 
 
 class _NormEpigraph:
-    """Smooth inequality model of a norm over affine coordinate expressions.
+    """Smooth inequality model of a plan's norm over affine coordinate expressions.
 
-    Max-type nodes (sup tuples, infinity and one-coordinate atoms,
-    coordinate absolute values)
-    become linear rows on fresh bound variables, p-type nodes become single
-    power rows |a|^p >= sum |child|^p, and 1-sums stay plain affine sums.  On
-    a polyhedral norm there are no power rows, and the linear rows alone are
-    an exact LP model; on a curved norm the model is one a smooth NLP solver
-    can drive to machine precision.
+    One plan node gives one set of rows over its own coordinates and its
+    children's models: a max node one bound variable a with a >= +-x_c and
+    a >= each child; a sum node one variable u_c >= +-x_c per own
+    coordinate, added to its children's expressions; any other p one
+    variable a and one power row |a|^p >= sum |x_c|^p + sum |child|^p.  The
+    plan's flattening carries over, so ``sup(n, lp(inf,d))`` is one max
+    over all its coordinates.  On a polyhedral plan there are no power rows
+    and the linear rows alone are an exact LP model; on a curved one the
+    model is one a smooth NLP solver can drive to machine precision.
 
     Affine expressions are (coef dict, const) pairs over the variable vector;
     rows in ``lin`` assert expr >= 0.
@@ -771,52 +777,38 @@ class _NormEpigraph:
             coef[k] = coef.get(k, 0.0) - c
         self.lin.append((coef, hi[1] - lo[1]))
 
-    def build(self, space: Space, exprs, vals: np.ndarray):
-        """Model the norm of the given coordinates; returns (expr, value)."""
-        if isinstance(space, LpFinite):
-            if space.p == 1.0:
-                coef: Dict[int, float] = {}
-                total = 0.0
-                for e, v in zip(exprs, vals):
-                    u = self.new_var(abs(float(v)))
-                    self._ge(({u: 1.0}, 0.0), e)
-                    self._ge(({u: 1.0}, 0.0), (
-                        {k: -c for k, c in e[0].items()}, -e[1]))
-                    coef[u] = 1.0
-                    total += abs(float(v))
-                return (coef, 0.0), total
-            if space.p == INF or space.d == 1:
-                val = float(np.max(np.abs(vals))) if len(vals) else 0.0
-                a = self.new_var(val)
-                for e in exprs:
-                    self._ge(({a: 1.0}, 0.0), e)
-                    self._ge(({a: 1.0}, 0.0), (
-                        {k: -c for k, c in e[0].items()}, -e[1]))
-                return ({a: 1.0}, 0.0), val
-            val = float(np.sum(np.abs(vals) ** space.p) ** (1.0 / space.p))
-            a = self.new_var(val)
-            self.pows.append((space.p, a, list(exprs)))
-            return ({a: 1.0}, 0.0), val
-        p, subs = parts(space)
-        kids = [
-            self.build(part, exprs[off : off + dim(part)], vals[off : off + dim(part)])
-            for off, part in subs
-        ]
-        if p == 1.0:
-            coef = {}
+    def _bound_abs(self, var: int, e) -> None:
+        """var >= |e|, as two linear rows."""
+        self._ge(({var: 1.0}, 0.0), e)
+        self._ge(({var: 1.0}, 0.0), ({k: -c for k, c in e[0].items()}, -e[1]))
+
+    def build(self, plan: NormPlan, exprs, vals: np.ndarray):
+        """Model the plan's norm of the coordinate expressions; returns (expr, value)."""
+        own = [] if plan.cols is None else np.arange(len(exprs))[plan.cols].tolist()
+        mags = [abs(float(vals[c])) for c in own]
+        kids = [self.build(kid, exprs, vals) for kid in plan.kids]
+        if plan.p == 1.0:
+            coef: Dict[int, float] = {}
+            for c, m in zip(own, mags):
+                u = self.new_var(m)
+                self._bound_abs(u, exprs[c])
+                coef[u] = 1.0
             for ke, _ in kids:
-                for k, c in ke[0].items():
-                    coef[k] = coef.get(k, 0.0) + c
-            return (coef, sum(ke[1] for ke, _ in kids)), sum(kv for _, kv in kids)
-        if p == INF:
-            val = max(kv for _, kv in kids)
+                for k, w in ke[0].items():
+                    coef[k] = coef.get(k, 0.0) + w
+            return (coef, sum(ke[1] for ke, _ in kids)), sum(mags) + sum(kv for _, kv in kids)
+        if plan.p == INF:
+            val = max(mags + [kv for _, kv in kids])
             a = self.new_var(val)
+            for c in own:
+                self._bound_abs(a, exprs[c])
             for ke, _ in kids:
                 self._ge(({a: 1.0}, 0.0), ke)
             return ({a: 1.0}, 0.0), val
-        val = float(sum(kv ** p for _, kv in kids) ** (1.0 / p))
+        p = plan.p
+        val = float(sum(m ** p for m in mags) + sum(kv ** p for _, kv in kids)) ** (1.0 / p)
         a = self.new_var(val)
-        self.pows.append((p, a, [ke for ke, _ in kids]))
+        self.pows.append((p, a, [exprs[c] for c in own] + [ke for ke, _ in kids]))
         return ({a: 1.0}, 0.0), val
 
     def linear_rows(self) -> Tuple[np.ndarray, np.ndarray]:
@@ -899,7 +891,7 @@ def _slsqp_primal(space, nrm, G: np.ndarray, z: np.ndarray,
         ({j: -float(G[j, i]) for j in range(K) if G[j, i] != 0.0}, float(z[i]))
         for i in range(D)
     ]
-    root, _ = eb.build(space, exprs, v0)
+    root, _ = eb.build(norm_plan(space), exprs, v0)
     n = eb.n
     c_obj = np.zeros(n)
     for k, c in root[0].items():
@@ -952,7 +944,7 @@ def _slsqp_dual(space, G: np.ndarray, z: np.ndarray,
         rows = rows[keep]
     eb = _NormEpigraph(D + 1)
     exprs = [({i: 1.0}, 0.0) for i in range(D)]
-    root, _ = eb.build(dual_space(space), exprs, phi0)
+    root, _ = eb.build(dual_plan(space), exprs, phi0)
     n = eb.n
     s_idx = D
     ball = ({k: -c for k, c in root[0].items()}, 1.0 - root[1])
@@ -997,7 +989,7 @@ def _hull_lp(space: Space, z: np.ndarray, G: np.ndarray):
 
     K, D = G.shape
     eb = _NormEpigraph(K + D)
-    root, _ = eb.build(space, [({K + i: 1.0}, 0.0) for i in range(D)], np.zeros(D))
+    root, _ = eb.build(norm_plan(space), [({K + i: 1.0}, 0.0) for i in range(D)], np.zeros(D))
     A, b = eb.linear_rows()
     c = np.zeros(eb.n)
     for k, w in root[0].items():

@@ -13,8 +13,8 @@ A space is described by a small recursive grammar of building blocks:
 Every composite is the l_p norm of its parts' norms: a sup tuple or a
 module is n copies of one part under p = inf, a direct sum is two parts
 under its own p.  ``parts()`` is the one place that knows this layout;
-every walker here and in ``hullgeom`` handles the ``LpFinite`` atom and the
-composite ``(p, parts)`` and nothing else.
+every walker here, and the norm-plan compiler in ``hullgeom``, handles the
+``LpFinite`` atom and the composite ``(p, parts)`` and nothing else.
 
 Vectors are flat coordinate arrays; the space descriptor drives the block
 interpretation.  ``p = inf`` is the ``math.inf`` marker and infinity norms

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 import scipy.optimize
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import hullgap.hullgeom as hullgeom
 from hullgap.errors import (
@@ -26,7 +26,7 @@ from hullgap.hullgeom import (
     dist_to_cm_grid,
     dist_to_cm_upper,
     dual_norm,
-    dual_space,
+    dual_plan,
     grid_guard_report,
     mean_norm_evaluator,
     min_norm_point,
@@ -278,14 +278,22 @@ class TestNormMachinery:
             assert batch[i] == pytest.approx(norm(sp, X[i]), abs=1e-12)
 
     @settings(max_examples=40, deadline=None)
-    @given(st.integers(0, len(NORM_POOL) - 1), st.integers(0, 2**31 - 1))
+    @given(st.integers(0, len(PLAN_POOL) - 1), st.integers(0, 2**31 - 1))
     def test_dual_norm_matches_conjugate_space(self, si, seed):
-        sp = NORM_POOL[si]
+        # the dual plan's norming candidates at phi lie in the unit ball of the
+        # scalar reference norm, and the best one attains dual_norm(phi): with
+        # the pairing inequality below, dual_norm is the sup of phi on that ball
+        sp = PLAN_POOL[si]
         rng = np.random.default_rng(seed)
         phi = rng.uniform(-2.0, 2.0, dim(sp))
-        ds = dual_space(sp)
-        assert dim(ds) == dim(sp)
-        assert dual_norm(sp, phi) == pytest.approx(norm(ds, phi), abs=1e-12)
+        dn = dual_norm(sp, phi)
+        cands = dual_plan(sp).norming(phi)
+        assert cands
+        assert phi @ cands[0][1] == pytest.approx(dn, abs=1e-12)
+        for val, x in cands:
+            assert val == phi @ x
+            assert norm(sp, x) <= 1.0 + 1e-12
+            assert phi @ x <= dn + 1e-12
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, len(NORM_POOL) - 1), st.integers(0, 2**31 - 1))
@@ -304,6 +312,7 @@ class TestNormMachinery:
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, len(NORM_POOL) - 1), st.integers(0, 2**31 - 1))
+    @example(si=5, seed=915)  # dsum(1, lp(2,2), lp(inf,2)): a near tie in the max part
     def test_norming_cuts_support_the_norm(self, si, seed):
         sp = NORM_POOL[si]
         rng = np.random.default_rng(seed)
@@ -494,6 +503,32 @@ class TestMinNormPoint:
             assert len(calls) - before == 1, f"trial {trial}"
             assert res.stage == "lp"
             assert res.gap <= 1e-12, f"trial {trial}: gap {res.gap}"
+
+    def test_epigraph_follows_the_plan(self, monkeypatch):
+        # the LP sees the plan's flattening: one max over all coordinates is
+        # one bound variable with two rows per coordinate
+        models = []
+        original = scipy.optimize.linprog
+
+        def recording(c, **kwargs):
+            models.append((len(c), kwargs["A_ub"].shape[0]))
+            return original(c, **kwargs)
+
+        monkeypatch.setattr(scipy.optimize, "linprog", recording)
+        rng = np.random.default_rng(23)
+        for text, bound_vars, rows in [
+            ("sup(3, lp(inf,4))", 1, 24),
+            ("sup(6, lp(inf,1))", 1, 12),
+            ("fmod(3, lp(inf,2))", 1, 12),
+            ("sup(2, lp(inf,3))", 1, 12),
+            ("lp(1,5)", 5, 10),
+        ]:
+            sp = parse_space(text)
+            D, K = dim(sp), 4
+            res = min_norm_point(sp, rng.uniform(-3.0, 3.0, D), rng.uniform(-1.0, 1.0, (K, D)))
+            assert res.stage == "lp", text
+            n_vars, n_rows = models[-1]
+            assert (n_vars - K - D, n_rows) == (bound_vars, rows), text
 
     def test_generator_array_taken_whole(self):
         sp = LpFinite(2.0, 3)
