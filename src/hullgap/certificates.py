@@ -416,6 +416,12 @@ def module_section_norm(module: FunctionModule, s: FunctionModuleSection) -> flo
     return norm(module, s.flat())
 
 
+def extreme_unit_section(module: FunctionModule) -> FunctionModuleSection:
+    """The section equal at every base point to the fiber's normalized all-ones vector."""
+    ones = np.ones(dim(module.fiber))
+    return FunctionModuleSection(np.tile(ones / norm(module.fiber, ones), (module.base_size, 1)))
+
+
 def centralizer_construct(
     module: FunctionModule,
     z: Sequence[FunctionModuleSection],

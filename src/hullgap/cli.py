@@ -31,7 +31,7 @@ from .errors import (
     InternalInconsistencyError,
     VerificationError,
 )
-from .spaces import FunctionModule, dim, norm, parse_space
+from .spaces import FunctionModule, dim, parse_space
 from .lipmetric import (
     FiniteMetricSpace,
     LipFunction,
@@ -49,6 +49,7 @@ from .certificates import (
     RingSearchExhausted,
     centralizer_construct,
     centralizer_verify,
+    extreme_unit_section,
     find_ring_family,
     ivakhno_construct,
     ivakhno_verify,
@@ -254,10 +255,7 @@ def cmd_cert(cfg: RunConfig) -> Tuple[str, int]:
         _require(cfg, "m")
         module = _as_module(parse_space(cfg.space))
         fd = dim(module.fiber)
-        ones = np.ones(fd)
-        e = FunctionModuleSection(
-            np.tile(ones / norm(module.fiber, ones), (module.base_size, 1))
-        )
+        e = extreme_unit_section(module)
         z = []
         for _ in range(cfg.n):
             sec = FunctionModuleSection(rng.standard_normal((module.base_size, fd)))

@@ -22,7 +22,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .errors import (
-    CapabilityRefusal,
     InternalInconsistencyError,
     ParameterError,
     PreconditionError,
@@ -33,19 +32,17 @@ from .spaces import (
     FunctionModule,
     LpFinite,
     Space,
-    as_coords,
     dim,
-    norm,
     sample_unit_ball,
 )
 from .hullgeom import (
-    GRID_GUARD,
     CmParams,
     DistanceBracket,
     _UpperEngine,
     ambient_space,
     dist_to_cm_grid,
     grid_guard_report,
+    require_grid_fits,
     validate_decomposition,
 )
 from .lipmetric import FiniteMetricSpace, LipFunction, lip_seminorm
@@ -55,6 +52,7 @@ from .certificates import (
     RingSearchExhausted,
     centralizer_construct,
     centralizer_verify,
+    extreme_unit_section,
     find_ring_family,
     ivakhno_construct,
     ivakhno_verify,
@@ -156,13 +154,21 @@ def _adversaries(space: Space, n: int, budget: int, seed: int) -> List[Tuple[str
 
     blocks = sample_unit_ball(space, min(max(4, 2 * dim(space)), 8), seed + 1)
     for j, u in enumerate(blocks):
-        uu = as_coords(space, u)
-        tile = np.concatenate([uu if i % 2 == 0 else -uu for i in range(n)])
-        push(f"pair[{j}]", tile)
+        push(f"pair[{j}]", np.concatenate([u if i % 2 == 0 else -u for i in range(n)]))
     count = max(1, budget) + min(2 ** min(dim(amb), 4), 16)
     for j, v in enumerate(sample_unit_ball(amb, count, seed)):
-        push(f"ball[{j}]", as_coords(amb, v))
+        push(f"ball[{j}]", v)
     return out
+
+
+def _budgets(k_range: Iterable[int]) -> List[int]:
+    """The distinct generator budgets of k_range, ascending, each at least 1."""
+    ks = sorted({int(k) for k in k_range})
+    if not ks:
+        raise ParameterError("k_range is empty")
+    if ks[0] < 1:
+        raise ParameterError(f"generator budgets must be >= 1, got {ks[0]}")
+    return ks
 
 
 def _auto_resolution(space: Space, params: CmParams) -> Optional[float]:
@@ -195,24 +201,12 @@ def estimate_dk(
     Deterministic for fixed (seed, budget): the candidate list, the inner
     engines, and the grid are all seeded or exact.
     """
-    ks = sorted({int(k) for k in k_range})
-    if not ks:
-        raise ParameterError("k_range is empty")
-    if ks[0] < 1:
-        raise ParameterError(f"generator budgets must be >= 1, got {ks[0]}")
+    ks = _budgets(k_range)
     base = CmParams(n=n, epsilon=epsilon, alpha=alpha)
     h = resolution if resolution is not None else _auto_resolution(space, base)
     if resolution is not None:
-        # refuse before the engine builds, not after; same report the grid
-        # oracle itself would attach
-        report = grid_guard_report(space, base, resolution)
-        if report["grid_points"] > GRID_GUARD:
-            raise CapabilityRefusal(
-                f"grid of {report['grid_points']} points exceeds the guard "
-                f"({GRID_GUARD}); need resolution >= "
-                f"{report['required_resolution']:.3g}",
-                report=report,
-            )
+        # refuse before the engine builds, not after, as the grid oracle would
+        require_grid_fits(space, base, resolution)
 
     cands = _adversaries(space, n, budget, seed)
     engines = [
@@ -295,7 +289,7 @@ def _unit_sections(module: FunctionModule, n: int, panel: int, seed: int):
     flats = sample_unit_ball(module, max(1, panel) * n, seed)
     return [
         tuple(
-            FunctionModuleSection.from_flat(module, as_coords(module, flats[t * n + i]))
+            FunctionModuleSection.from_flat(module, flats[t * n + i])
             for i in range(n)
         )
         for t in range(max(1, panel))
@@ -309,9 +303,7 @@ def _partition_ceilings(
     usable = [k for k in ks if k <= cap]
     if not usable:
         return {}
-    ones = np.ones(dim(module.fiber))
-    e_fiber = ones / norm(module.fiber, ones)
-    e = FunctionModuleSection(np.tile(e_fiber, (cap, 1)))
+    e = extreme_unit_section(module)
     tuples = _unit_sections(module, n, panel, seed)
     # the sign-flipped extreme section is the equality case of the 2/m bound
     tuples.append(tuple(FunctionModuleSection(-e.values.copy()) for _ in range(n)))
@@ -407,11 +399,7 @@ def constructive_dk_upper(
     raises, and k beyond a construction's capacity is simply absent from
     the result, never extrapolated.
     """
-    ks = sorted({int(k) for k in k_range})
-    if not ks:
-        raise ParameterError("k_range is empty")
-    if ks[0] < 1:
-        raise ParameterError(f"generator budgets must be >= 1, got {ks[0]}")
+    ks = _budgets(k_range)
     if not (epsilon > 0.0):
         raise ParameterError(f"epsilon must be positive, got {epsilon}")
     if int(n) != n or n < 1:

@@ -14,7 +14,9 @@ module answers "how far is z from that set" three ways:
   norm takes a descent on the primal side, norming functionals at the
   residual, and one SLSQP refinement on each side;
 * ``dist_to_cm_upper`` -- a deterministic feasible-decomposition search whose
-  reported value is monotone in m, eps and alpha by construction;
+  reported value is monotone in m, eps and alpha by construction; its hull
+  weights are polished by one segment line search on every norm, tangent
+  cuts on the norm plan's one-sided slopes;
 * ``dist_to_cm_grid`` -- an enumeration oracle producing two-sided brackets
   whose lower side is backed by a covering-radius argument.
 
@@ -225,7 +227,9 @@ class NormPlan:
 
     ``polyhedral`` holds when every node has p in {1, inf}: the norm is then
     a max of finitely many linear functionals, the hull problem is one LP,
-    and t -> ||V - tW|| is piecewise linear with at most ``pieces`` pieces.
+    and t -> ||V - tW|| is piecewise linear with at most ``pieces`` pieces,
+    so the segment line search, which runs on ``probe`` for every plan, is
+    exact.
     """
 
     p: float
@@ -238,8 +242,11 @@ class NormPlan:
     def probe(self, R: np.ndarray, W: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Value, left and right slope of s -> norm(R - sW) at s = 0, per row.
 
-        Polyhedral plans only.  The value is computed by the same operations
-        in the same order as ``evaluate(R)``, so it equals it bit for bit.
+        The value is computed by the same operations in the same order as
+        ``evaluate(R)``, so it equals it bit for bit.  |r_c| has slope
+        -sign(r_c) w_c, or -+|w_c| where r_c = 0; a max takes the extreme
+        slopes over its active terms, a sum the sums, and any other l_p
+        node the chain rule (``_lp_slopes``).
         """
         terms = []
         if self.cols is not None:
@@ -254,8 +261,11 @@ class NormPlan:
                 act = a == f[:, None]
                 terms.append((f, np.where(act, left, INF).min(axis=1),
                               np.where(act, right, -INF).max(axis=1)))
-            else:
+            elif self.p == 1.0:
                 terms.append((np.sum(a, axis=1), left.sum(axis=1), right.sum(axis=1)))
+            else:
+                f = _lp_norm(self.p, r)
+                terms.append((f,) + _lp_slopes(self.p, f, a.T, left.T, right.T))
         terms += [kid.probe(R, W) for kid in self.kids]
         if len(terms) == 1:
             return terms[0]
@@ -264,7 +274,10 @@ class NormPlan:
             f = functools.reduce(np.maximum, fs)
             act = fs == f[None, :]
             return f, np.where(act, lefts, INF).min(axis=0), np.where(act, rights, -INF).max(axis=0)
-        return functools.reduce(np.add, fs), lefts.sum(axis=0), rights.sum(axis=0)
+        if self.p == 1.0:
+            return functools.reduce(np.add, fs), lefts.sum(axis=0), rights.sum(axis=0)
+        f = functools.reduce(np.add, [fk ** self.p for fk in fs]) ** (1.0 / self.p)
+        return (f,) + _lp_slopes(self.p, f, fs, lefts, rights)
 
     def norming(self, v: np.ndarray) -> List[Tuple[float, np.ndarray]]:
         """Norming candidates at v: pairs (x @ v, x), best-attaining first.
@@ -334,15 +347,39 @@ def _own_norming(p: float, idx: np.ndarray, v: np.ndarray, nv: float) -> List[np
     return list(X)
 
 
+def _lp_norm(p: float, r: np.ndarray) -> np.ndarray:
+    """The l_p norm of each row of r, for 1 < p < inf."""
+    if p == 2.0:
+        return np.sqrt(np.einsum("td,td->t", r, r))
+    return np.sum(np.abs(r) ** p, axis=1) ** (1.0 / p)
+
+
+def _lp_slopes(p: float, f: np.ndarray, fs: np.ndarray, lefts: np.ndarray,
+               rights: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Left and right slopes of f, the l_p combination (1 < p < inf) of terms.
+
+    Term k is row k of fs, with its one-sided slopes in lefts and rights.
+    Where f > 0 the chain rule weighs term k by (f_k / f)^(p - 1), which is
+    0 on a zero term; where f = 0 every term is 0 and grows like |s| times
+    its slope on each side, so f does too, with the l_p norm of those slopes.
+    """
+    pos = f > 0.0
+    c = (fs / np.where(pos, f, 1.0)) ** (p - 1.0)
+    left, right = (c * lefts).sum(axis=0), (c * rights).sum(axis=0)
+    if not pos.all():
+        zero = ~pos
+        left[zero] = -np.sum(np.abs(lefts[:, zero]) ** p, axis=0) ** (1.0 / p)
+        right[zero] = np.sum(np.abs(rights[:, zero]) ** p, axis=0) ** (1.0 / p)
+    return left, right
+
+
 def _own_evaluator(p: float, cols) -> Callable[[np.ndarray], np.ndarray]:
     """The l_p norm of the coordinates ``cols`` of each row."""
     if p == INF:
         return lambda X: np.max(np.abs(X[:, cols]), axis=1)
     if p == 1.0:
         return lambda X: np.sum(np.abs(X[:, cols]), axis=1)
-    if p == 2.0:
-        return lambda X: np.sqrt(np.einsum("td,td->t", X[:, cols], X[:, cols]))
-    return lambda X: np.sum(np.abs(X[:, cols]) ** p, axis=1) ** (1.0 / p)
+    return lambda X: _lp_norm(p, X[:, cols])
 
 
 def _combined_evaluator(p: float, evs: list) -> Callable[[np.ndarray], np.ndarray]:
@@ -562,7 +599,7 @@ class MinNormResult:
     stage: str
 
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_CURVED_STEPS = 100
 
 
 def _batch_segment_min(
@@ -571,63 +608,23 @@ def _batch_segment_min(
     W: np.ndarray,
     hi: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """For each row p, minimize t -> norm(V[p] - t*W[p]) over [0, hi[p]].
+    """For each row p, minimize the convex t -> norm(V[p] - t*W[p]) over [0, hi[p]].
 
-    Returns (t, f) with f the evaluator's value at t: exact on a polyhedral
-    norm, golden section on a curved one.
+    Kelley's cutting-plane method in one dimension, on all rows at once,
+    driven by the plan's ``probe``.  A row keeps a tangent line at a (slope
+    sa < 0) and one at b (slope sb > 0), steps to where they meet, and there
+    replaces one of them by the line of the one-sided slope pointing
+    downhill.  A row is done when the slopes at t bracket 0, when f(t) meets
+    the model, when t reaches an end, or when rounding makes a cut repeat
+    the one it replaces (a tie resolved the other way).  On a polyhedral
+    plan every step cuts with a new linear piece, so the search is exact and
+    done within ``plan.pieces`` steps; on a curved plan the model closes in
+    until rounding stops it, within ``_CURVED_STEPS`` steps.  Either bound
+    left open raises.  The best point seen is returned, with the value the
+    evaluator gives there.
     """
     plan = norm_plan(space)
-    if plan.polyhedral:
-        return _kelley_segment_min(plan, V, W, hi)
-    return _golden_segment_min(norm_evaluator(space), V, W, hi)
-
-
-def _golden_segment_min(
-    nrm: Callable[[np.ndarray], np.ndarray],
-    V: np.ndarray,
-    W: np.ndarray,
-    hi: np.ndarray,
-    iters: int = 60,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """The objective is convex in t, so golden-section search is exact up to
-    the final interval; endpoints are compared explicitly afterwards."""
-    lo = np.zeros_like(hi)
-    hi_cur = hi.astype(float).copy()
-    for _ in range(iters):
-        span = hi_cur - lo
-        x1 = hi_cur - _INVPHI * span
-        x2 = lo + _INVPHI * span
-        f1 = nrm(V - x1[:, None] * W)
-        f2 = nrm(V - x2[:, None] * W)
-        take_left = f1 < f2
-        hi_cur = np.where(take_left, x2, hi_cur)
-        lo = np.where(take_left, lo, x1)
-    t_mid = (lo + hi_cur) / 2.0
-    cand_t = np.stack([t_mid, np.zeros_like(hi), hi])
-    cand_f = np.stack([
-        nrm(V - t_mid[:, None] * W),
-        nrm(V),
-        nrm(V - hi[:, None] * W),
-    ])
-    pick = np.argmin(cand_f, axis=0)
-    idx = np.arange(hi.shape[0])
-    return cand_t[pick, idx], cand_f[pick, idx]
-
-
-def _kelley_segment_min(
-    plan: NormPlan, V: np.ndarray, W: np.ndarray, hi: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Exact minimizer of the piecewise-linear t -> norm(V - tW) on [0, hi].
-
-    Kelley's cutting-plane method in one dimension, on all rows at once.  A
-    row keeps a tangent line at a (slope sa < 0) and one at b (slope sb > 0),
-    steps to where they meet, and there replaces one of them by the line of
-    the one-sided slope pointing downhill.  Every step cuts with a new
-    linear piece, so a row is done after at most ``plan.pieces`` steps: when
-    the slopes at t bracket 0, when f(t) meets the model, or when rounding
-    makes a cut repeat the one it replaces (a tie resolved the other way).
-    The best point seen is returned, with the value the evaluator gives there.
-    """
+    steps = plan.pieces if plan.polyhedral else _CURVED_STEPS
     T = V.shape[0]
     f, left, right = plan.probe(np.concatenate([V, V - hi[:, None] * W]), np.concatenate([W, W]))
     a, fa, sa = np.zeros(T), f[:T], right[:T]
@@ -635,7 +632,7 @@ def _kelley_segment_min(
     t_best = np.where(fb < fa, b, a)
     f_best = np.minimum(fa, fb)
     open_ = (sa < 0.0) & (sb > 0.0) & (b > 0.0)
-    for _ in range(plan.pieces):
+    for _ in range(steps):
         rows = np.nonzero(open_)[0]
         if rows.shape[0] == 0:
             break
@@ -658,7 +655,7 @@ def _kelley_segment_min(
         open_[rows[done]] = False
     if np.any(open_):
         raise InternalInconsistencyError(
-            f"exact segment search still open after {plan.pieces} steps on "
+            f"segment search still open after {steps} steps on "
             f"{int(open_.sum())} of {T} rows"
         )
     return t_best, f_best
@@ -960,15 +957,21 @@ def _slsqp_dual(space, G: np.ndarray, z: np.ndarray,
     c_obj[s_idx] = -1.0
     bounds = [(None, None)] * (D + 1) + [(0.0, None)] * (n - D - 1)
     try:
-        res = minimize(
-            lambda y: float(c_obj @ y),
-            x0,
-            jac=lambda y: c_obj,
-            method="SLSQP",
-            bounds=bounds,
-            constraints=cons,
-            options={"maxiter": 250, "ftol": 1e-14},
-        )
+        # the line search can stall on rounding short of the optimum (status
+        # 8, or the iteration limit); one restart from where it stopped goes on
+        for _ in range(2):
+            res = minimize(
+                lambda y: float(c_obj @ y),
+                x0,
+                jac=lambda y: c_obj,
+                method="SLSQP",
+                bounds=bounds,
+                constraints=cons,
+                options={"maxiter": 250, "ftol": 1e-14},
+            )
+            if res.status == 0:
+                break
+            x0 = res.x
     except Exception:
         return None
     phi = res.x[:D]
@@ -1441,6 +1444,18 @@ def grid_guard_report(space: Space, params: CmParams, h: float) -> dict:
     }
 
 
+def require_grid_fits(space: Space, params: CmParams, h: float) -> dict:
+    """The grid guard report, or a refusal carrying it when the grid is too large."""
+    report = grid_guard_report(space, params, h)
+    if report["grid_points"] > GRID_GUARD:
+        raise CapabilityRefusal(
+            f"grid of {report['grid_points']} points exceeds the guard "
+            f"({GRID_GUARD}); need resolution >= {report['required_resolution']:.3g}",
+            report=report,
+        )
+    return report
+
+
 def _grid_points(alpha: float, h: float, D: int) -> np.ndarray:
     K = math.ceil(alpha / h - 1e-12)
     axis = np.arange(-K, K + 1) * h
@@ -1472,13 +1487,7 @@ def dist_to_cm_grid(space: Space, z, params: CmParams, resolution: float) -> Dis
         raise ParameterError(f"resolution must be positive, got {resolution}")
     amb = ambient_space(space, params.n)
     D = dim(amb)
-    report = grid_guard_report(space, params, resolution)
-    if report["grid_points"] > GRID_GUARD:
-        raise CapabilityRefusal(
-            f"grid of {report['grid_points']} points exceeds the guard "
-            f"({GRID_GUARD}); need resolution >= {report['required_resolution']:.3g}",
-            report=report,
-        )
+    report = require_grid_fits(space, params, resolution)
     zz = as_coords(amb, z)
     nrm = norm_evaluator(amb)
     nrm_mean = mean_norm_evaluator(space, params.n)

@@ -132,21 +132,6 @@ def dim(space: Space) -> int:
     return off + dim(last)
 
 
-@dataclass(frozen=True, eq=False)
-class Vector:
-    """Flat coordinate vector tagged with its owning space."""
-
-    coords: np.ndarray
-    space: Space
-
-    def __post_init__(self):
-        arr = np.asarray(self.coords, dtype=float)
-        if arr.ndim != 1:
-            arr = arr.reshape(-1)
-        _check_dim(self.space, arr.shape[0])
-        object.__setattr__(self, "coords", arr)
-
-
 def _check_dim(space: Space, got: int) -> None:
     want = dim(space)
     if got != want:
@@ -157,11 +142,8 @@ def _check_dim(space: Space, got: int) -> None:
 
 
 def as_coords(space: Space, v) -> np.ndarray:
-    """Coerce a Vector or array-like to a flat float array of the right size."""
-    if isinstance(v, Vector):
-        arr = v.coords
-    else:
-        arr = np.asarray(v, dtype=float).reshape(-1)
+    """Coerce an array-like to a flat float array of the right size."""
+    arr = np.asarray(v, dtype=float).reshape(-1)
     _check_dim(space, arr.shape[0])
     return arr
 
@@ -192,14 +174,13 @@ def _norm_arr(space: Space, x: np.ndarray) -> float:
     return combine(p, [_norm_arr(part, x[off : off + dim(part)]) for off, part in subs])
 
 
-def mean_block(space: SupTuple, z) -> Vector:
-    """Arithmetic mean (1/n) * sum of the n blocks, as a vector of the inner space."""
+def mean_block(space: SupTuple, z) -> np.ndarray:
+    """Arithmetic mean (1/n) * sum of the n blocks, as coordinates of the inner space."""
     if not isinstance(space, SupTuple):
         raise TypeError(f"mean_block needs a SupTuple space, got {format_space(space)}")
     x = as_coords(space, z)
     di = dim(space.inner)
-    m = x.reshape(space.n, di).mean(axis=0)
-    return Vector(m, space.inner)
+    return x.reshape(space.n, di).mean(axis=0)
 
 
 def sup_slots(space: Space) -> Optional[List[Tuple[int, Space]]]:
@@ -267,12 +248,12 @@ def _unit(space: Space, x: np.ndarray) -> Optional[np.ndarray]:
     return y
 
 
-def sample_unit_ball(space: Space, count: int, seed: int) -> List[Vector]:
-    """Deterministic sample of `count` vectors with norm <= 1.
+def sample_unit_ball(space: Space, count: int, seed: int) -> np.ndarray:
+    """Deterministic sample of `count` vectors with norm <= 1, as (count, dim) rows.
 
     Sign-pattern vertices (normalized) come first, then normalized +-basis
     vectors, then seeded random directions normalized to the unit sphere.
-    For a fixed seed the returned list is identical across calls.
+    For a fixed seed the returned array is identical across calls.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
@@ -310,7 +291,7 @@ def sample_unit_ball(space: Space, count: int, seed: int) -> List[Vector]:
         u = _unit(space, g)
         if u is not None:
             out.append(u)
-    return [Vector(x, space) for x in out[:count]]
+    return np.stack(out[:count])
 
 
 # ---------------------------------------------------------------------------

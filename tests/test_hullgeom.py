@@ -20,8 +20,6 @@ from hullgap.hullgeom import (
     DistanceBracket,
     _UpperEngine,
     _batch_segment_min,
-    _golden_segment_min,
-    _kelley_segment_min,
     cm_member_check,
     dist_to_cm_grid,
     dist_to_cm_upper,
@@ -76,15 +74,17 @@ PLAN_POOL = NORM_POOL + [
     SupTuple(6, LpFinite(INF, 1)),
 ]
 
-# the exact segment search: polyhedral spaces of NORM_POOL, flat sup-norm
-# ambients, an l_1 composite and one-coordinate atoms
-EXACT_POOL = [sp for sp in NORM_POOL if norm_plan(sp).polyhedral] + [
+# the segment search: every plan of PLAN_POOL, flat sup-norm ambients, an
+# l_1 composite, a one-coordinate atom and the curved ambients of the
+# benchmark's queries workload
+SEGMENT_POOL = PLAN_POOL + [
     SupTuple(2, LpFinite(INF, 3)),
-    SupTuple(6, LpFinite(INF, 1)),
     SupTuple(3, LpFinite(INF, 4)),
     DirectSum(1.0, LpFinite(INF, 2), SupTuple(2, LpFinite(1.0, 2))),
     SupTuple(2, LpFinite(2.0, 1)),
-    FunctionModule(1, LpFinite(3.0, 1)),
+    SupTuple(2, LpFinite(4.0, 2)),
+    SupTuple(2, LpFinite(1.5, 2)),
+    SupTuple(2, DirectSum(2.0, LpFinite(1.0, 2), LpFinite(INF, 1))),
 ]
 
 # every atom and combiner has p in {1, inf}: one LP solves the hull problem
@@ -340,9 +340,33 @@ class TestNormMachinery:
 
 
 class TestSegmentSearch:
-    @pytest.mark.parametrize("sp", EXACT_POOL, ids=format_space)
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, len(PLAN_POOL) - 1), st.integers(0, 2**31 - 1))
+    def test_probe_matches_evaluator_and_difference_quotients(self, si, seed):
+        sp = PLAN_POOL[si]
+        plan = norm_plan(sp)
+        rng = np.random.default_rng(seed)
+        D = dim(sp)
+        R = rng.uniform(-1.0, 1.0, (8, D))
+        W = rng.uniform(-1.0, 1.0, (8, D))
+        R[0] = 0.0  # every term at its kink
+        W[1] = 0.0  # a constant line
+        R[2, : (D + 1) // 2] = 0.0  # some terms at their kinks
+        R[3] = np.round(4.0 * R[3]) / 4.0  # ties between terms
+        f, left, right = plan.probe(R, W)
+        assert np.array_equal(f, plan.evaluate(R))
+        assert np.all(left <= right)
+        # convexity brackets the slopes by the difference quotients, which
+        # close in on them as h shrinks
+        for h in (1e-3, 1e-5, 1e-7):
+            q_right = (plan.evaluate(R - h * W) - f) / h
+            q_left = (f - plan.evaluate(R + h * W)) / h
+            assert np.all(q_left <= left + 1e-6) and np.all(right <= q_right + 1e-6), h
+        assert np.allclose(q_right, right, rtol=0.0, atol=1e-5)
+        assert np.allclose(q_left, left, rtol=0.0, atol=1e-5)
+
+    @pytest.mark.parametrize("sp", SEGMENT_POOL, ids=format_space)
     def test_exact_route_matches_brute_force(self, sp):
-        assert norm_plan(sp).polyhedral
         D = dim(sp)
         ev = norm_evaluator(sp)
         rng = np.random.default_rng(D)
@@ -354,39 +378,28 @@ class TestSegmentSearch:
             assert t[4] == 0.0 and t[5] == 0.0
             # the returned value is the evaluator's, bit for bit
             assert np.array_equal(f, ev(V - t[:, None] * W))
-            # golden section's 123 evaluations can land, by rounding, a few
-            # ulps below an exact minimum (on a flat bottom, or beside a kink)
-            _, f_golden = _golden_segment_min(ev, V, W, hi)
-            assert np.all(f <= f_golden + 4.0 * np.spacing(f_golden))
             for i in range(V.shape[0]):
                 scan = ev(V[i][None, :] - (ts * hi[i])[:, None] * W[i][None, :])
                 assert f[i] <= float(np.min(scan)) + 1e-12, (i, f[i], float(np.min(scan)))
 
-    def test_exact_route_step_bound_raises(self):
+    def test_exact_route_step_bound_raises(self, monkeypatch):
         # max(|1 - t|, |t/2|) on [0, 2] needs one step; a plan allowing none
-        plan = dataclasses.replace(norm_plan(LpFinite(INF, 3)), pieces=0)
         V = np.array([[1.0, 0.0, 0.0]])
         W = np.array([[1.0, -0.5, 0.0]])
-        with pytest.raises(InternalInconsistencyError, match="exact segment search"):
-            _kelley_segment_min(plan, V, W, np.array([2.0]))
-
-    def test_engine_build_on_sup_norm_never_enters_golden_section(self, monkeypatch):
-        calls = {"golden": 0, "exact": 0}
-
-        def counting(name, fn):
-            def wrapped(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-            return wrapped
-
-        monkeypatch.setattr(hullgeom, "_golden_segment_min",
-                            counting("golden", hullgeom._golden_segment_min))
-        monkeypatch.setattr(hullgeom, "_kelley_segment_min",
-                            counting("exact", hullgeom._kelley_segment_min))
-        z = np.random.default_rng(4).uniform(-1.0, 1.0, 6)
-        _UpperEngine(LpFinite(INF, 3), 2, z, seed=0, budget=1)
-        assert calls["golden"] == 0
-        assert calls["exact"] > 0
+        hi = np.array([2.0])
+        plan = dataclasses.replace(norm_plan(LpFinite(INF, 3)), pieces=0)
+        with monkeypatch.context() as m:
+            m.setattr(hullgeom, "norm_plan", lambda space: plan)
+            with pytest.raises(InternalInconsistencyError, match="segment search"):
+                _batch_segment_min(LpFinite(INF, 3), V, W, hi)
+        # the Euclidean ||(1 - t, t/2)|| takes several steps to its minimum
+        # sqrt(1/5) at t = 4/5; a curved plan is held to _CURVED_STEPS
+        t, f = _batch_segment_min(LpFinite(2.0, 3), V, W, hi)
+        assert t[0] == pytest.approx(0.8, abs=1e-7)
+        assert f[0] == pytest.approx(math.sqrt(0.2), abs=1e-15)
+        monkeypatch.setattr(hullgeom, "_CURVED_STEPS", 1)
+        with pytest.raises(InternalInconsistencyError, match="segment search"):
+            _batch_segment_min(LpFinite(2.0, 3), V, W, hi)
 
 
 class TestMinNormPoint:

@@ -14,7 +14,6 @@ from hullgap.spaces import (
     LpFinite,
     SpaceGrammarError,
     SupTuple,
-    Vector,
     canonical_unit,
     dim,
     format_space,
@@ -82,17 +81,17 @@ class TestMeanBlock:
     def test_idempotent_on_equal_blocks(self):
         sp = SupTuple(2, LpFinite(2, 2))
         v = [1, 2, 1, 2]
-        assert np.array_equal(mean_block(sp, v).coords, [1, 2])
+        assert np.array_equal(mean_block(sp, v), [1, 2])
 
     def test_opposite_blocks_cancel(self):
         sp = SupTuple(2, LpFinite(2, 2))
         v = [1, 2, -1, -2]
-        assert np.array_equal(mean_block(sp, v).coords, [0, 0])
+        assert np.array_equal(mean_block(sp, v), [0, 0])
 
     def test_scalar_arithmetic(self):
         sp = SupTuple(3, LpFinite(INF, 1))
         m = mean_block(sp, [1, 1, -1])
-        assert m.coords[0] == pytest.approx(1 / 3, abs=ATOL)
+        assert m[0] == pytest.approx(1 / 3, abs=ATOL)
 
     def test_rejects_non_tuple_space(self):
         with pytest.raises(TypeError):
@@ -102,13 +101,13 @@ class TestMeanBlock:
 class TestSampling:
     def test_linf_vertices_present(self):
         got = sample_unit_ball(LpFinite(INF, 2), 4, seed=0)
-        coords = {tuple(v.coords) for v in got}
+        coords = {tuple(v) for v in got}
         assert {(1, 1), (1, -1), (-1, 1), (-1, -1)} <= coords
 
     def test_deterministic_for_fixed_seed(self):
         a = sample_unit_ball(LpFinite(2, 3), 50, seed=7)
         b = sample_unit_ball(LpFinite(2, 3), 50, seed=7)
-        assert all(np.array_equal(x.coords, y.coords) for x, y in zip(a, b))
+        assert np.array_equal(a, b)
 
     def test_norms_at_most_one(self):
         for sp in some_spaces():
@@ -116,7 +115,7 @@ class TestSampling:
                 assert norm(sp, v) <= 1 + ATOL
 
     def test_count_respected(self):
-        assert len(sample_unit_ball(LpFinite(1, 2), 17, seed=1)) == 17
+        assert sample_unit_ball(LpFinite(1, 2), 17, seed=1).shape == (17, 2)
 
 
 class TestHelpers:
@@ -268,10 +267,6 @@ class TestGrammar:
     def test_roundtrip(self):
         for sp in some_spaces():
             assert parse_space(format_space(sp)) == sp
-
-    def test_vector_wrapper_checks_dimension(self):
-        with pytest.raises(DimensionMismatch):
-            Vector(np.zeros(3), LpFinite(2, 2))
 
     def test_infinity_is_marker_not_big_float(self):
         sp = parse_space("lp(inf,3)")
