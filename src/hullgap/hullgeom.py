@@ -276,7 +276,7 @@ class NormPlan:
             return f, np.where(act, lefts, INF).min(axis=0), np.where(act, rights, -INF).max(axis=0)
         if self.p == 1.0:
             return functools.reduce(np.add, fs), lefts.sum(axis=0), rights.sum(axis=0)
-        f = functools.reduce(np.add, [fk ** self.p for fk in fs]) ** (1.0 / self.p)
+        f = _lp_combine(self.p, fs)
         return (f,) + _lp_slopes(self.p, f, fs, lefts, rights)
 
     def norming(self, v: np.ndarray) -> List[Tuple[float, np.ndarray]]:
@@ -351,7 +351,37 @@ def _lp_norm(p: float, r: np.ndarray) -> np.ndarray:
     """The l_p norm of each row of r, for 1 < p < inf."""
     if p == 2.0:
         return np.sqrt(np.einsum("td,td->t", r, r))
-    return np.sum(np.abs(r) ** p, axis=1) ** (1.0 / p)
+    a = np.abs(r)
+    return _lp_root(p, np.sum(a ** p, axis=1), a.T)
+
+
+def _lp_combine(p: float, fs) -> np.ndarray:
+    """The l_p combination (1 < p < inf) of the terms fs, one row of T values each."""
+    return _lp_root(p, functools.reduce(np.add, [fk ** p for fk in fs]), fs)
+
+
+# below this a sum of p-th powers may have lost digits to subnormal terms
+_LP_SAFE = np.finfo(float).tiny * 2.0 ** 53
+
+
+def _lp_root(p: float, total: np.ndarray, terms) -> np.ndarray:
+    """total ** (1/p), where total sums the p-th powers of the rows of terms (all >= 0).
+
+    For large p the powers leave the float range at moderate scales:
+    (4e-4) ** 100 is 0 and (2e10) ** 30 is inf.  Entries of total below
+    ``_LP_SAFE`` or not finite are redone scaled by their largest term;
+    every other entry keeps the plain root.
+    """
+    f = total ** (1.0 / p)
+    if np.minimum.reduce(total, initial=INF) >= _LP_SAFE and np.maximum.reduce(total, initial=0.0) < INF:
+        return f
+    bad = np.flatnonzero(~((total >= _LP_SAFE) & (total < INF)))
+    a = np.asarray(terms)[:, bad]
+    top = a.max(axis=0)
+    keep = (top > 0.0) & (top < INF)
+    bad, a, top = bad[keep], a[:, keep], top[keep]
+    f[bad] = top * np.sum((a / top) ** p, axis=0) ** (1.0 / p)
+    return f
 
 
 def _lp_slopes(p: float, f: np.ndarray, fs: np.ndarray, lefts: np.ndarray,
@@ -368,8 +398,8 @@ def _lp_slopes(p: float, f: np.ndarray, fs: np.ndarray, lefts: np.ndarray,
     left, right = (c * lefts).sum(axis=0), (c * rights).sum(axis=0)
     if not pos.all():
         zero = ~pos
-        left[zero] = -np.sum(np.abs(lefts[:, zero]) ** p, axis=0) ** (1.0 / p)
-        right[zero] = np.sum(np.abs(rights[:, zero]) ** p, axis=0) ** (1.0 / p)
+        left[zero] = -_lp_combine(p, np.abs(lefts[:, zero]))
+        right[zero] = _lp_combine(p, np.abs(rights[:, zero]))
     return left, right
 
 
@@ -388,7 +418,7 @@ def _combined_evaluator(p: float, evs: list) -> Callable[[np.ndarray], np.ndarra
         return lambda X: functools.reduce(np.maximum, [ev(X) for ev in evs])
     if p == 1.0:
         return lambda X: functools.reduce(np.add, [ev(X) for ev in evs])
-    return lambda X: functools.reduce(np.add, [ev(X) ** p for ev in evs]) ** (1.0 / p)
+    return lambda X: _lp_combine(p, [ev(X) for ev in evs])
 
 
 def _flat_layout(space: Space, off: int) -> Tuple[Optional[float], List[int], list]:
@@ -1099,12 +1129,6 @@ def min_norm_point(
 # monotone upper bounds via prototype pulls
 
 
-def _feasible_shortcut(space, params, z_arr, nrm_sup, nrm_mean):
-    sup = float(nrm_sup(z_arr[None, :])[0])
-    mean = float(nrm_mean(z_arr[None, :])[0])
-    return sup <= params.alpha and mean >= 1.0 - params.epsilon
-
-
 class _UpperEngine:
     """Deterministic feasible-decomposition search for one (space, n, z, seed).
 
@@ -1117,13 +1141,19 @@ class _UpperEngine:
     form d_C / Z with Z = sum_c mu_c / (1 - s_c).  Deeper pulls can only
     increase Z, so enlarging eps or alpha can only lower every candidate,
     and enlarging m only adds candidates.
+
+    So one engine answers every (m, eps, alpha) for its tuple:
+    ``dist_to_cm_upper`` reuses the engine of a repeated (space, n, z, seed,
+    budget), and ``estimate_dk`` holds one per candidate for a whole
+    profile.  The engine keeps its own copy of z, so a caller that edits its
+    array in place does not change a stored engine.
     """
 
     def __init__(self, space: Space, n: int, z, seed: int, budget: int = 8):
         self.space = space
         self.n = n
         self.amb = ambient_space(space, n)
-        self.z = as_coords(self.amb, z)
+        self.z = as_coords(self.amb, z).copy()
         self.seed = seed
         self.budget = max(1, int(budget))
         self.nrm_sup = norm_evaluator(self.amb)
@@ -1311,7 +1341,9 @@ class _UpperEngine:
 
     def value(self, params: CmParams) -> DistanceBracket:
         require_nonempty(params)
-        if _feasible_shortcut(self.space, params, self.z, self.nrm_sup, self.nrm_mean):
+        sup = float(self.nrm_sup(self.z[None, :])[0])
+        mean = float(self.nrm_mean(self.z[None, :])[0])
+        if sup <= params.alpha and mean >= 1.0 - params.epsilon:
             dec = ConvexDecomposition(np.array([1.0]), [self.z.copy()])
             return DistanceBracket(
                 0.0, 0.0, "trivial", "member-shortcut", witness=dec,
@@ -1409,15 +1441,26 @@ def dist_to_cm_upper(
     Deterministic for fixed seed; the value is nonincreasing under enlarging
     m, eps, or alpha (alpha >= 1), because the candidate enumeration is
     parameter-free and each candidate's closed-form value is monotone.
+    The engine is built once per (space, n, z, seed, budget) and reused
+    from a small LRU, since nothing it builds depends on (m, eps, alpha);
+    every call still evaluates the engine with its drift check and
+    validates the witness.
     """
     require_nonempty(params)
-    engine = _UpperEngine(space, params.n, z, seed=seed, budget=budget)
+    z = as_coords(ambient_space(space, params.n), z)
+    engine = _engine(space, params.n, z.tobytes(), seed, max(1, int(budget)))
     bracket = engine.value(params)
     if bracket.witness is not None and not validate_decomposition(
         space, params, bracket.witness
     ):
         raise InternalInconsistencyError("upper-bound witness failed validation")
     return bracket
+
+
+@functools.lru_cache(maxsize=16)
+def _engine(space: Space, n: int, z_bytes: bytes, seed: int, budget: int) -> _UpperEngine:
+    """The upper engine of one key; z travels as the bytes of its float64 coordinates."""
+    return _UpperEngine(space, n, np.frombuffer(z_bytes), seed=seed, budget=budget)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Hull-set parameters, the certified distance solver, descent uppers, grid brackets."""
 
 import dataclasses
+import decimal
 import math
 
 import numpy as np
@@ -18,7 +19,6 @@ from hullgap.hullgeom import (
     CmParams,
     ConvexDecomposition,
     DistanceBracket,
-    _UpperEngine,
     _batch_segment_min,
     cm_member_check,
     dist_to_cm_grid,
@@ -321,6 +321,31 @@ class TestNormMachinery:
         for psi in norming_cuts(sp, v):
             assert dual_norm(sp, psi) <= 1.0 + 1e-9
             assert psi @ v == pytest.approx(nv, abs=1e-9)
+
+    @pytest.mark.parametrize("p, row", [
+        (100.0, [4e-4, 1e-4, 0.0, 0.0]),  # every p-th power underflows to 0
+        (30.0, [2e10, 1.0, 1.0]),  # the leading p-th power overflows to inf
+    ])
+    def test_lp_norm_outside_the_power_range(self, p, row):
+        with decimal.localcontext() as ctx:
+            ctx.prec = 50
+            total = sum(abs(decimal.Decimal(x)) ** int(p) for x in row)
+            ref = float(total ** (decimal.Decimal(1) / decimal.Decimal(int(p))))
+        X = np.array([row, [0.0] * len(row), [1.0] + [0.5] * (len(row) - 1)])
+        with np.errstate(over="ignore"):
+            plan = norm_plan(LpFinite(p, len(row)))
+            f = plan.evaluate(X)
+            assert np.array_equal(plan.probe(X, np.ones_like(X))[0], f)
+            # the same terms under a p-combiner of l1 parts
+            comb = norm_plan(DirectSum(p, LpFinite(1.0, 2), LpFinite(1.0, len(row))))
+            Y = np.hstack([X[:, :1], np.zeros((3, 1)), X[:, 1:]])
+            g = comb.evaluate(Y)
+            assert np.array_equal(comb.probe(Y, np.ones_like(Y))[0], g)
+        assert abs(f[0] - ref) <= 4 * math.ulp(ref), (f[0], ref)
+        assert f[1] == 0.0
+        # a row in the normal range keeps the plain sum of powers
+        assert f[2] == np.sum(np.abs(X[2]) ** p) ** (1.0 / p)
+        assert g[0] == pytest.approx(ref, rel=4e-16) and g[1] == 0.0
 
     def test_mean_evaluator(self):
         ev = mean_norm_evaluator(SCALARS, 2)
@@ -636,6 +661,81 @@ class TestDescentUpper:
         b = dist_to_cm_upper(PLANE, [2.0, 0.0, -2.0, 0.0], p)
         assert 0.0 < b.upper <= 4.0
         assert validate_decomposition(PLANE, p, b.witness)
+
+
+class TestEngineReuse:
+    """dist_to_cm_upper builds one engine per (space, n, z, seed, budget)."""
+
+    Z = [1.0, -0.6]
+    P = CmParams(n=2, epsilon=0.1, m=2)
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        made = []
+        engine = hullgeom._UpperEngine
+
+        def counting(*args, **kwargs):
+            made.append(args)
+            return engine(*args, **kwargs)
+
+        hullgeom._engine.cache_clear()
+        monkeypatch.setattr(hullgeom, "_UpperEngine", counting)
+        yield made
+        hullgeom._engine.cache_clear()
+
+    def test_repeated_key_builds_once(self, builds):
+        for m in (1, 2, 4):
+            for eps in (0.05, 0.2):
+                for alpha in (0.97, 1.0, 1.5):
+                    dist_to_cm_upper(SCALARS, self.Z, CmParams(2, eps, alpha, m))
+        assert len(builds) == 1
+        assert hullgeom._engine.cache_info().hits == 17
+
+    def test_new_seed_budget_or_z_builds_anew(self, builds):
+        dist_to_cm_upper(SCALARS, self.Z, self.P)
+        dist_to_cm_upper(SCALARS, np.array(self.Z), self.P)  # the same key
+        dist_to_cm_upper(SCALARS, self.Z, self.P, seed=1)
+        dist_to_cm_upper(SCALARS, self.Z, self.P, budget=3)
+        dist_to_cm_upper(SCALARS, [1.0, -0.5], self.P)
+        assert len(builds) == 4
+        dist_to_cm_upper(SCALARS, self.Z, self.P, budget=0)
+        dist_to_cm_upper(SCALARS, self.Z, self.P, budget=1)  # budget 0 counts as 1
+        assert len(builds) == 5
+
+    def test_wrong_dimension_raises_before_the_lookup(self, builds):
+        with pytest.raises(DimensionMismatch):
+            dist_to_cm_upper(SCALARS, [1.0, -0.6, 0.2], self.P)
+        assert builds == []
+
+    def test_cold_and_warm_results_agree_bit_for_bit(self):
+        sp, z = LpFinite(3.0, 2), [1.3, -0.4, 0.2, 0.9]
+        params = [CmParams(2, 0.1, 1.0, 1), CmParams(2, 0.1, 1.0, 3), CmParams(2, 0.3, 1.0, 3),
+                  CmParams(2, 0.1, 0.95, 3), CmParams(2, 0.1, 1.5, 3)]
+
+        def key(b):
+            w = b.witness
+            return (b.lower, b.upper, b.lower_method, b.upper_method, b.meta,
+                    w.weights.tobytes(), [g.tobytes() for g in w.generators])
+
+        cold = []
+        for p in params:
+            hullgeom._engine.cache_clear()
+            cold.append(key(dist_to_cm_upper(sp, z, p, budget=3, seed=4)))
+        warm = [key(dist_to_cm_upper(sp, z, p, budget=3, seed=4)) for p in params]
+        assert hullgeom._engine.cache_info().hits == len(params)
+        assert warm == cold
+
+    def test_caller_edits_do_not_reach_an_engine(self):
+        z = np.array([2.0, 0.0, -2.0, 0.0])
+        engine = hullgeom._UpperEngine(PLANE, 2, z, seed=0, budget=2)
+        assert not np.shares_memory(engine.z, z)
+        hullgeom._engine.cache_clear()
+        first = dist_to_cm_upper(PLANE, z, self.P)
+        z[:] = [0.5, 0.5, 0.5, 0.5]
+        dist_to_cm_upper(PLANE, z, self.P)
+        again = dist_to_cm_upper(PLANE, [2.0, 0.0, -2.0, 0.0], self.P)
+        assert again.upper == first.upper and again.meta == first.meta
+        assert np.array_equal(again.witness.point(), first.witness.point())
 
 
 class TestGridOracle:
