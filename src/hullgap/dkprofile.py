@@ -194,9 +194,12 @@ def estimate_dk(
     bound over the candidates (a heuristic for the supremum: candidates
     only sample the ball), monotonized by running minimum since enlarging
     the hull cannot increase any distance.  When a grid fits under the
-    point cap (or the caller pins a resolution), the certified lower sides
-    are attached and maximized the same way; with an explicit resolution
-    the guard refusal propagates instead of degrading.
+    point cap (or the caller pins a resolution), each lower side is the
+    largest certified grid lower over the candidates, not monotonized: a
+    candidate's m = 1 lower is never below its m >= 2 one, which is the same
+    for every m >= 2, so the grid runs once per candidate for k = 1 and once
+    for all k >= 2.  With an explicit resolution the guard refusal
+    propagates instead of degrading.
 
     Deterministic for fixed (seed, budget): the candidate list, the inner
     engines, and the grid are all seeded or exact.
@@ -214,6 +217,7 @@ def estimate_dk(
     ]
 
     raw = []
+    lows: Dict[int, Tuple[float, str]] = {}  # the grid lower side of m = 1 and of m >= 2
     for k in ks:
         p = base.with_m(k)
         up, up_id, up_wit, up_support = -math.inf, "", None, ""
@@ -223,12 +227,14 @@ def estimate_dk(
                 up, up_id, up_wit, up_support = b.upper, cid, b.witness, str(b.meta.get("support", ""))
         if up_wit is not None and not validate_decomposition(space, p, up_wit):
             raise InternalInconsistencyError(f"sweep witness failed validation at k={k}")
-        low, low_id = 0.0, ""
-        if h is not None:
+        if h is not None and min(k, 2) not in lows:
+            low, low_id = 0.0, ""
             for cid, v in cands:
                 g = dist_to_cm_grid(space, v, p, h)
                 if g.lower > low:
                     low, low_id = g.lower, cid
+            lows[min(k, 2)] = (low, low_id)
+        low, low_id = lows.get(min(k, 2), (0.0, ""))
         raw.append((k, up, up_id, up_wit, up_support, low, low_id))
 
     entries = []

@@ -559,12 +559,6 @@ def _norming_functionals(space: Space, v: np.ndarray) -> List[Tuple[float, np.nd
     return out
 
 
-def norming_cuts(space: Space, v: np.ndarray) -> List[np.ndarray]:
-    """Dual-ball functionals attaining the norm of v, renormalized."""
-    floor = (1.0 - 1e-12) * _batch_norm_single(space, v)
-    return [psi for val, psi in _norming_functionals(space, v) if val >= floor]
-
-
 _CUT_CAP = 160
 
 
@@ -1142,6 +1136,13 @@ class _UpperEngine:
     increase Z, so enlarging eps or alpha can only lower every candidate,
     and enlarging m only adds candidates.
 
+    One pull rule serves every alpha: below alpha = 1 the pool is first
+    scaled by c = alpha (1 - 1e-12) into the alpha ball, and the supports
+    are solved once per c (c = 1 with the engine) and kept; monotonicity in
+    alpha is stated for alpha >= 1 only.  The prototypes promise mean norm
+    >= 1 - 1e-9 and sup norm <= 1 + 1e-12; a broken promise raises
+    ``InternalInconsistencyError``.
+
     So one engine answers every (m, eps, alpha) for its tuple:
     ``dist_to_cm_upper`` reuses the engine of a repeated (space, n, z, seed,
     budget), and ``estimate_dk`` holds one per candidate for a whole
@@ -1161,6 +1162,8 @@ class _UpperEngine:
         self._build_pool()
         self._build_supports()
         self._pull_cache: Dict[Tuple[float, float], np.ndarray] = {}
+        self._scaled: Dict[float, tuple] = {}
+        self._at_scale(1.0)
 
     # -- parameter-free stages ------------------------------------------
 
@@ -1193,20 +1196,17 @@ class _UpperEngine:
             add_unit(rng.standard_normal(di))
 
         protos: List[np.ndarray] = []
-        names: List[str] = []
         index_of: Dict[tuple, int] = {}
 
-        def add_proto(flat: np.ndarray, name: str) -> int:
+        def add_proto(flat: np.ndarray) -> int:
             key = tuple(np.round(flat, 12))
-            if key in index_of:
-                return index_of[key]
-            index_of[key] = len(protos)
-            protos.append(flat)
-            names.append(name)
+            if key not in index_of:
+                index_of[key] = len(protos)
+                protos.append(flat)
             return index_of[key]
 
         for u in units:
-            add_proto(np.tile(u, self.n), f"const-{len(protos)}")
+            add_proto(np.tile(u, self.n))
         self._n_const = len(protos)
 
         # centralizer-style partition overwrites on sup-decomposable spaces
@@ -1222,41 +1222,30 @@ class _UpperEngine:
             for parts in range(1, max_parts + 1):
                 groups = np.array_split(np.arange(len(slots)), parts)
                 idxs = []
-                for gi, group in enumerate(groups):
+                for group in groups:
                     g = clipped.copy()
                     for s in group:
                         off, sub = slots[s]
-                        ds = dim(sub)
-                        g[:, off : off + ds] = canonical_unit(sub)[None, :]
-                    idxs.append(add_proto(g.reshape(-1), f"part{parts}-{gi}"))
+                        g[:, off : off + dim(sub)] = canonical_unit(sub)[None, :]
+                    idxs.append(add_proto(g.reshape(-1)))
                 self.partition_supports[parts] = idxs
 
         self.pool = np.stack(protos)
-        self.pool_names = names
-        # prototypes promise mean-norm >= 1 (up to roundoff) and sup <= 1
-        mean_ok = self.nrm_mean(self.pool) >= 1.0 - 1e-9
-        sup_ok = self.nrm_sup(self.pool) <= 1.0 + 1e-12
-        keep = mean_ok & sup_ok
-        if not np.all(keep):
-            remap = -np.ones(len(protos), dtype=int)
-            remap[np.nonzero(keep)[0]] = np.arange(int(keep.sum()))
-            self._n_const = int(keep[: self._n_const].sum())
-            self.pool = self.pool[keep]
-            self.pool_names = [nm for nm, k in zip(names, keep) if k]
-            self.partition_supports = {
-                parts: [int(remap[i]) for i in idxs]
-                for parts, idxs in self.partition_supports.items()
-                if all(remap[i] >= 0 for i in idxs)
-            }
+        # the pulls start every prototype inside the feasible set
+        broken = (self.nrm_mean(self.pool) < 1.0 - 1e-9) | (self.nrm_sup(self.pool) > 1.0 + 1e-12)
+        if np.any(broken):
+            raise InternalInconsistencyError(
+                f"prototypes {np.nonzero(broken)[0].tolist()} break the promise "
+                "mean norm >= 1 - 1e-9, sup norm <= 1 + 1e-12"
+            )
 
-    def _solve_support(self, idxs: Sequence[int], accurate: bool) -> Tuple[np.ndarray, float]:
+    def _solve_support(self, gens: np.ndarray, accurate: bool) -> Tuple[np.ndarray, float]:
         """Hull weights and distance for one support, no certificate machinery.
 
         The Euclidean surrogate can wander away from a good true-norm start
         (the two minimizers differ on kinked norms), so every start and every
         polished descent is evaluated in the true norm and the best kept.
         """
-        gens = self.pool[list(idxs)]
         K = gens.shape[0]
         vd = self.nrm_sup(self.z[None, :] - gens)
         vertex = np.zeros(K)
@@ -1293,7 +1282,7 @@ class _UpperEngine:
             for j in candidates:
                 if j in chain:
                     continue
-                _, val = self._solve_support(chain + [j], accurate=False)
+                _, val = self._solve_support(self.pool[chain + [j]], accurate=False)
                 if best_v is None or val < best_v - 1e-12:
                     best_j, best_v = j, val
             if best_j < 0:
@@ -1310,34 +1299,30 @@ class _UpperEngine:
         for parts, idxs in sorted(self.partition_supports.items()):
             self.supports.append((f"partition-{parts}", tuple(idxs)))
 
-        self.support_solutions: Dict[Tuple[int, ...], Tuple[np.ndarray, float]] = {}
-        for _, idxs in self.supports:
-            if idxs not in self.support_solutions:
-                self.support_solutions[idxs] = self._solve_support(idxs, accurate=True)
+    def _at_scale(self, c: float):
+        """The pool scaled by c and each support's (mu_C, d_C) on it, solved once per c."""
+        if c not in self._scaled:
+            pool = c * self.pool
+            self._scaled[c] = (pool, {
+                idxs: self._solve_support(pool[list(idxs)], accurate=True)
+                for idxs in dict.fromkeys(idxs for _, idxs in self.supports)
+            })
+        return self._scaled[c]
 
     # -- parameter-dependent stage --------------------------------------
 
-    def _pulls(self, eps: float, alpha: float) -> np.ndarray:
+    def _pulls(self, eps: float, alpha: float, pool: np.ndarray) -> np.ndarray:
         key = (eps, alpha)
         if key in self._pull_cache:
             return self._pull_cache[key]
-        P = self.pool.shape[0]
-        lo = np.zeros(P)
-        hi = np.ones(P)
-
-        def feasible(s: np.ndarray) -> np.ndarray:
-            pts = (1.0 - s)[:, None] * self.pool + s[:, None] * self.z[None, :]
-            return (self.nrm_mean(pts) >= 1.0 - eps) & (self.nrm_sup(pts) <= alpha)
-
-        full = feasible(np.ones(P))
+        lo, hi = np.zeros(len(pool)), np.ones(len(pool))
         for _ in range(60):
             mid = (lo + hi) / 2.0
-            ok = feasible(mid)
-            lo = np.where(ok, mid, lo)
-            hi = np.where(ok, hi, mid)
-        s = np.where(full, 1.0 - 1e-12, lo)
-        self._pull_cache[key] = s
-        return s
+            pts = (1.0 - mid)[:, None] * pool + mid[:, None] * self.z[None, :]
+            ok = (self.nrm_mean(pts) >= 1.0 - eps) & (self.nrm_sup(pts) <= alpha)
+            lo, hi = np.where(ok, mid, lo), np.where(ok, hi, mid)
+        self._pull_cache[key] = lo
+        return lo
 
     def value(self, params: CmParams) -> DistanceBracket:
         require_nonempty(params)
@@ -1349,29 +1334,22 @@ class _UpperEngine:
                 0.0, 0.0, "trivial", "member-shortcut", witness=dec,
                 meta={"support": "z"},
             )
-        if params.alpha < 1.0:
-            return self._value_scaled(params)
-        s = self._pulls(params.epsilon, params.alpha)
+        # below alpha = 1 the prototypes shrink into the alpha ball first
+        c = 1.0 if params.alpha >= 1.0 else params.alpha * (1.0 - 1e-12)
+        pool, solutions = self._at_scale(c)
+        s = self._pulls(params.epsilon, params.alpha, pool)
         best = None
         for name, idxs in self.supports:
-            if len(idxs) > params.m:
-                continue
-            mu, d_C = self.support_solutions[idxs]
-            sc = s[list(idxs)]
-            Z = float(np.sum(mu / (1.0 - sc)))
-            val = d_C / Z
-            if best is None or val < best[0]:
-                best = (val, name, idxs, mu, sc)
-        if best is None:
-            # m smaller than every support size cannot happen (chain-1 exists)
-            raise InternalInconsistencyError("no candidate support available")
+            if len(idxs) <= params.m:
+                mu, d_C = solutions[idxs]
+                sc = s[list(idxs)]
+                val = d_C / float(np.sum(mu / (1.0 - sc)))
+                if best is None or val < best[0]:
+                    best = (val, name, idxs, mu, sc)
         val, name, idxs, mu, sc = best
         lam_raw = mu / (1.0 - sc)
         lam = lam_raw / lam_raw.sum()
-        gens = [
-            (1.0 - sc[j]) * self.pool[idxs[j]] + sc[j] * self.z
-            for j in range(len(idxs))
-        ]
+        gens = [(1.0 - t) * pool[i] + t * self.z for i, t in zip(idxs, sc)]
         keep = lam > 1e-15
         dec = ConvexDecomposition(lam[keep] / lam[keep].sum(), [g for g, k in zip(gens, keep) if k])
         actual = float(self.nrm_sup((self.z - dec.point())[None, :])[0])
@@ -1379,57 +1357,10 @@ class _UpperEngine:
             raise InternalInconsistencyError(
                 f"witness distance {actual} drifted from closed form {val}"
             )
+        method = "prototype-pull" if c == 1.0 else "prototype-pull-scaled"
         return DistanceBracket(
-            0.0, val, "trivial", "prototype-pull", witness=dec,
+            0.0, val, "trivial", method, witness=dec,
             meta={"support": name, "pulls": sc.tolist()},
-        )
-
-    def _value_scaled(self, params: CmParams) -> DistanceBracket:
-        # 1 - eps < alpha < 1: prototypes shrink to the alpha ball first.
-        # Valid and deterministic; the exact monotonicity statement is made
-        # for alpha >= 1 only (documented).
-        scale = params.alpha * (1.0 - 1e-12)
-        best = None
-        for name, idxs in self.supports:
-            if len(idxs) > params.m:
-                continue
-            gens0 = scale * self.pool[list(idxs)]
-            K = gens0.shape[0]
-            vd = self.nrm_sup(self.z[None, :] - gens0)
-            mu = np.zeros(K)
-            mu[int(np.argmin(vd))] = 1.0
-            if K > 1:
-                mu = _fw_surrogate(gens0, self.z, mu, iters=200)
-                mu = _polish_true_norm(self.amb, gens0, self.z, mu, sweeps=40)
-            dist0 = float(self.nrm_sup((self.z - mu @ gens0)[None, :])[0])
-            lo = np.zeros(len(idxs))
-            hi = np.ones(len(idxs))
-            for _ in range(60):
-                mid = (lo + hi) / 2.0
-                pts = (1.0 - mid)[:, None] * gens0 + mid[:, None] * self.z[None, :]
-                ok = (self.nrm_mean(pts) >= 1.0 - params.epsilon) & (
-                    self.nrm_sup(pts) <= params.alpha
-                )
-                lo = np.where(ok, mid, lo)
-                hi = np.where(ok, hi, mid)
-            sc = lo
-            Z = float(np.sum(mu / (1.0 - sc)))
-            val = dist0 / Z
-            if best is None or val < best[0]:
-                best = (val, name, list(idxs), gens0, mu, sc)
-        if best is None:
-            raise InternalInconsistencyError("no candidate support available")
-        val, name, idxs, gens0, mu, sc = best
-        lam_raw = mu / (1.0 - sc)
-        lam = lam_raw / lam_raw.sum()
-        gens = [
-            (1.0 - sc[j]) * gens0[j] + sc[j] * self.z for j in range(len(idxs))
-        ]
-        keep = lam > 1e-15
-        dec = ConvexDecomposition(lam[keep] / lam[keep].sum(), [g for g, k in zip(gens, keep) if k])
-        return DistanceBracket(
-            0.0, val, "trivial", "prototype-pull-scaled", witness=dec,
-            meta={"support": name},
         )
 
 
@@ -1524,6 +1455,9 @@ def dist_to_cm_grid(space: Space, z, params: CmParams, resolution: float) -> Dis
     side: members of the closure are within the covering radius of a grid
     point satisfying the relaxed constraints, so the distance to the relaxed
     grid hull minus the covering radius is a valid lower bound.
+
+    The bracket is the same for every m >= 2: the upper side uses at most
+    two grid members and the lower side the full relaxed hull.
     """
     require_nonempty(params)
     if resolution <= 0:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import hullgap.dkprofile as dkprofile
 from hullgap.dkprofile import (
     DkProfile,
     constructive_dk_upper,
@@ -122,6 +123,22 @@ class TestEstimateDk:
             assert b.meta["method"] == "heuristic-only"
             assert b.lower == 0.0 and b.lower_method == "none"
             assert b.upper > 0.0
+
+    def test_grid_runs_once_per_m_class(self, monkeypatch):
+        # one grid pass for k = 1 and one for k = 2 and 3 together
+        calls = []
+        grid = dkprofile.dist_to_cm_grid
+
+        def counting(space, v, params, h):
+            calls.append(params.m)
+            return grid(space, v, params, h)
+
+        monkeypatch.setattr(dkprofile, "dist_to_cm_grid", counting)
+        prof = estimate_dk(R1, 2, 0.25, 1.0, (1, 2, 3), budget=2, seed=3, resolution=0.1)
+        n_cands = len(_adversaries(R1, 2, 2, 3))
+        assert sorted(calls) == [1] * n_cands + [2] * n_cands
+        assert prof.bracket(2).lower == prof.bracket(3).lower
+        assert prof.bracket(2).lower <= prof.bracket(1).lower
 
     def test_small_sup_space_three_way(self):
         space = LpFinite(INF, 2)

@@ -30,7 +30,6 @@ from hullgap.hullgeom import (
     min_norm_point,
     norm_evaluator,
     norm_plan,
-    norming_cuts,
     require_nonempty,
     validate_decomposition,
 )
@@ -318,7 +317,8 @@ class TestNormMachinery:
         rng = np.random.default_rng(seed)
         v = rng.uniform(-2.0, 2.0, dim(sp))
         nv = norm(sp, v)
-        for psi in norming_cuts(sp, v):
+        cuts = [psi for val, psi in hullgeom._norming_functionals(sp, v) if val >= (1.0 - 1e-12) * nv]
+        for psi in cuts:
             assert dual_norm(sp, psi) <= 1.0 + 1e-9
             assert psi @ v == pytest.approx(nv, abs=1e-9)
 
@@ -738,8 +738,70 @@ class TestEngineReuse:
         assert np.array_equal(again.witness.point(), first.witness.point())
 
 
+class TestOnePullRule:
+    """Every alpha goes through the same pulls, closed form and witness checks."""
+
+    SPACE, Z = LpFinite(3.0, 2), [1.3, -0.4, 0.2, 0.9]
+
+    def test_supports_below_one_are_solved_once_per_alpha(self, monkeypatch):
+        solves = []
+        solve = hullgeom._UpperEngine._solve_support
+
+        def counting(self, *args, **kwargs):
+            solves.append(args)
+            return solve(self, *args, **kwargs)
+
+        monkeypatch.setattr(hullgeom._UpperEngine, "_solve_support", counting)
+        hullgeom._engine.cache_clear()
+        dist_to_cm_upper(self.SPACE, self.Z, CmParams(2, 0.1, 1.0, 1), budget=3)
+        engine = hullgeom._engine(self.SPACE, 2, np.array(self.Z).tobytes(), 0, 3)
+        batch = len({idxs for _, idxs in engine.supports})
+        built = len(solves)
+        after = []
+        for m in (1, 2, 3):
+            for eps in (0.1, 0.2):
+                dist_to_cm_upper(self.SPACE, self.Z, CmParams(2, eps, 0.97, m), budget=3)
+                after.append(len(solves) - built)
+        hullgeom._engine.cache_clear()
+        assert batch > 1
+        assert after == [batch] * 6
+
+    def test_scaled_uppers_are_monotone_and_checked(self):
+        for sp, z in ((self.SPACE, self.Z), (SCALARS, [1.0, -1.0]), (PLANE, [2.0, 0.0, -2.0, 0.0])):
+            ups = {}
+            for eps in (0.1, 0.2, 0.3):
+                for m in (1, 2, 3):
+                    p = CmParams(2, eps, 0.95, m)
+                    b = dist_to_cm_upper(sp, z, p, budget=3)
+                    assert b.upper_method == "prototype-pull-scaled"
+                    assert len(b.meta["pulls"]) >= 1
+                    assert validate_decomposition(sp, p, b.witness)
+                    ups[eps, m] = b.upper
+            for eps in (0.1, 0.2, 0.3):
+                assert ups[eps, 2] <= ups[eps, 1] and ups[eps, 3] <= ups[eps, 2]
+            for m in (1, 2, 3):
+                assert ups[0.2, m] <= ups[0.1, m] and ups[0.3, m] <= ups[0.2, m]
+
+    def test_broken_prototype_promise_raises(self, monkeypatch):
+        unit = hullgeom.canonical_unit
+        monkeypatch.setattr(hullgeom, "canonical_unit", lambda sp: 2.0 * unit(sp))
+        with pytest.raises(InternalInconsistencyError, match="promise"):
+            hullgeom._UpperEngine(LpFinite(INF, 3), 2, [1.5, 0.2, -0.3, -1.2, 0.4, 0.1], seed=0, budget=2)
+
+
 class TestGridOracle:
     P1 = CmParams(n=2, epsilon=0.1, m=1)
+
+    @pytest.mark.parametrize("z", [[1.0, -1.0], [1.0, -1.0, 0.5]])
+    def test_one_bracket_for_every_m_from_two(self, z):
+        def key(p):
+            g = dist_to_cm_grid(SCALARS, z, p, resolution=0.1)
+            w = g.witness
+            return (g.lower, g.upper, g.lower_method, g.upper_method, g.meta,
+                    w.weights.tobytes(), [x.tobytes() for x in w.generators])
+
+        p = CmParams(n=len(z), epsilon=0.25, m=2)
+        assert key(p) == key(p.with_m(4))
 
     def test_bracket_single_tuple(self):
         g = dist_to_cm_grid(SCALARS, [1.0, -1.0], self.P1, resolution=0.01)
