@@ -39,6 +39,7 @@ from .hullgeom import (
     CmParams,
     DistanceBracket,
     _UpperEngine,
+    _prime_pulls,
     ambient_space,
     dist_to_cm_grid,
     grid_guard_report,
@@ -202,7 +203,9 @@ def estimate_dk(
     propagates instead of degrading.
 
     Deterministic for fixed (seed, budget): the candidate list, the inner
-    engines, and the grid are all seeded or exact.
+    engines, and the grid are all seeded or exact.  The engines' pulls for
+    (epsilon, alpha) are primed by one bisection over all their prototype
+    rows, each row bisected as its own engine would.
     """
     ks = _budgets(k_range)
     base = CmParams(n=n, epsilon=epsilon, alpha=alpha)
@@ -215,6 +218,7 @@ def estimate_dk(
     engines = [
         (cid, _UpperEngine(space, n, v, seed=seed, budget=budget)) for cid, v in cands
     ]
+    _prime_pulls([eng for _, eng in engines], base)
 
     raw = []
     lows: Dict[int, Tuple[float, str]] = {}  # the grid lower side of m = 1 and of m >= 2

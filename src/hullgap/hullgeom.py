@@ -352,12 +352,16 @@ def _lp_norm(p: float, r: np.ndarray) -> np.ndarray:
     if p == 2.0:
         return np.sqrt(np.einsum("td,td->t", r, r))
     a = np.abs(r)
-    return _lp_root(p, np.sum(a ** p, axis=1), a.T)
+    with np.errstate(over="ignore", under="ignore"):  # _lp_root redoes those rows
+        total = np.add.reduce(a ** p, axis=1)
+    return _lp_root(p, total, a.T)
 
 
 def _lp_combine(p: float, fs) -> np.ndarray:
     """The l_p combination (1 < p < inf) of the terms fs, one row of T values each."""
-    return _lp_root(p, functools.reduce(np.add, [fk ** p for fk in fs]), fs)
+    with np.errstate(over="ignore", under="ignore"):  # _lp_root redoes those rows
+        total = functools.reduce(np.add, [fk ** p for fk in fs])
+    return _lp_root(p, total, fs)
 
 
 # below this a sum of p-th powers may have lost digits to subnormal terms
@@ -730,36 +734,49 @@ _PAIR_CAP = 18
 def _polish_true_norm(
     space: Space, G: np.ndarray, z: np.ndarray, lam: np.ndarray, sweeps: int
 ) -> np.ndarray:
-    """Pairwise weight transfers with exact convex line searches.
+    """Pairwise weight transfers with exact convex line searches, on a stack of rows.
 
-    Weight moves from the support to the support and the ``_PAIR_CAP``
-    generators nearest z.
+    Row r has the generators G[r] (a (R, K, D) stack) and the weights
+    lam[r].  In a row, weight moves from the support to the support and the
+    ``_PAIR_CAP`` generators nearest z; a sweep takes the best transfer (the
+    first pair on a tie) while it improves the norm, and a row that stops
+    improving is done.  The rows are independent, but every sweep gathers
+    the pairs of all rows still improving into one segment search.
     """
     nrm = norm_evaluator(space)
-    dist_to_z = nrm(z[None, :] - G)
+    R, K, D = G.shape
+    near = np.zeros((R, K), dtype=bool)
+    order = np.argsort(nrm((z - G).reshape(R * K, D)).reshape(R, K), axis=1)
+    np.put_along_axis(near, order[:, :_PAIR_CAP], True, axis=1)
+    lam = lam.copy()
+    live = np.arange(R)
     for _ in range(sweeps):
-        support = np.nonzero(lam > 1e-15)[0]
-        extra = np.argsort(dist_to_z)[:_PAIR_CAP]
-        active = np.unique(np.concatenate([support, extra]))
-        pairs = [(i, j) for i in support for j in active if i != j]
-        if not pairs:
+        sup = lam[live] > 1e-15
+        r, i = np.nonzero(sup)
+        ra, j = np.nonzero(sup | near[live])
+        # the pairs (r, i, j) ordered by row, then source i in the support,
+        # then target j in the support or near z: source i of row r pairs
+        # with the `width` targets of its row, which start at j[start]
+        width = np.bincount(ra, minlength=live.shape[0])[r]
+        start = np.searchsorted(ra, r)
+        at = np.arange(width.sum()) + np.repeat(start - (np.cumsum(width) - width), width)
+        r, i, j = np.repeat(r, width), np.repeat(i, width), j[at]
+        r, i, j = r[i != j], i[i != j], j[i != j]
+        if r.shape[0] == 0:
             break
-        src = np.array([p[0] for p in pairs])
-        dst = np.array([p[1] for p in pairs])
-        v0 = z - lam @ G
-        V = np.repeat(v0[None, :], len(pairs), axis=0)
-        W = G[dst] - G[src]
-        hi = lam[src]
-        t_best, f_best = _batch_segment_min(space, V, W, hi)
-        base = float(nrm(v0[None, :])[0])
-        k = int(np.argmin(f_best))
-        if f_best[k] >= base - 1e-15 * (1.0 + base):
-            break
-        lam = lam.copy()
-        lam[src[k]] -= t_best[k]
-        lam[dst[k]] += t_best[k]
-        lam = np.clip(lam, 0.0, None)
-        lam /= lam.sum()
+        v0 = np.stack([z - lam[q] @ G[q] for q in live])
+        rows = live[r]
+        t, f = _batch_segment_min(space, v0[r], G[rows, j] - G[rows, i], lam[rows, i])
+        # each row's best pair, the first one on a tie (lexsort is stable)
+        k = np.lexsort((f, r))[np.flatnonzero(np.concatenate(([True], r[1:] != r[:-1])))]
+        b = nrm(v0)[r[k]]
+        k = k[~(f[k] >= b - 1e-15 * (1.0 + b))]
+        live, ii = rows[k], np.arange(k.shape[0])
+        step = lam[live]
+        step[ii, i[k]] -= t[k]
+        step[ii, j[k]] += t[k]
+        step = np.clip(step, 0.0, None)
+        lam[live] = step / step.sum(axis=1)[:, None]
     return lam
 
 
@@ -1088,7 +1105,7 @@ def min_norm_point(
         if dist(uniform) < vertex_dists[j]:
             lam = uniform
         lam = _fw_surrogate(G, zz, lam, iters=300)
-        lam = _polish_true_norm(space, G, zz, lam, sweeps=25)
+        lam = _polish_true_norm(space, G[None], zz, lam[None], sweeps=25)[0]
         best_val = dist(lam)
         lower, phi = certified_hull_lower(space, zz, G, zz - lam @ G)
         stage = "norming"
@@ -1146,8 +1163,14 @@ class _UpperEngine:
     So one engine answers every (m, eps, alpha) for its tuple:
     ``dist_to_cm_upper`` reuses the engine of a repeated (space, n, z, seed,
     budget), and ``estimate_dk`` holds one per candidate for a whole
-    profile.  The engine keeps its own copy of z, so a caller that edits its
-    array in place does not change a stored engine.
+    profile and primes their pulls together (``_prime_pulls``).  The
+    engine keeps its own copy of z, so a caller that edits its array in
+    place does not change a stored engine.
+
+    Independent rows are batched, and each keeps the arithmetic it gets
+    alone: a greedy step solves the chain extended by each candidate as one
+    stack of supports, the supports of one size are one stack per scale,
+    and a stack's starts share one polish.
     """
 
     def __init__(self, space: Space, n: int, z, seed: int, budget: int = 8):
@@ -1239,36 +1262,40 @@ class _UpperEngine:
                 "mean norm >= 1 - 1e-9, sup norm <= 1 + 1e-12"
             )
 
-    def _solve_support(self, gens: np.ndarray, accurate: bool) -> Tuple[np.ndarray, float]:
-        """Hull weights and distance for one support, no certificate machinery.
+    def _solve_support(self, gens: np.ndarray, accurate: bool) -> Tuple[np.ndarray, np.ndarray]:
+        """Hull weights (C, K) and distances (C,) for a stack (C, K, D) of supports.
 
-        The Euclidean surrogate can wander away from a good true-norm start
-        (the two minimizers differ on kinked norms), so every start and every
-        polished descent is evaluated in the true norm and the best kept.
+        No certificate machinery.  Each support starts from its nearest
+        generator and, when ``accurate`` or when it is nearer, from uniform
+        weights; each start runs the Euclidean surrogate on its own, and then
+        one polish takes every start of every support as a row.  The
+        surrogate can wander away from a good true-norm start (the two
+        minimizers differ on kinked norms), so every start and every polished
+        descent is evaluated in the true norm and the best kept, in start
+        order.  Every row gets the arithmetic of a support solved alone.
         """
-        K = gens.shape[0]
-        vd = self.nrm_sup(self.z[None, :] - gens)
-        vertex = np.zeros(K)
-        vertex[int(np.argmin(vd))] = 1.0
+        C, K, D = gens.shape
+        vd = self.nrm_sup((self.z - gens).reshape(C * K, D)).reshape(C, K)
+        best_lam = np.zeros((C, K))
+        best_lam[np.arange(C), np.argmin(vd, axis=1)] = 1.0
+        best_val = np.min(vd, axis=1)
         if K == 1:
-            return vertex, float(vd[0])
-        starts = [vertex]
-        if accurate or float(
-            self.nrm_sup((self.z - np.full(K, 1.0 / K) @ gens)[None, :])[0]
-        ) < float(np.min(vd)):
-            starts.append(np.full(K, 1.0 / K))
-        best_lam, best_val = vertex, float(np.min(vd))
-        for s in starts:
-            sval = float(self.nrm_sup((self.z - s @ gens)[None, :])[0])
-            if sval < best_val:
-                best_lam, best_val = s, sval
-            lam = _fw_surrogate(gens, self.z, s.copy(), iters=250 if accurate else 80)
-            lam = _polish_true_norm(
-                self.amb, gens, self.z, lam, sweeps=60 if accurate else 8
-            )
-            val = float(self.nrm_sup((self.z - lam @ gens)[None, :])[0])
-            if val < best_val:
-                best_lam, best_val = lam, val
+            return best_lam, best_val
+        uniform = np.full(K, 1.0 / K)
+        u_val = self.nrm_sup(np.stack([self.z - uniform @ g for g in gens]))
+        # (support, start weights, value there): the vertex, then uniform weights
+        starts = [(c, best_lam[c].copy(), best_val[c]) for c in range(C)]
+        starts += [(c, uniform, u_val[c]) for c in range(C) if accurate or u_val[c] < best_val[c]]
+        cs = [c for c, _, _ in starts]
+        lams = np.stack([_fw_surrogate(gens[c], self.z, s, iters=250 if accurate else 80)
+                         for c, s, _ in starts])
+        lams = _polish_true_norm(self.amb, gens[cs], self.z, lams, sweeps=60 if accurate else 8)
+        p_val = self.nrm_sup(np.stack([self.z - lam @ gens[c] for c, lam in zip(cs, lams)]))
+        for (c, s, sv), lam, pv in zip(starts, lams, p_val):
+            if sv < best_val[c]:
+                best_lam[c], best_val[c] = s, sv
+            if pv < best_val[c]:
+                best_lam[c], best_val[c] = lam, pv
         return best_lam, best_val
 
     def _build_supports(self):
@@ -1278,15 +1305,15 @@ class _UpperEngine:
         chain: List[int] = [int(np.argmin(vertex_d))]
         cap = min(self._n_const, max(4, min(12, self.budget + 4)))
         while len(chain) < cap:
+            # one stack per greedy step: the chain extended by each candidate
+            js = [j for j in candidates if j not in chain]
+            if not js:
+                break
+            _, vals = self._solve_support(self.pool[[chain + [j] for j in js]], accurate=False)
             best_j, best_v = -1, None
-            for j in candidates:
-                if j in chain:
-                    continue
-                _, val = self._solve_support(self.pool[chain + [j]], accurate=False)
+            for j, val in zip(js, vals):
                 if best_v is None or val < best_v - 1e-12:
                     best_j, best_v = j, val
-            if best_j < 0:
-                break
             chain.append(best_j)
             if best_v <= 1e-13:
                 break
@@ -1300,42 +1327,44 @@ class _UpperEngine:
             self.supports.append((f"partition-{parts}", tuple(idxs)))
 
     def _at_scale(self, c: float):
-        """The pool scaled by c and each support's (mu_C, d_C) on it, solved once per c."""
+        """The pool scaled by c and each support's (mu_C, d_C) on it, solved once per c.
+
+        The distinct supports are solved as one stack per support size.
+        """
         if c not in self._scaled:
             pool = c * self.pool
-            self._scaled[c] = (pool, {
-                idxs: self._solve_support(pool[list(idxs)], accurate=True)
-                for idxs in dict.fromkeys(idxs for _, idxs in self.supports)
-            })
+            supports = list(dict.fromkeys(idxs for _, idxs in self.supports))
+            solutions = {}
+            for K in sorted({len(idxs) for idxs in supports}):
+                group = [idxs for idxs in supports if len(idxs) == K]
+                lams, vals = self._solve_support(pool[np.array(group)], accurate=True)
+                solutions.update((idxs, (lam, float(v))) for idxs, lam, v in zip(group, lams, vals))
+            self._scaled[c] = (pool, solutions)
         return self._scaled[c]
 
     # -- parameter-dependent stage --------------------------------------
 
+    def _is_member(self, params: CmParams) -> bool:
+        sup = float(self.nrm_sup(self.z[None, :])[0])
+        mean = float(self.nrm_mean(self.z[None, :])[0])
+        return sup <= params.alpha and mean >= 1.0 - params.epsilon
+
     def _pulls(self, eps: float, alpha: float, pool: np.ndarray) -> np.ndarray:
         key = (eps, alpha)
-        if key in self._pull_cache:
-            return self._pull_cache[key]
-        lo, hi = np.zeros(len(pool)), np.ones(len(pool))
-        for _ in range(60):
-            mid = (lo + hi) / 2.0
-            pts = (1.0 - mid)[:, None] * pool + mid[:, None] * self.z[None, :]
-            ok = (self.nrm_mean(pts) >= 1.0 - eps) & (self.nrm_sup(pts) <= alpha)
-            lo, hi = np.where(ok, mid, lo), np.where(ok, hi, mid)
-        self._pull_cache[key] = lo
-        return lo
+        if key not in self._pull_cache:
+            self._pull_cache[key] = _pull_rows(
+                self.nrm_mean, self.nrm_sup, pool, self.z[None, :], eps, alpha)
+        return self._pull_cache[key]
 
     def value(self, params: CmParams) -> DistanceBracket:
         require_nonempty(params)
-        sup = float(self.nrm_sup(self.z[None, :])[0])
-        mean = float(self.nrm_mean(self.z[None, :])[0])
-        if sup <= params.alpha and mean >= 1.0 - params.epsilon:
+        if self._is_member(params):
             dec = ConvexDecomposition(np.array([1.0]), [self.z.copy()])
             return DistanceBracket(
                 0.0, 0.0, "trivial", "member-shortcut", witness=dec,
                 meta={"support": "z"},
             )
-        # below alpha = 1 the prototypes shrink into the alpha ball first
-        c = 1.0 if params.alpha >= 1.0 else params.alpha * (1.0 - 1e-12)
+        c = _pool_scale(params.alpha)
         pool, solutions = self._at_scale(c)
         s = self._pulls(params.epsilon, params.alpha, pool)
         best = None
@@ -1362,6 +1391,47 @@ class _UpperEngine:
             0.0, val, "trivial", method, witness=dec,
             meta={"support": name, "pulls": sc.tolist()},
         )
+
+
+def _pool_scale(alpha: float) -> float:
+    """The factor c on the prototype pool: below alpha = 1 it shrinks into the alpha ball."""
+    return 1.0 if alpha >= 1.0 else alpha * (1.0 - 1e-12)
+
+
+def _pull_rows(nrm_mean, nrm_sup, pool: np.ndarray, Z: np.ndarray, eps: float,
+               alpha: float) -> np.ndarray:
+    """Per row, the largest s found by bisection with (1 - s) pool + s Z feasible.
+
+    Feasible means mean norm >= 1 - eps and sup norm <= alpha; both are
+    convex constraints, so each row's feasible s form an interval from 0.
+    Every row is bisected on its own (Z is one row per row of pool, or one
+    row for all), however many rows share the call.
+    """
+    lo, hi = np.zeros(len(pool)), np.ones(len(pool))
+    for _ in range(60):
+        mid = (lo + hi) / 2.0
+        pts = (1.0 - mid)[:, None] * pool + mid[:, None] * Z
+        ok = (nrm_mean(pts) >= 1.0 - eps) & (nrm_sup(pts) <= alpha)
+        lo, hi = np.where(ok, mid, lo), np.where(ok, hi, mid)
+    return lo
+
+
+def _prime_pulls(engines: Sequence[_UpperEngine], params: CmParams) -> None:
+    """Fill the pull caches of engines of one (space, n) for params by one bisection.
+
+    The rows of every engine that ``value(params)`` would pull are stacked
+    with their own z; each engine then finds its (eps, alpha) pulls cached.
+    """
+    require_nonempty(params)
+    key = (params.epsilon, params.alpha)
+    todo = [e for e in engines if key not in e._pull_cache and not e._is_member(params)]
+    if not todo:
+        return
+    pools = [e._at_scale(_pool_scale(params.alpha))[0] for e in todo]
+    Z = np.concatenate([np.broadcast_to(e.z, pool.shape) for e, pool in zip(todo, pools)])
+    s = _pull_rows(todo[0].nrm_mean, todo[0].nrm_sup, np.concatenate(pools), Z, *key)
+    for e, rows in zip(todo, np.split(s, np.cumsum([len(pool) for pool in pools])[:-1])):
+        e._pull_cache[key] = rows
 
 
 def dist_to_cm_upper(
@@ -1472,7 +1542,8 @@ def dist_to_cm_grid(space: Space, z, params: CmParams, resolution: float) -> Dis
     pts = _grid_points(params.alpha, resolution, D)
     sup_vals = nrm(pts)
     mean_vals = nrm_mean(pts)
-    r_cov = (resolution / 2.0) * float(nrm(np.ones((1, D)))[0])
+    # rounded up, so the relaxed set can only grow; the lower side is rounded down
+    r_cov = float(np.nextafter((resolution / 2.0) * float(nrm(np.ones((1, D)))[0]), INF))
 
     strict = pts[(sup_vals <= params.alpha) & (mean_vals > 1.0 - params.epsilon)]
     relax = pts[
@@ -1495,7 +1566,7 @@ def dist_to_cm_grid(space: Space, z, params: CmParams, resolution: float) -> Dis
 
     upper, witness, upper_method = _grid_upper(amb, zz, strict, params.m)
     lower_raw, lower_method = _grid_hull_lower(amb, zz, relax, params.m)
-    lower = max(0.0, lower_raw - r_cov)
+    lower = max(0.0, float(np.nextafter(lower_raw - r_cov, -INF)))
     lower = min(lower, upper)
     return DistanceBracket(
         lower, upper, lower_method, upper_method, witness=witness, meta=meta

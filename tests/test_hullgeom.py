@@ -3,6 +3,7 @@
 import dataclasses
 import decimal
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import scipy.optimize
 from hypothesis import example, given, settings, strategies as st
 
 import hullgap.hullgeom as hullgeom
+from hullgap.dkprofile import estimate_dk
 from hullgap.errors import (
     CapabilityRefusal,
     InternalInconsistencyError,
@@ -332,7 +334,8 @@ class TestNormMachinery:
             total = sum(abs(decimal.Decimal(x)) ** int(p) for x in row)
             ref = float(total ** (decimal.Decimal(1) / decimal.Decimal(int(p))))
         X = np.array([row, [0.0] * len(row), [1.0] + [0.5] * (len(row) - 1)])
-        with np.errstate(over="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the rows the root redoes warn about nothing
             plan = norm_plan(LpFinite(p, len(row)))
             f = plan.evaluate(X)
             assert np.array_equal(plan.probe(X, np.ones_like(X))[0], f)
@@ -744,24 +747,24 @@ class TestOnePullRule:
     SPACE, Z = LpFinite(3.0, 2), [1.3, -0.4, 0.2, 0.9]
 
     def test_supports_below_one_are_solved_once_per_alpha(self, monkeypatch):
-        solves = []
+        solves = []  # supports solved per call: the rows of its stack
         solve = hullgeom._UpperEngine._solve_support
 
-        def counting(self, *args, **kwargs):
-            solves.append(args)
-            return solve(self, *args, **kwargs)
+        def counting(self, gens, *args, **kwargs):
+            solves.append(gens.shape[0])
+            return solve(self, gens, *args, **kwargs)
 
         monkeypatch.setattr(hullgeom._UpperEngine, "_solve_support", counting)
         hullgeom._engine.cache_clear()
         dist_to_cm_upper(self.SPACE, self.Z, CmParams(2, 0.1, 1.0, 1), budget=3)
         engine = hullgeom._engine(self.SPACE, 2, np.array(self.Z).tobytes(), 0, 3)
         batch = len({idxs for _, idxs in engine.supports})
-        built = len(solves)
+        built = sum(solves)
         after = []
         for m in (1, 2, 3):
             for eps in (0.1, 0.2):
                 dist_to_cm_upper(self.SPACE, self.Z, CmParams(2, eps, 0.97, m), budget=3)
-                after.append(len(solves) - built)
+                after.append(sum(solves) - built)
         hullgeom._engine.cache_clear()
         assert batch > 1
         assert after == [batch] * 6
@@ -787,6 +790,66 @@ class TestOnePullRule:
         monkeypatch.setattr(hullgeom, "canonical_unit", lambda sp: 2.0 * unit(sp))
         with pytest.raises(InternalInconsistencyError, match="promise"):
             hullgeom._UpperEngine(LpFinite(INF, 3), 2, [1.5, 0.2, -0.3, -1.2, 0.4, 0.1], seed=0, budget=2)
+
+
+class TestBatchedRows:
+    """Stacked supports and primed pulls give each row the arithmetic it gets alone."""
+
+    CASES = [
+        (LpFinite(INF, 3), [1.5, 0.2, -0.3, -1.2, 0.4, 0.1], 0.0),
+        (SupTuple(2, LpFinite(INF, 2)), [0.9, -0.4, 0.3, 1.1, -1.0, 0.2, -0.5, -0.8], 0.0),
+        (LpFinite(3.0, 2), [1.3, -0.4, 0.2, 0.9], 1e-15),
+    ]
+
+    @pytest.mark.parametrize("sp, z, tol", CASES)
+    def test_a_stack_solves_each_support_as_alone(self, sp, z, tol):
+        eng = hullgeom._UpperEngine(sp, 2, z, seed=3, budget=2)
+        n = len(eng.pool)
+        rng = np.random.default_rng(11)
+        for K in (1, 2, 3, 4):
+            group = np.array([rng.choice(n, K, replace=False) for _ in range(6)] + [eng.chain[:K]])
+            for accurate in (False, True):
+                lams, vals = eng._solve_support(eng.pool[group], accurate=accurate)
+                for row, lam, val in zip(group, lams, vals):
+                    lam1, val1 = eng._solve_support(eng.pool[row][None], accurate=accurate)
+                    if tol == 0.0:
+                        assert np.array_equal(lam, lam1[0]) and val == val1[0], (K, row)
+                    else:
+                        assert np.max(np.abs(lam - lam1[0])) <= tol and abs(val - val1[0]) <= tol
+
+    @pytest.mark.parametrize("alpha", [1.0, 1.2, 0.95])
+    def test_primed_pulls_equal_each_engines_own(self, alpha):
+        sp, n = LpFinite(INF, 3), 2
+        zs = np.random.default_rng(4).uniform(-1.2, 1.2, (5, 6))
+        params = CmParams(n, 0.2, alpha)
+        primed = [hullgeom._UpperEngine(sp, n, z, seed=1, budget=1) for z in zs]
+        hullgeom._prime_pulls(primed, params)
+        members = [eng._is_member(params) for eng in primed]
+        assert members.count(False) >= 3
+        for z, eng, member in zip(zs, primed, members):
+            if member:  # value answers a member without pulls
+                assert (0.2, alpha) not in eng._pull_cache
+                continue
+            own = hullgeom._UpperEngine(sp, n, z, seed=1, budget=1)
+            pool = own._at_scale(hullgeom._pool_scale(alpha))[0]
+            assert np.array_equal(eng._pull_cache[0.2, alpha], own._pulls(0.2, alpha, pool))
+
+    # uppers, witness ids and supports of estimate_dk(eps 0.2, k 1..3,
+    # budget 1, seed 5), as each support solved and each engine pulled alone gives them
+    PINNED = {
+        ("lp(inf,3)", 2): [(1, 1.6000000000000805, "pair[0]", "chain-1"),
+                           (2, 0.8, "pair[0]", "partition-2"),
+                           (3, 0.5333333333333334, "pair[0]", "partition-3")],
+        ("lp(inf,1)", 6): [(1, 1.700000000000043, "ball[15]", "chain-1"),
+                           (2, 0.8000000000000802, "pair[0]", "chain-2"),
+                           (3, 0.8000000000000802, "pair[0]", "chain-2")],
+    }
+
+    @pytest.mark.parametrize("text, n", list(PINNED))
+    def test_profiles_are_pinned(self, text, n):
+        prof = estimate_dk(parse_space(text), n, 0.2, k_range=(1, 2, 3), budget=1, seed=5)
+        got = [(k, b.upper, b.meta["witness_id"], b.meta["support"]) for k, b in prof.entries]
+        assert got == self.PINNED[text, n]
 
 
 class TestGridOracle:
