@@ -11,8 +11,9 @@ module answers "how far is z from that set" three ways:
   norm (so the reported gap is a real gap).  A polyhedral norm (every atom
   and combiner with p in {1, inf}, or a one-coordinate atom, which is |x|
   for every p) takes one LP, whose marginals are the functional; a curved
-  norm takes a descent on the primal side, norming functionals at the
-  residual, and one SLSQP refinement on each side;
+  norm takes the exact Euclidean nearest point (one NNLS), a descent in
+  the true norm from there, norming functionals at the residual, and one
+  SLSQP refinement on each side;
 * ``dist_to_cm_upper`` -- a deterministic feasible-decomposition search whose
   reported value is monotone in m, eps and alpha by construction; its hull
   weights are polished by one segment line search on every norm, tangent
@@ -622,8 +623,9 @@ class MinNormResult:
     converged: bool
     # the step that produced ``lower``: "vertex" (z is a generator), "lp"
     # (the polyhedral route), or, on curved norms, "norming" (norming
-    # functionals at the polished residual), "slsqp-primal" (the same after
-    # the primal refinement) or "slsqp-dual" (the dual refinement)
+    # functionals at the residual of the polished Euclidean nearest point),
+    # "slsqp-primal" (the same after the primal refinement) or "slsqp-dual"
+    # (the dual refinement)
     stage: str
 
 
@@ -643,10 +645,11 @@ def _batch_segment_min(
     sa < 0) and one at b (slope sb > 0), steps to where they meet, and there
     replaces one of them by the line of the one-sided slope pointing
     downhill.  A row is done when the slopes at t bracket 0, when f(t) meets
-    the model, when t reaches an end, or when rounding makes a cut repeat
-    the one it replaces (a tie resolved the other way).  On a polyhedral
-    plan every step cuts with a new linear piece, so the search is exact and
-    done within ``plan.pieces`` steps; on a curved plan the model closes in
+    the model up to the rounding floor 4 eps (fa + fb) of the row's ends,
+    when t reaches an end, or when rounding makes a cut repeat the one it
+    replaces (a tie resolved the other way).  On a polyhedral plan every
+    step cuts with a new linear piece, so the search is exact and done
+    within ``plan.pieces`` steps; on a curved plan the model closes in
     until rounding stops it, within ``_CURVED_STEPS`` steps.  Either bound
     left open raises.  The best point seen is returned, with the value the
     evaluator gives there.
@@ -674,7 +677,9 @@ def _batch_segment_min(
         f_best[rows[better]] = f[better]
         up = right < 0.0  # still descending at t: t becomes the left end
         down = left > 0.0
-        done = ~(up | down) | (f <= model) | (t <= ra) | (t >= rb)
+        # ||hi W|| <= fa + fb, so no row resolves f finer than eps (fa + fb)
+        floor = 4.0 * np.finfo(float).eps * (rfa + rfb)
+        done = ~(up | down) | (f <= model + floor) | (t <= ra) | (t >= rb)
         done |= (up & (right <= rsa)) | (down & (left >= rsb))
         step_a = rows[up & ~done]
         a[step_a], fa[step_a], sa[step_a] = t[up & ~done], f[up & ~done], right[up & ~done]
@@ -689,43 +694,27 @@ def _batch_segment_min(
     return t_best, f_best
 
 
-def _fw_surrogate(G: np.ndarray, z: np.ndarray, lam: np.ndarray, iters: int) -> np.ndarray:
-    """Away-step conditional gradient on the Euclidean squared distance."""
-    lam = lam.copy()
-    point = lam @ G
-    scale = 1.0 + float(np.max(np.abs(G))) ** 2
-    for _ in range(iters):
-        r = point - z
-        grad = G @ r
-        s = int(np.argmin(grad))
-        support = np.nonzero(lam > 1e-14)[0]
-        a = int(support[np.argmax(grad[support])])
-        fw_gap = float(lam @ grad - grad[s])
-        if fw_gap <= 1e-14 * scale:
-            break
-        use_away = (grad[a] - lam @ grad) > fw_gap and lam[a] < 1.0 - 1e-14
-        if use_away:
-            dvec = point - G[a]
-            t_max = lam[a] / (1.0 - lam[a])
-        else:
-            dvec = G[s] - point
-            t_max = 1.0
-        denom = float(dvec @ dvec)
-        if denom <= 0.0:
-            break
-        t = min(t_max, max(0.0, -float(r @ dvec) / denom))
-        if t <= 0.0:
-            break
-        if use_away:
-            lam *= 1.0 + t
-            lam[a] -= t
-        else:
-            lam *= 1.0 - t
-            lam[s] += t
-        lam = np.clip(lam, 0.0, None)
-        lam /= lam.sum()
-        point = lam @ G
-    return lam
+def _euclid_surrogate(G: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Simplex weights of the Euclidean nearest point to z of the hull of G's rows.
+
+    One NNLS (Lawson & Hanson 1974, ch. 23) on A = [(G - z)^T; 1^T] and
+    b = [0; 1]: its minimizer is lam* / (1 + r^2) for the exact weights lam*
+    and distance r, so renormalized it is exact, with at most D + 1
+    positive weights.  Should NNLS stop at its iteration cap, the nearest
+    generator's weights stand in.
+    """
+    from scipy.optimize import nnls
+
+    R = G - z
+    K, D = R.shape
+    b = np.zeros(D + 1)
+    b[D] = 1.0
+    try:
+        mu, _ = nnls(np.vstack([R.T, np.ones(K)]), b)
+    except RuntimeError:
+        mu = np.zeros(K)
+        mu[int(np.argmin(np.einsum("kd,kd->k", R, R)))] = 1.0
+    return mu / mu.sum()
 
 
 _PAIR_CAP = 18
@@ -1068,12 +1057,11 @@ def min_norm_point(
 
     * polyhedral norms (``norm_plan(space).polyhedral``): one LP,
       whose equality marginals are the functional (stage "lp");
-    * curved norms: conditional gradient on the Euclidean surrogate and a
-      pairwise polish in the true norm, certified by the norming functionals
-      at the residual; while the gap exceeds the target, an SLSQP primal
-      refinement, an SLSQP dual refinement, and last the sup-norm LP as one
-      more primal candidate, which finds the hull point exactly when z lies
-      in the hull.
+    * curved norms: the exact Euclidean nearest point (one NNLS, which
+      finds the hull point itself when z lies in the hull) and a pairwise
+      polish in the true norm, certified by the norming functionals at the
+      residual; while the gap exceeds the target, an SLSQP primal
+      refinement, then an SLSQP dual refinement.
     """
     if len(generators) == 0:
         raise ParameterError("generator set must be nonempty")
@@ -1101,10 +1089,7 @@ def min_norm_point(
         lower, _ = _dual_lower(space, zz, G, sol[1])
         stage = "lp"
     else:
-        uniform = np.full(K, 1.0 / K)
-        if dist(uniform) < vertex_dists[j]:
-            lam = uniform
-        lam = _fw_surrogate(G, zz, lam, iters=300)
+        lam = _euclid_surrogate(G, zz)
         lam = _polish_true_norm(space, G[None], zz, lam[None], sweeps=25)[0]
         best_val = dist(lam)
         lower, phi = certified_hull_lower(space, zz, G, zz - lam @ G)
@@ -1120,10 +1105,6 @@ def min_norm_point(
             lower_d, _ = _dual_lower(space, zz, G, _slsqp_dual(space, G, zz, phi))
             if lower_d > lower:
                 lower, stage = lower_d, "slsqp-dual"
-        if best_val - lower > target_gap:
-            sol = _hull_lp(LpFinite(INF, D), zz, G)
-            if sol is not None and dist(sol[0]) < best_val:
-                lam, best_val = sol[0], dist(sol[0])
     gap = max(0.0, best_val - lower)
     return MinNormResult(
         distance=best_val,
@@ -1170,7 +1151,7 @@ class _UpperEngine:
     Independent rows are batched, and each keeps the arithmetic it gets
     alone: a greedy step solves the chain extended by each candidate as one
     stack of supports, the supports of one size are one stack per scale,
-    and a stack's starts share one polish.
+    and a stack's supports share one polish.
     """
 
     def __init__(self, space: Space, n: int, z, seed: int, budget: int = 8):
@@ -1265,14 +1246,14 @@ class _UpperEngine:
     def _solve_support(self, gens: np.ndarray, accurate: bool) -> Tuple[np.ndarray, np.ndarray]:
         """Hull weights (C, K) and distances (C,) for a stack (C, K, D) of supports.
 
-        No certificate machinery.  Each support starts from its nearest
-        generator and, when ``accurate`` or when it is nearer, from uniform
-        weights; each start runs the Euclidean surrogate on its own, and then
-        one polish takes every start of every support as a row.  The
-        surrogate can wander away from a good true-norm start (the two
-        minimizers differ on kinked norms), so every start and every polished
-        descent is evaluated in the true norm and the best kept, in start
-        order.  Every row gets the arithmetic of a support solved alone.
+        No certificate machinery.  Each support gets the exact Euclidean
+        nearest point of its hull, and one polish in the true norm takes
+        every support as a row, with 60 sweeps when ``accurate`` and 8
+        otherwise.  The Euclidean minimizer can lie far from the true-norm
+        one on kinked norms, so the nearest generator, the polished weights
+        and uniform weights are evaluated in the true norm and the first
+        strictly nearest kept.  Every row gets the arithmetic of a support
+        solved alone.
         """
         C, K, D = gens.shape
         vd = self.nrm_sup((self.z - gens).reshape(C * K, D)).reshape(C, K)
@@ -1283,19 +1264,15 @@ class _UpperEngine:
             return best_lam, best_val
         uniform = np.full(K, 1.0 / K)
         u_val = self.nrm_sup(np.stack([self.z - uniform @ g for g in gens]))
-        # (support, start weights, value there): the vertex, then uniform weights
-        starts = [(c, best_lam[c].copy(), best_val[c]) for c in range(C)]
-        starts += [(c, uniform, u_val[c]) for c in range(C) if accurate or u_val[c] < best_val[c]]
-        cs = [c for c, _, _ in starts]
-        lams = np.stack([_fw_surrogate(gens[c], self.z, s, iters=250 if accurate else 80)
-                         for c, s, _ in starts])
-        lams = _polish_true_norm(self.amb, gens[cs], self.z, lams, sweeps=60 if accurate else 8)
-        p_val = self.nrm_sup(np.stack([self.z - lam @ gens[c] for c, lam in zip(cs, lams)]))
-        for (c, s, sv), lam, pv in zip(starts, lams, p_val):
-            if sv < best_val[c]:
-                best_lam[c], best_val[c] = s, sv
-            if pv < best_val[c]:
-                best_lam[c], best_val[c] = lam, pv
+        lams = np.stack([_euclid_surrogate(g, self.z) for g in gens])
+        lams = _polish_true_norm(self.amb, gens, self.z, lams, sweeps=60 if accurate else 8)
+        p_val = self.nrm_sup(np.stack([self.z - lam @ g for g, lam in zip(gens, lams)]))
+        # after the vertex, the polished and then the uniform weights, each
+        # kept only where strictly nearer
+        nearer = p_val < best_val
+        best_lam[nearer], best_val[nearer] = lams[nearer], p_val[nearer]
+        nearer = u_val < best_val
+        best_lam[nearer], best_val[nearer] = uniform, u_val[nearer]
         return best_lam, best_val
 
     def _build_supports(self):
