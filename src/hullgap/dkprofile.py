@@ -38,7 +38,7 @@ from .spaces import (
 from .hullgeom import (
     CmParams,
     DistanceBracket,
-    _UpperEngine,
+    _build_engines,
     _prime_pulls,
     ambient_space,
     dist_to_cm_grid,
@@ -203,9 +203,12 @@ def estimate_dk(
     propagates instead of degrading.
 
     Deterministic for fixed (seed, budget): the candidate list, the inner
-    engines, and the grid are all seeded or exact.  The engines' pulls for
-    (epsilon, alpha) are primed by one bisection over all their prototype
-    rows, each row bisected as its own engine would.
+    engines, and the grid are all seeded or exact.  The candidates' upper
+    engines are built as one batch (``_build_engines``), with one stack of
+    supports per greedy step and per support size for the whole profile,
+    and their pulls for (epsilon, alpha) are primed by one bisection over
+    all their prototype rows; every row gets the arithmetic of its engine
+    built alone.
     """
     ks = _budgets(k_range)
     base = CmParams(n=n, epsilon=epsilon, alpha=alpha)
@@ -215,9 +218,8 @@ def estimate_dk(
         require_grid_fits(space, base, resolution)
 
     cands = _adversaries(space, n, budget, seed)
-    engines = [
-        (cid, _UpperEngine(space, n, v, seed=seed, budget=budget)) for cid, v in cands
-    ]
+    engines = list(zip(
+        [cid for cid, _ in cands], _build_engines(space, n, [v for _, v in cands], seed, budget)))
     _prime_pulls([eng for _, eng in engines], base)
 
     raw = []

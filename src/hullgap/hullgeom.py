@@ -515,10 +515,6 @@ def dual_norm(space: Space, phi) -> float:
     return float(dual_plan(space).evaluate(as_coords(space, phi)[None, :])[0])
 
 
-def _batch_norm_single(space: Space, x: np.ndarray) -> float:
-    return float(norm_evaluator(space)(x[None, :])[0])
-
-
 def _dual_unit(space: Space, phi: np.ndarray) -> Optional[np.ndarray]:
     """phi divided by its exactly computed dual norm, so that norm is at most 1.
 
@@ -721,21 +717,23 @@ _PAIR_CAP = 18
 
 
 def _polish_true_norm(
-    space: Space, G: np.ndarray, z: np.ndarray, lam: np.ndarray, sweeps: int
+    space: Space, G: np.ndarray, Z: np.ndarray, lam: np.ndarray, sweeps: int
 ) -> np.ndarray:
     """Pairwise weight transfers with exact convex line searches, on a stack of rows.
 
-    Row r has the generators G[r] (a (R, K, D) stack) and the weights
-    lam[r].  In a row, weight moves from the support to the support and the
-    ``_PAIR_CAP`` generators nearest z; a sweep takes the best transfer (the
-    first pair on a tie) while it improves the norm, and a row that stops
-    improving is done.  The rows are independent, but every sweep gathers
-    the pairs of all rows still improving into one segment search.
+    Row r has its own point Z[r] (Z is (R, D)), the generators G[r] (a
+    (R, K, D) stack) and the weights lam[r], so one stack may hold the
+    supports of many upper engines.  In a row, weight moves from the
+    support to the support and the ``_PAIR_CAP`` generators nearest Z[r]; a
+    sweep takes the best transfer (the first pair on a tie) while it
+    improves the norm, and a row that stops improving is done.  The rows
+    are independent, but every sweep gathers the pairs of all rows still
+    improving into one segment search.
     """
     nrm = norm_evaluator(space)
     R, K, D = G.shape
     near = np.zeros((R, K), dtype=bool)
-    order = np.argsort(nrm((z - G).reshape(R * K, D)).reshape(R, K), axis=1)
+    order = np.argsort(nrm((Z[:, None, :] - G).reshape(R * K, D)).reshape(R, K), axis=1)
     np.put_along_axis(near, order[:, :_PAIR_CAP], True, axis=1)
     lam = lam.copy()
     live = np.arange(R)
@@ -753,7 +751,7 @@ def _polish_true_norm(
         r, i, j = r[i != j], i[i != j], j[i != j]
         if r.shape[0] == 0:
             break
-        v0 = np.stack([z - lam[q] @ G[q] for q in live])
+        v0 = np.stack([Z[q] - lam[q] @ G[q] for q in live])
         rows = live[r]
         t, f = _batch_segment_min(space, v0[r], G[rows, j] - G[rows, i], lam[rows, i])
         # each row's best pair, the first one on a tie (lexsort is stable)
@@ -1090,7 +1088,7 @@ def min_norm_point(
         stage = "lp"
     else:
         lam = _euclid_surrogate(G, zz)
-        lam = _polish_true_norm(space, G[None], zz, lam[None], sweeps=25)[0]
+        lam = _polish_true_norm(space, G[None], zz[None], lam[None], sweeps=25)[0]
         best_val = dist(lam)
         lower, phi = certified_hull_lower(space, zz, G, zz - lam @ G)
         stage = "norming"
@@ -1145,60 +1143,32 @@ class _UpperEngine:
     ``dist_to_cm_upper`` reuses the engine of a repeated (space, n, z, seed,
     budget), and ``estimate_dk`` holds one per candidate for a whole
     profile and primes their pulls together (``_prime_pulls``).  The
-    engine keeps its own copy of z, so a caller that edits its array in
-    place does not change a stored engine.
+    engine keeps its own copy of z, and the norms of z, so a caller that
+    edits its array in place does not change a stored engine.
 
-    Independent rows are batched, and each keeps the arithmetic it gets
-    alone: a greedy step solves the chain extended by each candidate as one
-    stack of supports, the supports of one size are one stack per scale,
-    and a stack's supports share one polish.
+    Engines are built by ``_build_engines`` only, in batches of one (space,
+    n, seed, budget), and come out the same bit for bit in any batch;
+    ``__init__`` makes one engine's pool from its normalized units.
     """
 
-    def __init__(self, space: Space, n: int, z, seed: int, budget: int = 8):
+    def __init__(self, space: Space, n: int, z: np.ndarray, budget: int, units: np.ndarray):
         self.space = space
         self.n = n
         self.amb = ambient_space(space, n)
-        self.z = as_coords(self.amb, z).copy()
-        self.seed = seed
-        self.budget = max(1, int(budget))
+        self.z = z.copy()
+        self.budget = budget
         self.nrm_sup = norm_evaluator(self.amb)
         self.nrm_mean = mean_norm_evaluator(space, n)
-        self._build_pool()
-        self._build_supports()
+        self.z_sup = float(self.nrm_sup(self.z[None, :])[0])
+        self.z_mean = float(self.nrm_mean(self.z[None, :])[0])
         self._pull_cache: Dict[Tuple[float, float], np.ndarray] = {}
         self._scaled: Dict[float, tuple] = {}
-        self._at_scale(1.0)
+        self._build_pool(units)
 
     # -- parameter-free stages ------------------------------------------
 
-    def _build_pool(self):
-        di = dim(self.space)
-        units: List[np.ndarray] = []
-        shrink = 1.0 - 1e-13  # keep normalized prototypes strictly inside the ball
-
-        def add_unit(u):
-            nu = _batch_norm_single(self.space, u)
-            if nu <= 0:
-                return
-            u = (u / nu) * shrink
-            n2 = _batch_norm_single(self.space, u)
-            if n2 > 1.0:
-                u = u / n2
-            units.append(u)
-
-        add_unit(canonical_unit(self.space))
-        add_unit(norming_section(self.space))
-        add_unit(-canonical_unit(self.space))
-        add_unit(-norming_section(self.space))
-        zb = self.z.reshape(self.n, di)
-        add_unit(zb.mean(axis=0).copy())
-        for i in range(self.n):
-            add_unit(zb[i].copy())
-            add_unit(-zb[i].copy())
-        rng = np.random.default_rng(self.seed)
-        for _ in range(self.budget):
-            add_unit(rng.standard_normal(di))
-
+    def _build_pool(self, units: np.ndarray):
+        """Prototypes: each unit repeated in every block, then the partition overwrites."""
         protos: List[np.ndarray] = []
         index_of: Dict[tuple, int] = {}
 
@@ -1209,19 +1179,18 @@ class _UpperEngine:
                 protos.append(flat)
             return index_of[key]
 
-        for u in units:
-            add_proto(np.tile(u, self.n))
+        for flat in np.tile(units, (1, self.n)):
+            add_proto(flat)
         self._n_const = len(protos)
 
         # centralizer-style partition overwrites on sup-decomposable spaces
         self.partition_supports: Dict[int, List[int]] = {}
         slots = sup_slots(self.space)
         if slots:
-            clipped = zb.copy()
-            for i in range(self.n):
-                ni = _batch_norm_single(self.space, clipped[i])
-                if ni > 1.0:
-                    clipped[i] /= ni
+            clipped = self.z.reshape(self.n, dim(self.space)).copy()
+            norms = norm_evaluator(self.space)(clipped)
+            for i in np.flatnonzero(norms > 1.0):
+                clipped[i] /= norms[i]
             max_parts = min(len(slots), 16)
             for parts in range(1, max_parts + 1):
                 groups = np.array_split(np.arange(len(slots)), parts)
@@ -1243,30 +1212,34 @@ class _UpperEngine:
                 "mean norm >= 1 - 1e-9, sup norm <= 1 + 1e-12"
             )
 
-    def _solve_support(self, gens: np.ndarray, accurate: bool) -> Tuple[np.ndarray, np.ndarray]:
+    def _solve_support(
+        self, gens: np.ndarray, Z: np.ndarray, accurate: bool
+    ) -> Tuple[np.ndarray, np.ndarray]:
         """Hull weights (C, K) and distances (C,) for a stack (C, K, D) of supports.
 
-        No certificate machinery.  Each support gets the exact Euclidean
-        nearest point of its hull, and one polish in the true norm takes
-        every support as a row, with 60 sweeps when ``accurate`` and 8
-        otherwise.  The Euclidean minimizer can lie far from the true-norm
-        one on kinked norms, so the nearest generator, the polished weights
-        and uniform weights are evaluated in the true norm and the first
-        strictly nearest kept.  Every row gets the arithmetic of a support
-        solved alone.
+        Row c is the support gens[c] with its own point Z[c] (Z is (C, D)),
+        so one stack may hold the supports of every engine of self's
+        (space, n); self only supplies the norm.  No certificate machinery.
+        Each support gets the exact Euclidean nearest point of its hull,
+        and one polish in the true norm takes every support as a row, with
+        60 sweeps when ``accurate`` and 8 otherwise.  The Euclidean
+        minimizer can lie far from the true-norm one on kinked norms, so the
+        nearest generator, the polished weights and uniform weights are
+        evaluated in the true norm and the first strictly nearest kept.
+        Every row gets the arithmetic of a support solved alone.
         """
         C, K, D = gens.shape
-        vd = self.nrm_sup((self.z - gens).reshape(C * K, D)).reshape(C, K)
+        vd = self.nrm_sup((Z[:, None, :] - gens).reshape(C * K, D)).reshape(C, K)
         best_lam = np.zeros((C, K))
         best_lam[np.arange(C), np.argmin(vd, axis=1)] = 1.0
         best_val = np.min(vd, axis=1)
         if K == 1:
             return best_lam, best_val
         uniform = np.full(K, 1.0 / K)
-        u_val = self.nrm_sup(np.stack([self.z - uniform @ g for g in gens]))
-        lams = np.stack([_euclid_surrogate(g, self.z) for g in gens])
-        lams = _polish_true_norm(self.amb, gens, self.z, lams, sweeps=60 if accurate else 8)
-        p_val = self.nrm_sup(np.stack([self.z - lam @ g for g, lam in zip(gens, lams)]))
+        u_val = self.nrm_sup(np.stack([z - uniform @ g for z, g in zip(Z, gens)]))
+        lams = np.stack([_euclid_surrogate(g, z) for z, g in zip(Z, gens)])
+        lams = _polish_true_norm(self.amb, gens, Z, lams, sweeps=60 if accurate else 8)
+        p_val = self.nrm_sup(np.stack([z - lam @ g for z, g, lam in zip(Z, gens, lams)]))
         # after the vertex, the polished and then the uniform weights, each
         # kept only where strictly nearer
         nearer = p_val < best_val
@@ -1275,56 +1248,15 @@ class _UpperEngine:
         best_lam[nearer], best_val[nearer] = uniform, u_val[nearer]
         return best_lam, best_val
 
-    def _build_supports(self):
-        vertex_d = self.nrm_sup(self.z[None, :] - self.pool[: self._n_const])
-        order = np.argsort(vertex_d, kind="stable")
-        candidates = [int(j) for j in order[:16]]
-        chain: List[int] = [int(np.argmin(vertex_d))]
-        cap = min(self._n_const, max(4, min(12, self.budget + 4)))
-        while len(chain) < cap:
-            # one stack per greedy step: the chain extended by each candidate
-            js = [j for j in candidates if j not in chain]
-            if not js:
-                break
-            _, vals = self._solve_support(self.pool[[chain + [j] for j in js]], accurate=False)
-            best_j, best_v = -1, None
-            for j, val in zip(js, vals):
-                if best_v is None or val < best_v - 1e-12:
-                    best_j, best_v = j, val
-            chain.append(best_j)
-            if best_v <= 1e-13:
-                break
-        self.chain = chain
-
-        # supports: chain prefixes plus each partition family
-        self.supports: List[Tuple[str, Tuple[int, ...]]] = []
-        for L in range(1, len(chain) + 1):
-            self.supports.append((f"chain-{L}", tuple(chain[:L])))
-        for parts, idxs in sorted(self.partition_supports.items()):
-            self.supports.append((f"partition-{parts}", tuple(idxs)))
-
     def _at_scale(self, c: float):
-        """The pool scaled by c and each support's (mu_C, d_C) on it, solved once per c.
-
-        The distinct supports are solved as one stack per support size.
-        """
-        if c not in self._scaled:
-            pool = c * self.pool
-            supports = list(dict.fromkeys(idxs for _, idxs in self.supports))
-            solutions = {}
-            for K in sorted({len(idxs) for idxs in supports}):
-                group = [idxs for idxs in supports if len(idxs) == K]
-                lams, vals = self._solve_support(pool[np.array(group)], accurate=True)
-                solutions.update((idxs, (lam, float(v))) for idxs, lam, v in zip(group, lams, vals))
-            self._scaled[c] = (pool, solutions)
+        """The pool scaled by c and each support's (mu_C, d_C) on it (``_solve_scale``)."""
+        _solve_scale([self], c)
         return self._scaled[c]
 
     # -- parameter-dependent stage --------------------------------------
 
     def _is_member(self, params: CmParams) -> bool:
-        sup = float(self.nrm_sup(self.z[None, :])[0])
-        mean = float(self.nrm_mean(self.z[None, :])[0])
-        return sup <= params.alpha and mean >= 1.0 - params.epsilon
+        return self.z_sup <= params.alpha and self.z_mean >= 1.0 - params.epsilon
 
     def _pulls(self, eps: float, alpha: float, pool: np.ndarray) -> np.ndarray:
         key = (eps, alpha)
@@ -1370,6 +1302,119 @@ class _UpperEngine:
         )
 
 
+def _build_engines(
+    space: Space, n: int, zs: Sequence, seed: int, budget: int
+) -> List[_UpperEngine]:
+    """The upper engines of the tuples zs for one (space, n, seed, budget), built together.
+
+    Three stages, each one batch across the engines:
+
+    * pools: the z-free units (canonical unit, norming section, their
+      negatives, the seeded directions) are made once, each engine adds its
+      block mean and its blocks with both signs, and every unit of the
+      batch is scaled just inside the unit ball by one norm evaluation (and
+      one more for the rows that rounding left outside); ``__init__`` makes
+      each engine's prototypes from its units;
+    * greedy: the chains grow in lock step (``_grow_chains``);
+    * supports at c = 1: one stack per support size (``_solve_scale``).
+    """
+    budget = max(1, int(budget))
+    di = dim(space)
+    Z = [as_coords(ambient_space(space, n), z) for z in zs]
+    rng = np.random.default_rng(seed)
+    shared = [canonical_unit(space), norming_section(space),
+              -canonical_unit(space), -norming_section(space)]
+    seeded = [rng.standard_normal(di) for _ in range(budget)]
+    raw = []
+    for z in Z:
+        zb = z.reshape(n, di)
+        raw += shared + [zb.mean(axis=0)] + [b for x in zb for b in (x, -x)] + seeded
+    nrm = norm_evaluator(space)
+    U = np.stack(raw)
+    nu = nrm(U)
+    keep = ~(nu <= 0.0)  # a zero block of z gives no unit
+    # strictly inside the ball, and rescaled where rounding left a unit outside
+    U = (U / np.where(keep, nu, 1.0)[:, None]) * (1.0 - 1e-13)
+    n2 = nrm(U)
+    U[n2 > 1.0] /= n2[n2 > 1.0, None]
+    engines = [
+        _UpperEngine(space, n, z, budget, units[k])
+        for z, units, k in zip(Z, np.split(U, len(Z)), np.split(keep, len(Z)))
+    ]
+    _grow_chains(engines)
+    _solve_scale(engines, 1.0)
+    return engines
+
+
+def _grow_chains(engines: Sequence[_UpperEngine]) -> None:
+    """Each engine's nested greedy supports, the chains of a batch grown in lock step.
+
+    A chain starts at the constant prototype nearest z and grows by the
+    candidate (one of the 16 nearest) whose extended support lies nearest
+    z, the first on a near tie, up to its cap or until a support reaches z.
+    At step L every chain still growing has length L, so the extended
+    supports of all engines form one stack of size L + 1.  An engine's
+    supports are its chain prefixes and its partition families.
+    """
+    lead = engines[0]
+    vertex_d = np.split(
+        lead.nrm_sup(np.concatenate([e.z[None, :] - e.pool[: e._n_const] for e in engines])),
+        np.cumsum([e._n_const for e in engines])[:-1])
+    candidates = []
+    for e, vd in zip(engines, vertex_d):
+        candidates.append([int(j) for j in np.argsort(vd, kind="stable")[:16]])
+        e.chain = [int(np.argmin(vd))]
+    caps = [min(e._n_const, max(4, min(12, e.budget + 4))) for e in engines]
+    growing = [i for i, e in enumerate(engines) if len(e.chain) < caps[i]]
+    while growing:
+        steps = [(i, [j for j in candidates[i] if j not in engines[i].chain]) for i in growing]
+        steps = [(i, js) for i, js in steps if js]
+        if not steps:
+            break
+        gens = np.concatenate(
+            [engines[i].pool[[engines[i].chain + [j] for j in js]] for i, js in steps])
+        Z = np.concatenate([np.broadcast_to(engines[i].z, (len(js),) + lead.z.shape) for i, js in steps])
+        _, vals = lead._solve_support(gens, Z, accurate=False)
+        growing, at = [], 0
+        for i, js in steps:
+            best_j, best_v = -1, None
+            for j, val in zip(js, vals[at : at + len(js)]):
+                if best_v is None or val < best_v - 1e-12:
+                    best_j, best_v = j, val
+            at += len(js)
+            engines[i].chain.append(best_j)
+            if best_v > 1e-13 and len(engines[i].chain) < caps[i]:
+                growing.append(i)
+    for e in engines:
+        e.supports = [(f"chain-{L}", tuple(e.chain[:L])) for L in range(1, len(e.chain) + 1)]
+        e.supports += [(f"partition-{parts}", tuple(idxs))
+                       for parts, idxs in sorted(e.partition_supports.items())]
+
+
+def _solve_scale(engines: Sequence[_UpperEngine], c: float) -> None:
+    """Each engine's pool scaled by c and each support's (mu_C, d_C) on it, solved once per c.
+
+    The distinct supports of every engine not yet solved at c are one
+    stack per support size, each row with its own engine's z.
+    """
+    todo = [e for e in engines if c not in e._scaled]
+    if not todo:
+        return
+    pools = [c * e.pool for e in todo]
+    rows = [(t, idxs) for t, e in enumerate(todo)
+            for idxs in dict.fromkeys(idxs for _, idxs in e.supports)]
+    solutions = [{} for _ in todo]
+    for K in sorted({len(idxs) for _, idxs in rows}):
+        group = [(t, idxs) for t, idxs in rows if len(idxs) == K]
+        lams, vals = todo[0]._solve_support(
+            np.stack([pools[t][list(idxs)] for t, idxs in group]),
+            np.stack([todo[t].z for t, _ in group]), accurate=True)
+        for (t, idxs), lam, v in zip(group, lams, vals):
+            solutions[t][idxs] = (lam, float(v))
+    for e, pool, found in zip(todo, pools, solutions):
+        e._scaled[c] = (pool, found)
+
+
 def _pool_scale(alpha: float) -> float:
     """The factor c on the prototype pool: below alpha = 1 it shrinks into the alpha ball."""
     return 1.0 if alpha >= 1.0 else alpha * (1.0 - 1e-12)
@@ -1398,13 +1443,17 @@ def _prime_pulls(engines: Sequence[_UpperEngine], params: CmParams) -> None:
 
     The rows of every engine that ``value(params)`` would pull are stacked
     with their own z; each engine then finds its (eps, alpha) pulls cached.
+    Below alpha = 1 the engines' supports at the scaled pool are solved
+    first, as one stack per support size across them (``_solve_scale``).
     """
     require_nonempty(params)
     key = (params.epsilon, params.alpha)
     todo = [e for e in engines if key not in e._pull_cache and not e._is_member(params)]
     if not todo:
         return
-    pools = [e._at_scale(_pool_scale(params.alpha))[0] for e in todo]
+    c = _pool_scale(params.alpha)
+    _solve_scale(todo, c)
+    pools = [e._scaled[c][0] for e in todo]
     Z = np.concatenate([np.broadcast_to(e.z, pool.shape) for e, pool in zip(todo, pools)])
     s = _pull_rows(todo[0].nrm_mean, todo[0].nrm_sup, np.concatenate(pools), Z, *key)
     for e, rows in zip(todo, np.split(s, np.cumsum([len(pool) for pool in pools])[:-1])):
@@ -1437,8 +1486,11 @@ def dist_to_cm_upper(
 
 @functools.lru_cache(maxsize=16)
 def _engine(space: Space, n: int, z_bytes: bytes, seed: int, budget: int) -> _UpperEngine:
-    """The upper engine of one key; z travels as the bytes of its float64 coordinates."""
-    return _UpperEngine(space, n, np.frombuffer(z_bytes), seed=seed, budget=budget)
+    """The upper engine of one key, built as a batch of one.
+
+    z travels as the bytes of its float64 coordinates.
+    """
+    return _build_engines(space, n, [np.frombuffer(z_bytes)], seed, budget)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,9 @@ import pytest
 import scipy.optimize
 from hypothesis import example, given, settings, strategies as st
 
+import hullgap.dkprofile as dkprofile
 import hullgap.hullgeom as hullgeom
-from hullgap.dkprofile import estimate_dk
+from hullgap.dkprofile import _adversaries, estimate_dk
 from hullgap.errors import (
     CapabilityRefusal,
     InternalInconsistencyError,
@@ -42,6 +43,7 @@ from hullgap.spaces import (
     FunctionModule,
     LpFinite,
     SupTuple,
+    canonical_unit,
     dim,
     format_space,
     norm,
@@ -797,7 +799,7 @@ class TestEngineReuse:
 
     def test_caller_edits_do_not_reach_an_engine(self):
         z = np.array([2.0, 0.0, -2.0, 0.0])
-        engine = hullgeom._UpperEngine(PLANE, 2, z, seed=0, budget=2)
+        engine = hullgeom._build_engines(PLANE, 2, [z], 0, 2)[0]
         assert not np.shares_memory(engine.z, z)
         hullgeom._engine.cache_clear()
         first = dist_to_cm_upper(PLANE, z, self.P)
@@ -856,7 +858,7 @@ class TestOnePullRule:
         unit = hullgeom.canonical_unit
         monkeypatch.setattr(hullgeom, "canonical_unit", lambda sp: 2.0 * unit(sp))
         with pytest.raises(InternalInconsistencyError, match="promise"):
-            hullgeom._UpperEngine(LpFinite(INF, 3), 2, [1.5, 0.2, -0.3, -1.2, 0.4, 0.1], seed=0, budget=2)
+            hullgeom._build_engines(LpFinite(INF, 3), 2, [[1.5, 0.2, -0.3, -1.2, 0.4, 0.1]], 0, 2)
 
 
 class TestBatchedRows:
@@ -870,15 +872,17 @@ class TestBatchedRows:
 
     @pytest.mark.parametrize("sp, z, tol", CASES)
     def test_a_stack_solves_each_support_as_alone(self, sp, z, tol):
-        eng = hullgeom._UpperEngine(sp, 2, z, seed=3, budget=2)
-        n = len(eng.pool)
+        # one stack mixes the rows of two engines, each row with its own z
+        engs = hullgeom._build_engines(sp, 2, [z, -0.7 * np.array(z)[::-1]], 3, 2)
         rng = np.random.default_rng(11)
         for K in (1, 2, 3, 4):
-            group = np.array([rng.choice(n, K, replace=False) for _ in range(6)] + [eng.chain[:K]])
+            rows = [(e, rng.choice(len(e.pool), K, replace=False)) for _ in range(3) for e in engs]
+            rows += [(e, np.array(e.chain[:K])) for e in engs if len(e.chain) >= K]
+            gens, Z = np.stack([e.pool[idx] for e, idx in rows]), np.stack([e.z for e, _ in rows])
             for accurate in (False, True):
-                lams, vals = eng._solve_support(eng.pool[group], accurate=accurate)
-                for row, lam, val in zip(group, lams, vals):
-                    lam1, val1 = eng._solve_support(eng.pool[row][None], accurate=accurate)
+                lams, vals = engs[0]._solve_support(gens, Z, accurate=accurate)
+                for (e, row), lam, val in zip(rows, lams, vals):
+                    lam1, val1 = e._solve_support(e.pool[row][None], e.z[None], accurate=accurate)
                     if tol == 0.0:
                         assert np.array_equal(lam, lam1[0]) and val == val1[0], (K, row)
                     else:
@@ -889,7 +893,7 @@ class TestBatchedRows:
         sp, n = LpFinite(INF, 3), 2
         zs = np.random.default_rng(4).uniform(-1.2, 1.2, (5, 6))
         params = CmParams(n, 0.2, alpha)
-        primed = [hullgeom._UpperEngine(sp, n, z, seed=1, budget=1) for z in zs]
+        primed = hullgeom._build_engines(sp, n, zs, 1, 1)
         hullgeom._prime_pulls(primed, params)
         members = [eng._is_member(params) for eng in primed]
         assert members.count(False) >= 3
@@ -897,7 +901,7 @@ class TestBatchedRows:
             if member:  # value answers a member without pulls
                 assert (0.2, alpha) not in eng._pull_cache
                 continue
-            own = hullgeom._UpperEngine(sp, n, z, seed=1, budget=1)
+            own = hullgeom._build_engines(sp, n, [z], 1, 1)[0]
             pool = own._at_scale(hullgeom._pool_scale(alpha))[0]
             assert np.array_equal(eng._pull_cache[0.2, alpha], own._pulls(0.2, alpha, pool))
 
@@ -920,6 +924,68 @@ class TestBatchedRows:
         prof = estimate_dk(parse_space(text), n, 0.2, k_range=(1, 2, 3), budget=1, seed=5)
         got = [(k, b.upper, b.meta["witness_id"], b.meta["support"]) for k, b in prof.entries]
         assert got == self.PINNED[text, n]
+
+
+class TestBatchedEngines:
+    """Engines built together equal the same engines built alone, bit for bit."""
+
+    @staticmethod
+    def state(e):
+        """The pool, chain and supports, the solutions at c = 1 and below, and values."""
+        out = [e.pool.tobytes(), e._n_const, e.chain, e.supports, e.z_sup, e.z_mean]
+        for c in (1.0, hullgeom._pool_scale(0.95)):
+            pool, solutions = e._at_scale(c)
+            out.append(pool.tobytes())
+            out += [(idxs, lam.tobytes(), d) for idxs, (lam, d) in sorted(solutions.items())]
+        for m in (1, 2, 4):
+            for eps in (0.1, 0.3):
+                for alpha in (0.95, 1.0, 1.3):
+                    b = e.value(CmParams(e.n, eps, alpha, m))
+                    w = b.witness
+                    out.append((b.upper, b.upper_method, b.meta, w.weights.tobytes(),
+                                [g.tobytes() for g in w.generators]))
+        return out
+
+    # a sweep profile's candidates, plus z = 0 (its blocks have no unit, and
+    # its chain closes at length 2 on a support through 0) and a member z
+    @pytest.mark.parametrize("sp, n, budget", [
+        (LpFinite(INF, 3), 2, 1), (SupTuple(2, LpFinite(INF, 2)), 2, 8), (LpFinite(3.0, 2), 2, 1),
+    ])
+    def test_together_equals_alone(self, sp, n, budget):
+        member = 0.9 * np.tile(canonical_unit(sp), n)
+        zs = [v for _, v in _adversaries(sp, n, budget, 5)] + [np.zeros(n * dim(sp)), member]
+        together = hullgeom._build_engines(sp, n, zs, 5, budget)
+        # the scaled supports of every non-member engine as one batch too
+        hullgeom._prime_pulls(together, CmParams(n, 0.2, 0.95))
+        caps = [min(e._n_const, max(4, min(12, budget + 4))) for e in together]
+        closed = [len(e.chain) < cap for e, cap in zip(together, caps)]
+        assert closed[-2] and together[-1]._is_member(CmParams(n, 0.2, 0.95))
+        assert len({len(e.chain) for e in together}) > 1
+        if sp == LpFinite(3.0, 2):
+            assert len(set(caps)) > 1  # and at different caps
+        for z, e in zip(zs, together):
+            alone = hullgeom._build_engines(sp, n, [z], 5, budget)[0]
+            assert self.state(e) == self.state(alone)
+
+    def test_one_stack_per_step_for_a_whole_profile(self, monkeypatch):
+        sizes, engines = [], []  # support size of each stack; the profile's engines
+        solve, build = hullgeom._UpperEngine._solve_support, dkprofile._build_engines
+
+        def counting(self, gens, *args, **kwargs):
+            sizes.append(gens.shape[1])
+            return solve(self, gens, *args, **kwargs)
+
+        def keep(*args):
+            engines.extend(build(*args))
+            return engines
+
+        monkeypatch.setattr(hullgeom._UpperEngine, "_solve_support", counting)
+        monkeypatch.setattr(dkprofile, "_build_engines", keep)
+        estimate_dk(LpFinite(INF, 3), 2, 0.2, k_range=(1, 2, 3), budget=1, seed=5)
+        longest = max(len(e.chain) for e in engines)
+        support_sizes = sorted({len(idxs) for e in engines for _, idxs in e.supports})
+        assert sizes == list(range(2, longest + 1)) + support_sizes
+        assert len(sizes) < len(engines) == 23
 
 
 class TestGridOracle:
