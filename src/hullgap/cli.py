@@ -17,6 +17,7 @@ seed, and exit codes follow a stable contract:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -378,7 +379,9 @@ _NEEDS_SEED = ("cert", "dk")
 # argument plumbing
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="hullgap",
         description="deficiency profiles, Lipschitz certificates, ring search",

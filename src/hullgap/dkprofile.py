@@ -38,8 +38,8 @@ from .spaces import (
 from .hullgeom import (
     CmParams,
     DistanceBracket,
+    _best_upper,
     _build_engines,
-    _prime_pulls,
     ambient_space,
     dist_to_cm_grid,
     grid_guard_report,
@@ -205,10 +205,12 @@ def estimate_dk(
     Deterministic for fixed (seed, budget): the candidate list, the inner
     engines, and the grid are all seeded or exact.  The candidates' upper
     engines are built as one batch (``_build_engines``), with one stack of
-    supports per greedy step and per support size for the whole profile,
-    and their pulls for (epsilon, alpha) are primed by one bisection over
-    all their prototype rows; every row gets the arithmetic of its engine
-    built alone.
+    supports per greedy step and per support size for the whole profile.
+    Each k makes one ``_best_upper`` call over the batch: its first call
+    pulls every engine's prototypes for (epsilon, alpha) in one bisection
+    and keeps each support's closed form, and every call checks every
+    engine's witness in one norm evaluation.  Every row gets the
+    arithmetic of its engine built alone.
     """
     ks = _budgets(k_range)
     base = CmParams(n=n, epsilon=epsilon, alpha=alpha)
@@ -218,20 +220,15 @@ def estimate_dk(
         require_grid_fits(space, base, resolution)
 
     cands = _adversaries(space, n, budget, seed)
-    engines = list(zip(
-        [cid for cid, _ in cands], _build_engines(space, n, [v for _, v in cands], seed, budget)))
-    _prime_pulls([eng for _, eng in engines], base)
+    engines = _build_engines(space, n, [v for _, v in cands], seed, budget)
 
     raw = []
     lows: Dict[int, Tuple[float, str]] = {}  # the grid lower side of m = 1 and of m >= 2
     for k in ks:
         p = base.with_m(k)
-        up, up_id, up_wit, up_support = -math.inf, "", None, ""
-        for cid, eng in engines:
-            b = eng.value(p)
-            if b.upper > up:
-                up, up_id, up_wit, up_support = b.upper, cid, b.witness, str(b.meta.get("support", ""))
-        if up_wit is not None and not validate_decomposition(space, p, up_wit):
+        i, b = _best_upper(engines, p)
+        up, up_id, up_wit, up_support = b.upper, cands[i][0], b.witness, b.meta["support"]
+        if not validate_decomposition(space, p, up_wit):
             raise InternalInconsistencyError(f"sweep witness failed validation at k={k}")
         if h is not None and min(k, 2) not in lows:
             low, low_id = 0.0, ""

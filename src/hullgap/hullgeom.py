@@ -690,27 +690,33 @@ def _batch_segment_min(
     return t_best, f_best
 
 
-def _euclid_surrogate(G: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Simplex weights of the Euclidean nearest point to z of the hull of G's rows.
+def _euclid_surrogate(G: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """Simplex weights (C, K) of the Euclidean nearest point to Z[c] of the hull of G[c]'s rows.
 
-    One NNLS (Lawson & Hanson 1974, ch. 23) on A = [(G - z)^T; 1^T] and
-    b = [0; 1]: its minimizer is lam* / (1 + r^2) for the exact weights lam*
-    and distance r, so renormalized it is exact, with at most D + 1
-    positive weights.  Should NNLS stop at its iteration cap, the nearest
-    generator's weights stand in.
+    One NNLS (Lawson & Hanson 1974, ch. 23) per row c on A = [(G[c] -
+    Z[c])^T; 1^T] and b = [0; 1]: its minimizer is lam* / (1 + r^2) for the
+    exact weights lam* and distance r, so renormalized it is exact, with at
+    most D + 1 positive weights.  The systems of the whole (C, K, D) stack
+    are built as one array; should NNLS stop at its iteration cap on a row,
+    that row's nearest generator stands in.
     """
     from scipy.optimize import nnls
 
-    R = G - z
-    K, D = R.shape
+    C, K, D = G.shape
+    A = np.ones((C, D + 1, K))
+    A[:, :D, :] = (G - Z[:, None, :]).transpose(0, 2, 1)
     b = np.zeros(D + 1)
     b[D] = 1.0
-    try:
-        mu, _ = nnls(np.vstack([R.T, np.ones(K)]), b)
-    except RuntimeError:
-        mu = np.zeros(K)
-        mu[int(np.argmin(np.einsum("kd,kd->k", R, R)))] = 1.0
-    return mu / mu.sum()
+    lam = np.empty((C, K))
+    for c in range(C):
+        try:
+            mu, _ = nnls(A[c], b)
+        except RuntimeError:
+            mu = np.zeros(K)
+            R = G[c] - Z[c]
+            mu[int(np.argmin(np.einsum("kd,kd->k", R, R)))] = 1.0
+        lam[c] = mu / mu.sum()
+    return lam
 
 
 _PAIR_CAP = 18
@@ -751,7 +757,7 @@ def _polish_true_norm(
         r, i, j = r[i != j], i[i != j], j[i != j]
         if r.shape[0] == 0:
             break
-        v0 = np.stack([Z[q] - lam[q] @ G[q] for q in live])
+        v0 = Z[live] - (lam[live][:, None, :] @ G[live])[:, 0]
         rows = live[r]
         t, f = _batch_segment_min(space, v0[r], G[rows, j] - G[rows, i], lam[rows, i])
         # each row's best pair, the first one on a tie (lexsort is stable)
@@ -1087,7 +1093,7 @@ def min_norm_point(
         lower, _ = _dual_lower(space, zz, G, sol[1])
         stage = "lp"
     else:
-        lam = _euclid_surrogate(G, zz)
+        lam = _euclid_surrogate(G[None], zz[None])[0]
         lam = _polish_true_norm(space, G[None], zz[None], lam[None], sweeps=25)[0]
         best_val = dist(lam)
         lower, phi = certified_hull_lower(space, zz, G, zz - lam @ G)
@@ -1139,19 +1145,22 @@ class _UpperEngine:
     >= 1 - 1e-9 and sup norm <= 1 + 1e-12; a broken promise raises
     ``InternalInconsistencyError``.
 
-    So one engine answers every (m, eps, alpha) for its tuple:
-    ``dist_to_cm_upper`` reuses the engine of a repeated (space, n, z, seed,
-    budget), and ``estimate_dk`` holds one per candidate for a whole
-    profile and primes their pulls together (``_prime_pulls``).  The
-    engine keeps its own copy of z, and the norms of z, so a caller that
-    edits its array in place does not change a stored engine.
+    So one engine answers every (m, eps, alpha) for its tuple: the pulls
+    and every support's closed form are computed once per (eps, alpha) and
+    kept, and m only filters the supports by size.  ``dist_to_cm_upper``
+    reuses the engine of a repeated (space, n, z, seed, budget), and
+    ``estimate_dk`` holds one per candidate for a whole profile and asks
+    ``_best_upper`` for the largest upper over all of them.  The engine
+    keeps its own copy of z, and the norms of z, so a caller that edits its
+    array in place does not change a stored engine.
 
     Engines are built by ``_build_engines`` only, in batches of one (space,
     n, seed, budget), and come out the same bit for bit in any batch;
-    ``__init__`` makes one engine's pool from its normalized units.
+    ``__init__`` makes one engine's pool from its prototype rows.
     """
 
-    def __init__(self, space: Space, n: int, z: np.ndarray, budget: int, units: np.ndarray):
+    def __init__(self, space: Space, n: int, z: np.ndarray, budget: int, protos: np.ndarray,
+                 n_units: int, z_sup: float, z_mean: float):
         self.space = space
         self.n = n
         self.amb = ambient_space(space, n)
@@ -1159,58 +1168,23 @@ class _UpperEngine:
         self.budget = budget
         self.nrm_sup = norm_evaluator(self.amb)
         self.nrm_mean = mean_norm_evaluator(space, n)
-        self.z_sup = float(self.nrm_sup(self.z[None, :])[0])
-        self.z_mean = float(self.nrm_mean(self.z[None, :])[0])
+        self.z_sup, self.z_mean = z_sup, z_mean
         self._pull_cache: Dict[Tuple[float, float], np.ndarray] = {}
+        self._closed: Dict[Tuple[float, float], np.ndarray] = {}
         self._scaled: Dict[float, tuple] = {}
-        self._build_pool(units)
-
-    # -- parameter-free stages ------------------------------------------
-
-    def _build_pool(self, units: np.ndarray):
-        """Prototypes: each unit repeated in every block, then the partition overwrites."""
-        protos: List[np.ndarray] = []
-        index_of: Dict[tuple, int] = {}
-
-        def add_proto(flat: np.ndarray) -> int:
-            key = tuple(np.round(flat, 12))
-            if key not in index_of:
-                index_of[key] = len(protos)
-                protos.append(flat)
-            return index_of[key]
-
-        for flat in np.tile(units, (1, self.n)):
-            add_proto(flat)
-        self._n_const = len(protos)
-
-        # centralizer-style partition overwrites on sup-decomposable spaces
+        # one prototype per row distinct to 12 digits (+ 0.0 makes -0.0 equal
+        # 0.0): the n_units tiled units, then the partition overwrites, which
+        # hold `parts` rows for each parts = 1, 2, ...
+        index_of: Dict[bytes, int] = {}
+        idx = np.array([index_of.setdefault(key.tobytes(), len(index_of))
+                        for key in np.round(protos, 12) + 0.0])
+        self.pool = protos[np.unique(idx, return_index=True)[1]]
+        self._n_const = int(idx[:n_units].max()) + 1
         self.partition_supports: Dict[int, List[int]] = {}
-        slots = sup_slots(self.space)
-        if slots:
-            clipped = self.z.reshape(self.n, dim(self.space)).copy()
-            norms = norm_evaluator(self.space)(clipped)
-            for i in np.flatnonzero(norms > 1.0):
-                clipped[i] /= norms[i]
-            max_parts = min(len(slots), 16)
-            for parts in range(1, max_parts + 1):
-                groups = np.array_split(np.arange(len(slots)), parts)
-                idxs = []
-                for group in groups:
-                    g = clipped.copy()
-                    for s in group:
-                        off, sub = slots[s]
-                        g[:, off : off + dim(sub)] = canonical_unit(sub)[None, :]
-                    idxs.append(add_proto(g.reshape(-1)))
-                self.partition_supports[parts] = idxs
-
-        self.pool = np.stack(protos)
-        # the pulls start every prototype inside the feasible set
-        broken = (self.nrm_mean(self.pool) < 1.0 - 1e-9) | (self.nrm_sup(self.pool) > 1.0 + 1e-12)
-        if np.any(broken):
-            raise InternalInconsistencyError(
-                f"prototypes {np.nonzero(broken)[0].tolist()} break the promise "
-                "mean norm >= 1 - 1e-9, sup norm <= 1 + 1e-12"
-            )
+        while n_units < len(idx):
+            parts = len(self.partition_supports) + 1
+            self.partition_supports[parts] = idx[n_units : n_units + parts].tolist()
+            n_units += parts
 
     def _solve_support(
         self, gens: np.ndarray, Z: np.ndarray, accurate: bool
@@ -1236,10 +1210,10 @@ class _UpperEngine:
         if K == 1:
             return best_lam, best_val
         uniform = np.full(K, 1.0 / K)
-        u_val = self.nrm_sup(np.stack([z - uniform @ g for z, g in zip(Z, gens)]))
-        lams = np.stack([_euclid_surrogate(g, z) for z, g in zip(Z, gens)])
-        lams = _polish_true_norm(self.amb, gens, Z, lams, sweeps=60 if accurate else 8)
-        p_val = self.nrm_sup(np.stack([z - lam @ g for z, g, lam in zip(Z, gens, lams)]))
+        u_val = self.nrm_sup(Z - np.matmul(uniform, gens))
+        lams = _polish_true_norm(self.amb, gens, Z, _euclid_surrogate(gens, Z),
+                                 sweeps=60 if accurate else 8)
+        p_val = self.nrm_sup(Z - (lams[:, None, :] @ gens)[:, 0])
         # after the vertex, the polished and then the uniform weights, each
         # kept only where strictly nearer
         nearer = p_val < best_val
@@ -1258,48 +1232,60 @@ class _UpperEngine:
     def _is_member(self, params: CmParams) -> bool:
         return self.z_sup <= params.alpha and self.z_mean >= 1.0 - params.epsilon
 
-    def _pulls(self, eps: float, alpha: float, pool: np.ndarray) -> np.ndarray:
-        key = (eps, alpha)
-        if key not in self._pull_cache:
-            self._pull_cache[key] = _pull_rows(
-                self.nrm_mean, self.nrm_sup, pool, self.z[None, :], eps, alpha)
-        return self._pull_cache[key]
+    def _witness(self, c: float, key: Tuple[float, float], j: int):
+        """Weights, generators and pulls of support j, pulled at key = (eps, alpha) on scale c."""
+        pool, solutions = self._scaled[c]
+        idxs = self.supports[j][1]
+        sc = self._pull_cache[key][list(idxs)]
+        lam_raw = solutions[idxs][0] / (1.0 - sc)
+        lam = lam_raw / lam_raw.sum()
+        gens = (1.0 - sc)[:, None] * pool[list(idxs)] + sc[:, None] * self.z
+        keep = lam > 1e-15
+        return lam[keep] / lam[keep].sum(), gens[keep], sc
 
     def value(self, params: CmParams) -> DistanceBracket:
-        require_nonempty(params)
-        if self._is_member(params):
-            dec = ConvexDecomposition(np.array([1.0]), [self.z.copy()])
-            return DistanceBracket(
-                0.0, 0.0, "trivial", "member-shortcut", witness=dec,
-                meta={"support": "z"},
-            )
-        c = _pool_scale(params.alpha)
-        pool, solutions = self._at_scale(c)
-        s = self._pulls(params.epsilon, params.alpha, pool)
-        best = None
-        for name, idxs in self.supports:
-            if len(idxs) <= params.m:
-                mu, d_C = solutions[idxs]
-                sc = s[list(idxs)]
-                val = d_C / float(np.sum(mu / (1.0 - sc)))
-                if best is None or val < best[0]:
-                    best = (val, name, idxs, mu, sc)
-        val, name, idxs, mu, sc = best
-        lam_raw = mu / (1.0 - sc)
-        lam = lam_raw / lam_raw.sum()
-        gens = [(1.0 - t) * pool[i] + t * self.z for i, t in zip(idxs, sc)]
-        keep = lam > 1e-15
-        dec = ConvexDecomposition(lam[keep] / lam[keep].sum(), [g for g, k in zip(gens, keep) if k])
-        actual = float(self.nrm_sup((self.z - dec.point())[None, :])[0])
-        if abs(actual - val) > 1e-9 * (1.0 + val):
-            raise InternalInconsistencyError(
-                f"witness distance {actual} drifted from closed form {val}"
-            )
-        method = "prototype-pull" if c == 1.0 else "prototype-pull-scaled"
-        return DistanceBracket(
-            0.0, val, "trivial", method, witness=dec,
-            meta={"support": name, "pulls": sc.tolist()},
-        )
+        """The upper bound on d(z, C) at params: ``_best_upper`` on a batch of one."""
+        return _best_upper([self], params)[1]
+
+
+def _best_upper(engines: Sequence[_UpperEngine], params: CmParams) -> Tuple[int, DistanceBracket]:
+    """The largest upper bound over engines of one (space, n): its engine's index and bracket.
+
+    An engine's upper is 0 for a member z, else its first strictly smallest
+    closed form over the supports of size at most m; the winner is the
+    first strictly largest.  Every non-member engine's witness distance is
+    checked against its closed form, all in one norm evaluation; only the
+    winner's decomposition and bracket are built.
+    """
+    _prime_pulls(engines, params)
+    key, c = (params.epsilon, params.alpha), _pool_scale(params.alpha)
+    vals = np.zeros(len(engines))
+    picks = {}  # engine index -> (support index, weights, generators, pulls)
+    for i, e in enumerate(engines):
+        if not e._is_member(params):
+            closed = np.where(e._sizes <= params.m, e._closed[key], np.inf)
+            j = int(np.argmin(closed))
+            vals[i] = closed[j]
+            picks[i] = (j,) + e._witness(c, key, j)
+    if picks:
+        actual = engines[0].nrm_sup(np.array(
+            [engines[i].z - np.einsum("j,jd->d", w, g) for i, (_, w, g, _) in picks.items()]))
+        for a, val in zip(actual, vals[list(picks)]):
+            if abs(a - val) > 1e-9 * (1.0 + val):
+                raise InternalInconsistencyError(
+                    f"witness distance {a} drifted from closed form {val}")
+    w = int(np.argmax(vals))
+    e = engines[w]
+    if w not in picks:
+        dec = ConvexDecomposition(np.array([1.0]), [e.z.copy()])
+        return w, DistanceBracket(0.0, 0.0, "trivial", "member-shortcut", witness=dec,
+                                  meta={"support": "z"})
+    j, weights, gens, sc = picks[w]
+    method = "prototype-pull" if c == 1.0 else "prototype-pull-scaled"
+    return w, DistanceBracket(
+        0.0, float(vals[w]), "trivial", method, witness=ConvexDecomposition(weights, list(gens)),
+        meta={"support": e.supports[j][0], "pulls": sc.tolist()},
+    )
 
 
 def _build_engines(
@@ -1313,14 +1299,17 @@ def _build_engines(
       negatives, the seeded directions) are made once, each engine adds its
       block mean and its blocks with both signs, and every unit of the
       batch is scaled just inside the unit ball by one norm evaluation (and
-      one more for the rows that rounding left outside); ``__init__`` makes
-      each engine's prototypes from its units;
+      one more for the rows that rounding left outside).  On a
+      sup-decomposable space the partition overwrites of every engine are
+      one array, from one norm evaluation of all blocks.  ``__init__``
+      makes each engine's prototypes from these rows; the norms of every z
+      and the prototype promise take one evaluation each for the batch;
     * greedy: the chains grow in lock step (``_grow_chains``);
     * supports at c = 1: one stack per support size (``_solve_scale``).
     """
     budget = max(1, int(budget))
-    di = dim(space)
-    Z = [as_coords(ambient_space(space, n), z) for z in zs]
+    di, amb = dim(space), ambient_space(space, n)
+    Z = np.stack([as_coords(amb, z) for z in zs])
     rng = np.random.default_rng(seed)
     shared = [canonical_unit(space), norming_section(space),
               -canonical_unit(space), -norming_section(space)]
@@ -1337,10 +1326,38 @@ def _build_engines(
     U = (U / np.where(keep, nu, 1.0)[:, None]) * (1.0 - 1e-13)
     n2 = nrm(U)
     U[n2 > 1.0] /= n2[n2 > 1.0, None]
+    # centralizer-style partition overwrites: every block of z clipped into
+    # the ball, and for parts = 1, 2, ..., 16 each group of sup slots set to
+    # its canonical units
+    slots = sup_slots(space) or []
+    groups = [group for parts in range(1, min(len(slots), 16) + 1)
+              for group in np.array_split(np.arange(len(slots)), parts)]
+    masks, fill = np.zeros((len(groups), 1, di), dtype=bool), np.zeros((len(groups), 1, di))
+    for r, group in enumerate(groups):
+        for s in group:
+            off, sub = slots[s]
+            masks[r, 0, off : off + dim(sub)] = True
+            fill[r, 0, off : off + dim(sub)] = canonical_unit(sub)
+    blocks = Z.reshape(-1, di)
+    if slots:
+        blocks = blocks / np.maximum(nrm(blocks), 1.0)[:, None]
+    overwrites = np.where(masks, fill, blocks.reshape(len(Z), 1, n, di))
+    overwrites = overwrites.reshape(len(Z), len(masks), n * di)
+    z_sup, z_mean = norm_evaluator(amb)(Z), mean_norm_evaluator(space, n)(Z)
+    rows = zip(Z, np.split(np.tile(U, (1, n)), len(Z)), np.split(keep, len(Z)), overwrites)
     engines = [
-        _UpperEngine(space, n, z, budget, units[k])
-        for z, units, k in zip(Z, np.split(U, len(Z)), np.split(keep, len(Z)))
+        _UpperEngine(space, n, z, budget, np.concatenate([t[k], o]), int(k.sum()),
+                     float(sup), float(mean))
+        for (z, t, k, o), sup, mean in zip(rows, z_sup, z_mean)
     ]
+    # the pulls start every prototype inside the feasible set
+    pools = np.concatenate([e.pool for e in engines])
+    broken = (engines[0].nrm_mean(pools) < 1.0 - 1e-9) | (engines[0].nrm_sup(pools) > 1.0 + 1e-12)
+    if np.any(broken):
+        raise InternalInconsistencyError(
+            f"prototypes {np.nonzero(broken)[0].tolist()} of the batch break the promise "
+            "mean norm >= 1 - 1e-9, sup norm <= 1 + 1e-12"
+        )
     _grow_chains(engines)
     _solve_scale(engines, 1.0)
     return engines
@@ -1389,6 +1406,7 @@ def _grow_chains(engines: Sequence[_UpperEngine]) -> None:
         e.supports = [(f"chain-{L}", tuple(e.chain[:L])) for L in range(1, len(e.chain) + 1)]
         e.supports += [(f"partition-{parts}", tuple(idxs))
                        for parts, idxs in sorted(e.partition_supports.items())]
+        e._sizes = np.array([len(idxs) for _, idxs in e.supports])
 
 
 def _solve_scale(engines: Sequence[_UpperEngine], c: float) -> None:
@@ -1439,12 +1457,13 @@ def _pull_rows(nrm_mean, nrm_sup, pool: np.ndarray, Z: np.ndarray, eps: float,
 
 
 def _prime_pulls(engines: Sequence[_UpperEngine], params: CmParams) -> None:
-    """Fill the pull caches of engines of one (space, n) for params by one bisection.
+    """Fill the pull and closed-form caches of engines of one (space, n) for params.
 
-    The rows of every engine that ``value(params)`` would pull are stacked
-    with their own z; each engine then finds its (eps, alpha) pulls cached.
-    Below alpha = 1 the engines' supports at the scaled pool are solved
-    first, as one stack per support size across them (``_solve_scale``).
+    The rows of every non-member engine are stacked with their own z and
+    pulled by one bisection.  Below alpha = 1 the engines' supports at the
+    scaled pool are solved first, as one stack per support size across them
+    (``_solve_scale``).  Then every support's closed form d_C / Z is
+    computed once, in one stack per support size.
     """
     require_nonempty(params)
     key = (params.epsilon, params.alpha)
@@ -1456,8 +1475,17 @@ def _prime_pulls(engines: Sequence[_UpperEngine], params: CmParams) -> None:
     pools = [e._scaled[c][0] for e in todo]
     Z = np.concatenate([np.broadcast_to(e.z, pool.shape) for e, pool in zip(todo, pools)])
     s = _pull_rows(todo[0].nrm_mean, todo[0].nrm_sup, np.concatenate(pools), Z, *key)
-    for e, rows in zip(todo, np.split(s, np.cumsum([len(pool) for pool in pools])[:-1])):
-        e._pull_cache[key] = rows
+    by_size: Dict[int, list] = {}
+    for e, pulls in zip(todo, np.split(s, np.cumsum([len(pool) for pool in pools])[:-1])):
+        e._pull_cache[key], e._closed[key] = pulls, np.empty(len(e.supports))
+        for j, (_, idxs) in enumerate(e.supports):
+            mu, d = e._scaled[c][1][idxs]
+            by_size.setdefault(len(idxs), []).append((e._closed[key], j, mu, d, pulls[list(idxs)]))
+    for group in by_size.values():
+        closed, js, mu, d, sc = zip(*group)
+        vals = np.array(d) / (np.array(mu) / (1.0 - np.array(sc))).sum(axis=1)
+        for out, j, val in zip(closed, js, vals):
+            out[j] = val
 
 
 def dist_to_cm_upper(
@@ -1470,8 +1498,8 @@ def dist_to_cm_upper(
     parameter-free and each candidate's closed-form value is monotone.
     The engine is built once per (space, n, z, seed, budget) and reused
     from a small LRU, since nothing it builds depends on (m, eps, alpha);
-    every call still evaluates the engine with its drift check and
-    validates the witness.
+    every call still evaluates the engine (``_best_upper`` on a batch of
+    one) with its drift check and validates the witness.
     """
     require_nonempty(params)
     z = as_coords(ambient_space(space, params.n), z)

@@ -12,6 +12,7 @@ from hullgap.cli import (
     EXIT_NOT_FOUND,
     EXIT_OK,
     EXIT_REFUSED,
+    _build_parser,
     main,
 )
 from hullgap.lipmetric import geometric_chain, line_metric, save_metric
@@ -390,3 +391,15 @@ class TestPlumbing:
         )
         assert code == EXIT_OK
         assert doc["points"] == 4
+
+    def test_one_parser_serves_every_call(self, capsys):
+        # the parser is built once per process: a refused parse and another
+        # command in between leave the same dk run byte-identical
+        dk = ["dk", "--space", "lp(inf,3)", "--n", "2", "--eps", "0.2", "--k", "1..2",
+              "--budget", "1", "--seed", "5", "--format", "json"]
+        code, first, _ = run(capsys, *dk)
+        assert code == EXIT_OK and first
+        assert run(capsys, *dk, "--frobnicate")[0] == EXIT_INPUT
+        assert run(capsys, "lip", "--metric", "chain(0.1,4)", "--values", "3,3,3,3")[0] == EXIT_OK
+        assert run(capsys, *dk) == (EXIT_OK, first, "")
+        assert _build_parser() is _build_parser()

@@ -656,7 +656,7 @@ class TestMinNormPoint:
         monkeypatch.setattr(hullgeom, "_batch_segment_min", bounded)
         res = min_norm_point(sp, z, G)
         assert rows and res.gap <= 1e-10, (rows, res.gap)
-        assert np.count_nonzero(hullgeom._euclid_surrogate(G, z) > 0.0) <= D + 1
+        assert np.count_nonzero(hullgeom._euclid_surrogate(G[None], z[None]) > 0.0) <= D + 1
 
     def test_nnls_failure_falls_back_to_the_nearest_generator(self, monkeypatch):
         def capped(A, b, **kwargs):
@@ -665,7 +665,7 @@ class TestMinNormPoint:
         monkeypatch.setattr(scipy.optimize, "nnls", capped)
         G = np.array([[2.0, 0.0], [0.5, 0.5], [-1.0, 3.0]])
         z = np.array([1.0, 1.0])
-        assert np.array_equal(hullgeom._euclid_surrogate(G, z), [0.0, 1.0, 0.0])
+        assert np.array_equal(hullgeom._euclid_surrogate(G[None], z[None]), [[0.0, 1.0, 0.0]])
         # the polish and the refinements still certify from that start
         sp = LpFinite(3.0, 2)
         res = min_norm_point(sp, [1.5, -1.0], G)
@@ -903,7 +903,45 @@ class TestBatchedRows:
                 continue
             own = hullgeom._build_engines(sp, n, [z], 1, 1)[0]
             pool = own._at_scale(hullgeom._pool_scale(alpha))[0]
-            assert np.array_equal(eng._pull_cache[0.2, alpha], own._pulls(0.2, alpha, pool))
+            own_pulls = hullgeom._pull_rows(own.nrm_mean, own.nrm_sup, pool, own.z[None, :], 0.2, alpha)
+            assert np.array_equal(eng._pull_cache[0.2, alpha], own_pulls)
+
+    @pytest.mark.parametrize("sp, z", [case[:2] for case in CASES[::2]])
+    def test_a_surrogate_stack_solves_each_row_as_alone(self, sp, z):
+        # rows of two engines' supports, each with its own z, on a polyhedral
+        # and a curved space; alone is a batch of one, and the system one
+        # row's NNLS is given when it is built for that row by itself
+        engs = hullgeom._build_engines(sp, 2, [z, -0.7 * np.array(z)[::-1]], 3, 2)
+        rng = np.random.default_rng(12)
+        for K in (2, 3, 5):
+            rows = [(e, rng.choice(len(e.pool), K, replace=False)) for _ in range(3) for e in engs]
+            G, Z = np.stack([e.pool[idx] for e, idx in rows]), np.stack([e.z for e, _ in rows])
+            b = np.zeros(G.shape[2] + 1)
+            b[-1] = 1.0
+            for g, zr, lam in zip(G, Z, hullgeom._euclid_surrogate(G, Z)):
+                assert np.array_equal(lam, hullgeom._euclid_surrogate(g[None], zr[None])[0])
+                mu, _ = scipy.optimize.nnls(np.vstack([(g - zr).T, np.ones(K)]), b)
+                assert np.array_equal(lam, mu / mu.sum())
+
+    def test_nnls_failure_falls_back_on_its_row_only(self, monkeypatch):
+        rng = np.random.default_rng(13)
+        G = rng.standard_normal((4, 5, 3))
+        Z = G.mean(axis=1) + 0.1 * rng.standard_normal((4, 3))
+        clean = hullgeom._euclid_surrogate(G, Z)
+        nnls, calls = scipy.optimize.nnls, []
+
+        def capped_on_the_third_row(A, b, **kwargs):
+            calls.append(A)
+            if len(calls) == 3:
+                raise RuntimeError("Maximum number of iterations reached.")
+            return nnls(A, b, **kwargs)
+
+        monkeypatch.setattr(scipy.optimize, "nnls", capped_on_the_third_row)
+        got = hullgeom._euclid_surrogate(G, Z)
+        nearest = int(np.argmin(np.sum((G[2] - Z[2]) ** 2, axis=1)))
+        assert len(calls) == 4 and not np.array_equal(clean[2], np.eye(5)[nearest])
+        assert np.array_equal(got[[0, 1, 3]], clean[[0, 1, 3]])
+        assert np.array_equal(got[2], np.eye(5)[nearest])
 
     # uppers, witness ids and supports of estimate_dk(eps 0.2, k 1..3,
     # budget 1, seed 5), as each support solved and each engine pulled alone
@@ -966,6 +1004,79 @@ class TestBatchedEngines:
         for z, e in zip(zs, together):
             alone = hullgeom._build_engines(sp, n, [z], 5, budget)[0]
             assert self.state(e) == self.state(alone)
+
+    @staticmethod
+    def bracket(b):
+        w = b.witness
+        return (b.lower, b.upper, b.lower_method, b.upper_method, b.meta, w.weights.tobytes(),
+                [g.tobytes() for g in w.generators])
+
+    @staticmethod
+    def loop_upper(e, p):
+        """The smallest closed form d_C / Z computed support by support, or 0 for a member."""
+        if e._is_member(p):
+            return 0.0
+        pool, solutions = e._at_scale(hullgeom._pool_scale(p.alpha))
+        s = hullgeom._pull_rows(e.nrm_mean, e.nrm_sup, pool, e.z[None, :], p.epsilon, p.alpha)
+        return min(solutions[idxs][1] / float(np.sum(solutions[idxs][0] / (1.0 - s[list(idxs)])))
+                   for _, idxs in e.supports if len(idxs) <= p.m)
+
+    @pytest.mark.parametrize("text, n", [("lp(inf,3)", 2), ("lp(inf,1)", 6), ("lp(3,2)", 2)])
+    def test_batch_upper_is_the_best_own_value(self, text, n):
+        # a profile's batch plus a member z, against each engine built and
+        # asked alone, and against the closed forms computed one by one; the
+        # largest upper is tied between engines at most of these params, and
+        # the first of them must win
+        sp = parse_space(text)
+        zs = [v for _, v in _adversaries(sp, n, 1, 5)] + [0.9 * np.tile(canonical_unit(sp), n)]
+        batch = hullgeom._build_engines(sp, n, zs, 5, 1)
+        alone = [hullgeom._build_engines(sp, n, [z], 5, 1)[0] for z in zs]
+        ties = 0
+        for m in (1, 2, 3):
+            for eps, alpha in ((0.2, 1.0), (0.35, 0.95)):
+                p = CmParams(n, eps, alpha, m)
+                i, b = hullgeom._best_upper(batch, p)
+                own = [e.value(p) for e in alone]
+                ups = [o.upper for o in own]
+                assert ups == [self.loop_upper(e, p) for e in alone]
+                assert i == ups.index(max(ups))
+                assert self.bracket(b) == self.bracket(own[i])
+                ties += ups.count(max(ups)) > 1
+        assert batch[-1].value(p).upper_method == "member-shortcut"
+        assert ties >= 2
+
+    def test_a_losing_engines_drift_raises(self, monkeypatch):
+        sp, n = LpFinite(3.0, 2), 2
+        batch = hullgeom._build_engines(sp, n, [v for _, v in _adversaries(sp, n, 1, 5)], 5, 1)
+        p = CmParams(n, 0.2, 1.0, 2)
+        i, b = hullgeom._best_upper(batch, p)
+        loser = batch[(i + 1) % len(batch)]
+        assert not loser._is_member(p) and loser.value(p).upper < b.upper
+        monkeypatch.setitem(loser._closed, (0.2, 1.0), 0.5 * loser._closed[0.2, 1.0])
+        with pytest.raises(InternalInconsistencyError, match="drifted"):
+            hullgeom._best_upper(batch, p)
+
+    def test_prototype_keys_match_the_tuple_keys(self):
+        # rows equal to 12 digits, or up to the sign of a zero, are one
+        # prototype; the pool and the partition supports are those the
+        # tuple keys of np.round(row, 12) give
+        sp, n = LpFinite(INF, 2), 2
+        u = np.array([0.5, -0.0, 0.25, 0.0])
+        # seven tiled units, then the overwrites of parts 1 (one row) and 2 (two)
+        protos = np.array([u, u + 0.0, u + 3e-14, [0.5, -1e-14, 0.25, -0.0], u + 1e-11,
+                           -u, u + [0.0, 0.0, 0.0, 4e-13],
+                           u + 1e-11, -u + 2e-13, [0.9, 0.1, -0.3, 0.0]])
+        e = hullgeom._UpperEngine(sp, n, np.zeros(4), 1, protos, 7, 0.0, 0.0)
+        index_of, kept, idx = {}, [], []
+        for row in protos:
+            key = tuple(np.round(row, 12))
+            if key not in index_of:
+                index_of[key] = len(kept)
+                kept.append(row)
+            idx.append(index_of[key])
+        assert np.array_equal(e.pool, np.stack(kept)) and len(kept) == 4
+        assert e._n_const == max(idx[:7]) + 1 == 3
+        assert e.partition_supports == {1: idx[7:8], 2: idx[8:10]} == {1: [1], 2: [2, 3]}
 
     def test_one_stack_per_step_for_a_whole_profile(self, monkeypatch):
         sizes, engines = [], []  # support size of each stack; the profile's engines
