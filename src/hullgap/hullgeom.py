@@ -226,6 +226,15 @@ class NormPlan:
     (``evaluate``), the one-sided slopes (``probe``), the norming
     functionals (``norming``) and the LP/NLP rows of ``_NormEpigraph``.
 
+    ``evaluate`` and ``probe`` run the kids by ``groups``: sibling kids
+    that are one node at different column offsets (the n blocks of
+    ``sup(n, X)``, the fibers of a module) are one call of that node on
+    the gathered (T r, w) rows (``_KidGroup``).  The node's terms, its own
+    coordinates first and then its kids in kid order, fill one C-ordered
+    (K, T) stack, as the kids alone would, so each term gets the
+    operations it gets alone and grouping moves no value.  ``norming`` and
+    ``_NormEpigraph`` walk ``kids``.
+
     ``polyhedral`` holds when every node has p in {1, inf}: the norm is then
     a max of finitely many linear functionals, the hull problem is one LP,
     and t -> ||V - tW|| is piecewise linear with at most ``pieces`` pieces,
@@ -239,6 +248,7 @@ class NormPlan:
     polyhedral: bool
     pieces: int
     evaluate: Callable[[np.ndarray], np.ndarray]
+    groups: Tuple["_KidGroup", ...] = ()
 
     def probe(self, R: np.ndarray, W: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Value, left and right slope of s -> norm(R - sW) at s = 0, per row.
@@ -252,11 +262,11 @@ class NormPlan:
         terms = []
         if self.cols is not None:
             r, w = R[:, self.cols], W[:, self.cols]
-            a = np.abs(r)
+            a, aw = np.abs(r), np.abs(w)
             slope = -np.sign(r) * w
             kink = r == 0.0
-            left = np.where(kink, -np.abs(w), slope)
-            right = np.where(kink, np.abs(w), slope)
+            left = np.where(kink, -aw, slope)
+            right = np.where(kink, aw, slope)
             if self.p == INF:
                 f = np.max(a, axis=1)
                 act = a == f[:, None]
@@ -267,10 +277,16 @@ class NormPlan:
             else:
                 f = _lp_norm(self.p, r)
                 terms.append((f,) + _lp_slopes(self.p, f, a.T, left.T, right.T))
-        terms += [kid.probe(R, W) for kid in self.kids]
-        if len(terms) == 1:
+        if not self.groups:
             return terms[0]
-        fs, lefts, rights = (np.stack(col) for col in zip(*terms))
+        # value, left and right slope of each term, one C-ordered (K, T) stack each
+        T = R.shape[0]
+        fs, lefts, rights = stack = np.empty((3, len(terms) + len(self.kids), T))
+        for out, v in zip(stack, terms[0] if terms else ()):
+            out[0] = v
+        for g in self.groups:
+            for out, v in zip(stack, g.plan.probe(g.rows(R), g.rows(W))):
+                out[g.at] = g.split(v, T)
         if self.p == INF:
             f = functools.reduce(np.maximum, fs)
             act = fs == f[None, :]
@@ -313,6 +329,30 @@ class NormPlan:
                 for combo in itertools.product(*(f[:6] for f in factors))
             ]
         return _ranked(cands, v)
+
+
+@dataclass(frozen=True, eq=False)
+class _KidGroup:
+    """r sibling kids that are one node at r column offsets, run as one call.
+
+    ``plan`` is that node on the columns 0..w-1 of one copy, and row k of
+    ``idx`` (r, w) holds copy k's columns of the parent's rows; ``at``
+    holds the copies' places among the parent's terms.  A group of one is
+    the kid itself on the parent's rows, with ``idx`` None.
+    """
+
+    plan: NormPlan
+    idx: Optional[np.ndarray]
+    at: object  # a slice, or an index array when the places are not contiguous
+
+    def rows(self, X: np.ndarray) -> np.ndarray:
+        """The (T r, w) rows of the copies: row t r + k is copy k of row t of X."""
+        return X if self.idx is None else X[:, self.idx].reshape(-1, self.idx.shape[1])
+
+    @staticmethod
+    def split(v: np.ndarray, T: int) -> np.ndarray:
+        """Values (..., T r) over ``rows`` as (..., r, T): r term rows, copy by copy."""
+        return v.reshape(v.shape[:-1] + (T, -1)).swapaxes(-1, -2)
 
 
 _NEAR_TIE = 1e-3
@@ -417,13 +457,23 @@ def _own_evaluator(p: float, cols) -> Callable[[np.ndarray], np.ndarray]:
     return lambda X: _lp_norm(p, X[:, cols])
 
 
-def _combined_evaluator(p: float, evs: list) -> Callable[[np.ndarray], np.ndarray]:
-    """The l_p norm of the terms' values, for two or more terms."""
-    if p == INF:
-        return lambda X: functools.reduce(np.maximum, [ev(X) for ev in evs])
-    if p == 1.0:
-        return lambda X: functools.reduce(np.add, [ev(X) for ev in evs])
-    return lambda X: _lp_combine(p, [ev(X) for ev in evs])
+def _combined_evaluator(p: float, own, groups: Tuple[_KidGroup, ...],
+                        K: int) -> Callable[[np.ndarray], np.ndarray]:
+    """The l_p norm of the K >= 2 terms' values: own first, then the kids in kid order."""
+    if p in (1.0, INF):
+        combine = functools.partial(functools.reduce, np.maximum if p == INF else np.add)
+    else:
+        combine = functools.partial(_lp_combine, p)
+
+    def ev(X: np.ndarray) -> np.ndarray:
+        fs = np.empty((K, X.shape[0]))
+        if own is not None:
+            fs[0] = own(X)
+        for g in groups:
+            fs[g.at] = g.split(g.plan.evaluate(g.rows(X)), X.shape[0])
+        return combine(fs)
+
+    return ev
 
 
 def _flat_layout(space: Space, off: int) -> Tuple[Optional[float], List[int], list]:
@@ -456,18 +506,57 @@ def _conjugate(p: float) -> float:
     return p / (p - 1.0)
 
 
+def _layout_cols(layout: tuple) -> List[int]:
+    """Every column a flat layout reads, its own and its kids'."""
+    _, cols, kids = layout
+    return list(cols) + [c for k in kids for c in _layout_cols(k)]
+
+
+def _shifted(layout: tuple, by: int) -> tuple:
+    """The layout with every column lowered by ``by``, as nested tuples."""
+    p, cols, kids = layout
+    return p, tuple(c - by for c in cols), tuple(_shifted(k, by) for k in kids)
+
+
+def _kid_groups(kids: list, nodes: Tuple[NormPlan, ...], first: int,
+                exponent: Callable[[float], float]) -> Tuple[_KidGroup, ...]:
+    """The kids grouped by their layout up to a column offset; kid i is term first + i."""
+    found: Dict[tuple, List[Tuple[int, int]]] = {}
+    for i, kid in enumerate(kids):
+        lo = min(_layout_cols(kid))
+        found.setdefault(_shifted(kid, lo), []).append((first + i, lo))
+    groups = []
+    for template, members in found.items():
+        at, offsets = (np.array(v) for v in zip(*members))
+        if np.all(np.diff(at) == 1):
+            at = slice(int(at[0]), int(at[-1]) + 1)
+        if len(members) == 1:
+            groups.append(_KidGroup(nodes[members[0][0] - first], None, at))
+        else:
+            idx = offsets[:, None] + np.arange(max(_layout_cols(template)) + 1)
+            groups.append(_KidGroup(_compile(template, exponent), idx, at))
+    return tuple(groups)
+
+
 def _compile(layout: tuple, exponent: Callable[[float], float]) -> NormPlan:
-    """The plan of a flat layout, with ``exponent`` applied to each node's p."""
+    """The plan of a flat layout, with ``exponent`` applied to each node's p.
+
+    Kids with the same layout up to a column offset are grouped
+    (``_kid_groups``): one template plan, compiled on the columns of one
+    copy, runs them all in ``evaluate`` and ``probe``.
+    """
     p, cols, kids = layout
     p = exponent(INF if p is None else p)
     nodes = tuple(_compile(k, exponent) for k in kids)
     if not cols:
         sel = None
-    elif cols == list(range(cols[0], cols[0] + len(cols))):
+    elif list(cols) == list(range(cols[0], cols[0] + len(cols))):
         sel = slice(cols[0], cols[0] + len(cols))
     else:
         sel = np.array(cols)
-    evs = ([_own_evaluator(p, sel)] if cols else []) + [kid.evaluate for kid in nodes]
+    own = None if sel is None else _own_evaluator(p, sel)
+    first = int(own is not None)  # the kids' first place among the terms
+    groups = _kid_groups(kids, nodes, first, exponent)
     # along a line: |x_c| has two pieces and one kink; a max of convex pieces
     # has at most as many pieces as its terms together, a sum one more than
     # the kinks of its terms together
@@ -478,7 +567,8 @@ def _compile(layout: tuple, exponent: Callable[[float], float]) -> NormPlan:
     return NormPlan(
         p=p, cols=sel, kids=nodes,
         polyhedral=p in (1.0, INF) and all(k.polyhedral for k in nodes),
-        pieces=pieces, evaluate=evs[0] if len(evs) == 1 else _combined_evaluator(p, evs),
+        pieces=pieces, groups=groups,
+        evaluate=own if not nodes else _combined_evaluator(p, own, groups, first + len(nodes)),
     )
 
 
@@ -505,7 +595,8 @@ def mean_norm_evaluator(space: Space, n: int) -> Callable[[np.ndarray], np.ndarr
     sub = norm_evaluator(space)
 
     def ev(X: np.ndarray) -> np.ndarray:
-        return sub(X.reshape(X.shape[0], n, di).mean(axis=1))
+        # the block sum over n, as ndarray.mean computes it without its call overhead
+        return sub(np.add.reduce(X.reshape(X.shape[0], n, di), axis=1) / n)
 
     return ev
 
@@ -658,34 +749,36 @@ def _batch_segment_min(
     b, fb, sb = hi.astype(float), f[T:], left[T:]
     t_best = np.where(fb < fa, b, a)
     f_best = np.minimum(fa, fb)
-    open_ = (sa < 0.0) & (sb > 0.0) & (b > 0.0)
+    # the state of the open rows only, compacted whenever rows close
+    rows = np.flatnonzero((sa < 0.0) & (sb > 0.0) & (b > 0.0))
+    a, fa, sa, b, fb, sb, V, W = (x[rows] for x in (a, fa, sa, b, fb, sb, V, W))
     for _ in range(steps):
-        rows = np.nonzero(open_)[0]
         if rows.shape[0] == 0:
             break
-        ra, rfa, rsa = a[rows], fa[rows], sa[rows]
-        rb, rfb, rsb = b[rows], fb[rows], sb[rows]
-        t = np.clip((rfb - rfa + rsa * ra - rsb * rb) / (rsa - rsb), ra, rb)
-        model = np.maximum(rfa + rsa * (t - ra), rfb + rsb * (t - rb))
-        f, left, right = plan.probe(V[rows] - t[:, None] * W[rows], W[rows])
+        t = np.clip((fb - fa + sa * a - sb * b) / (sa - sb), a, b)
+        model = np.maximum(fa + sa * (t - a), fb + sb * (t - b))
+        f, left, right = plan.probe(V - t[:, None] * W, W)
         better = f < f_best[rows]
         t_best[rows[better]] = t[better]
         f_best[rows[better]] = f[better]
         up = right < 0.0  # still descending at t: t becomes the left end
         down = left > 0.0
         # ||hi W|| <= fa + fb, so no row resolves f finer than eps (fa + fb)
-        floor = 4.0 * np.finfo(float).eps * (rfa + rfb)
-        done = ~(up | down) | (f <= model + floor) | (t <= ra) | (t >= rb)
-        done |= (up & (right <= rsa)) | (down & (left >= rsb))
-        step_a = rows[up & ~done]
-        a[step_a], fa[step_a], sa[step_a] = t[up & ~done], f[up & ~done], right[up & ~done]
-        step_b = rows[down & ~done]
-        b[step_b], fb[step_b], sb[step_b] = t[down & ~done], f[down & ~done], left[down & ~done]
-        open_[rows[done]] = False
-    if np.any(open_):
+        floor = 4.0 * np.finfo(float).eps * (fa + fb)
+        done = ~(up | down) | (f <= model + floor) | (t <= a) | (t >= b)
+        done |= (up & (right <= sa)) | (down & (left >= sb))
+        up &= ~done
+        down &= ~done
+        a, fa, sa = np.where(up, t, a), np.where(up, f, fa), np.where(up, right, sa)
+        b, fb, sb = np.where(down, t, b), np.where(down, f, fb), np.where(down, left, sb)
+        if done.any():
+            keep = ~done
+            rows, a, fa, sa, b, fb, sb, V, W = (
+                x[keep] for x in (rows, a, fa, sa, b, fb, sb, V, W))
+    if rows.shape[0]:
         raise InternalInconsistencyError(
             f"segment search still open after {steps} steps on "
-            f"{int(open_.sum())} of {T} rows"
+            f"{rows.shape[0]} of {T} rows"
         )
     return t_best, f_best
 
@@ -1146,8 +1239,9 @@ class _UpperEngine:
     ``InternalInconsistencyError``.
 
     So one engine answers every (m, eps, alpha) for its tuple: the pulls
-    and every support's closed form are computed once per (eps, alpha) and
-    kept, and m only filters the supports by size.  ``dist_to_cm_upper``
+    are computed once per (eps, alpha), the closed forms of the supports of
+    one size once per (eps, alpha, size), when an m first needs them, and
+    m only filters the supports by size.  ``dist_to_cm_upper``
     reuses the engine of a repeated (space, n, z, seed, budget), and
     ``estimate_dk`` holds one per candidate for a whole profile and asks
     ``_best_upper`` for the largest upper over all of them.  The engine
@@ -1171,6 +1265,7 @@ class _UpperEngine:
         self.z_sup, self.z_mean = z_sup, z_mean
         self._pull_cache: Dict[Tuple[float, float], np.ndarray] = {}
         self._closed: Dict[Tuple[float, float], np.ndarray] = {}
+        self._closed_sizes: set = set()  # the (eps, alpha, size) filled in _closed
         self._scaled: Dict[float, tuple] = {}
         # one prototype per row distinct to 12 digits (+ 0.0 makes -0.0 equal
         # 0.0): the n_units tiled units, then the partition overwrites, which
@@ -1459,28 +1554,36 @@ def _pull_rows(nrm_mean, nrm_sup, pool: np.ndarray, Z: np.ndarray, eps: float,
 def _prime_pulls(engines: Sequence[_UpperEngine], params: CmParams) -> None:
     """Fill the pull and closed-form caches of engines of one (space, n) for params.
 
-    The rows of every non-member engine are stacked with their own z and
-    pulled by one bisection.  Below alpha = 1 the engines' supports at the
-    scaled pool are solved first, as one stack per support size across them
-    (``_solve_scale``).  Then every support's closed form d_C / Z is
-    computed once, in one stack per support size.
+    The rows of every non-member engine without pulls at (eps, alpha) are
+    stacked with their own z and pulled by one bisection.  Below alpha = 1
+    the engines' supports at the scaled pool are solved first, as one stack
+    per support size across them (``_solve_scale``).  Then the closed forms
+    d_C / Z of the support sizes up to m not yet computed at (eps, alpha)
+    are computed, in one stack per size; a larger m later adds its sizes.
     """
     require_nonempty(params)
     key = (params.epsilon, params.alpha)
-    todo = [e for e in engines if key not in e._pull_cache and not e._is_member(params)]
-    if not todo:
-        return
+    live = [e for e in engines if not e._is_member(params)]
     c = _pool_scale(params.alpha)
-    _solve_scale(todo, c)
-    pools = [e._scaled[c][0] for e in todo]
-    Z = np.concatenate([np.broadcast_to(e.z, pool.shape) for e, pool in zip(todo, pools)])
-    s = _pull_rows(todo[0].nrm_mean, todo[0].nrm_sup, np.concatenate(pools), Z, *key)
+    todo = [e for e in live if key not in e._pull_cache]
+    if todo:
+        _solve_scale(todo, c)
+        pools = [e._scaled[c][0] for e in todo]
+        Z = np.concatenate([np.broadcast_to(e.z, pool.shape) for e, pool in zip(todo, pools)])
+        s = _pull_rows(todo[0].nrm_mean, todo[0].nrm_sup, np.concatenate(pools), Z, *key)
+        for e, pulls in zip(todo, np.split(s, np.cumsum([len(pool) for pool in pools])[:-1])):
+            e._pull_cache[key], e._closed[key] = pulls, np.full(len(e.supports), np.nan)
     by_size: Dict[int, list] = {}
-    for e, pulls in zip(todo, np.split(s, np.cumsum([len(pool) for pool in pools])[:-1])):
-        e._pull_cache[key], e._closed[key] = pulls, np.empty(len(e.supports))
+    for e in live:
+        new = {K for K in e._sizes.tolist() if K <= params.m and key + (K,) not in e._closed_sizes}
+        if not new:
+            continue
+        e._closed_sizes.update(key + (K,) for K in new)
+        pulls, solutions = e._pull_cache[key], e._scaled[c][1]
         for j, (_, idxs) in enumerate(e.supports):
-            mu, d = e._scaled[c][1][idxs]
-            by_size.setdefault(len(idxs), []).append((e._closed[key], j, mu, d, pulls[list(idxs)]))
+            if len(idxs) in new:
+                mu, d = solutions[idxs]
+                by_size.setdefault(len(idxs), []).append((e._closed[key], j, mu, d, pulls[list(idxs)]))
     for group in by_size.values():
         closed, js, mu, d, sc = zip(*group)
         vals = np.array(d) / (np.array(mu) / (1.0 - np.array(sc))).sum(axis=1)

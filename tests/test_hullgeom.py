@@ -2,6 +2,8 @@
 
 import dataclasses
 import decimal
+import functools
+import hashlib
 import math
 import warnings
 
@@ -70,24 +72,27 @@ NORM_POOL = POOL + [
     SupTuple(2, DirectSum(2.0, LpFinite(1.0, 2), LpFinite(INF, 2))),
 ]
 
-# the plan must also compile one-coordinate atoms, which are |x| for every p
+# the plan must also compile one-coordinate atoms, which are |x| for every
+# p, and group equal kids: the curved ambients of the benchmark's queries
+# workload, the atoms of a module, and kids strided by a one-coordinate atom
 PLAN_POOL = NORM_POOL + [
     LpFinite(2.0, 1),
     FunctionModule(1, LpFinite(3.0, 1)),
     SupTuple(6, LpFinite(INF, 1)),
+    SupTuple(2, LpFinite(4.0, 2)),
+    SupTuple(2, LpFinite(1.5, 2)),
+    SupTuple(2, DirectSum(2.0, LpFinite(1.0, 2), LpFinite(INF, 1))),
+    SupTuple(2, FunctionModule(3, LpFinite(2.0, 2))),
+    SupTuple(2, SupTuple(2, DirectSum(INF, LpFinite(1.0, 2), LpFinite(2.0, 1)))),
 ]
 
 # the segment search: every plan of PLAN_POOL, flat sup-norm ambients, an
-# l_1 composite, a one-coordinate atom and the curved ambients of the
-# benchmark's queries workload
+# l_1 composite and a one-coordinate atom
 SEGMENT_POOL = PLAN_POOL + [
     SupTuple(2, LpFinite(INF, 3)),
     SupTuple(3, LpFinite(INF, 4)),
     DirectSum(1.0, LpFinite(INF, 2), SupTuple(2, LpFinite(1.0, 2))),
     SupTuple(2, LpFinite(2.0, 1)),
-    SupTuple(2, LpFinite(4.0, 2)),
-    SupTuple(2, LpFinite(1.5, 2)),
-    SupTuple(2, DirectSum(2.0, LpFinite(1.0, 2), LpFinite(INF, 1))),
 ]
 
 # every atom and combiner has p in {1, inf}: one LP solves the hull problem
@@ -1097,6 +1102,96 @@ class TestBatchedEngines:
         support_sizes = sorted({len(idxs) for e in engines for _, idxs in e.supports})
         assert sizes == list(range(2, longest + 1)) + support_sizes
         assert len(sizes) < len(engines) == 23
+
+
+class TestKidGroups:
+    """Equal sibling kids run as one call and give each kid's terms bit for bit."""
+
+    # the grouped ambients of PLAN_POOL, a group under an l_p combiner and
+    # two groups whose kids interleave
+    GROUPED = PLAN_POOL[-5:] + [
+        DirectSum(2.0, LpFinite(3.0, 2), LpFinite(3.0, 2)),
+        SupTuple(2, DirectSum(INF, LpFinite(1.0, 2), LpFinite(2.0, 2))),
+    ]
+
+    @staticmethod
+    def combined(p, terms):
+        # the node's rule on (value, left, right) terms stacked in kid order
+        fs, lefts, rights = (np.stack(col) for col in zip(*terms))
+        if p == INF:
+            f = functools.reduce(np.maximum, fs)
+            act = fs == f[None, :]
+            return f, np.where(act, lefts, INF).min(axis=0), np.where(act, rights, -INF).max(axis=0)
+        if p == 1.0:
+            return functools.reduce(np.add, fs), lefts.sum(axis=0), rights.sum(axis=0)
+        f = hullgeom._lp_combine(p, fs)
+        return (f,) + hullgeom._lp_slopes(p, f, fs, lefts, rights)
+
+    @pytest.mark.parametrize("sp", GROUPED, ids=format_space)
+    def test_terms_match_each_block_alone(self, sp):
+        D = dim(sp)
+        rng = np.random.default_rng(D)
+        R, W = rng.uniform(-1.0, 1.0, (9, D)), rng.uniform(-1.0, 1.0, (9, D))
+        R[0] = 0.0  # every block zero: the f = 0 branch at each node
+        R[1, : D // 2] = 0.0  # a zero block
+        R[2] *= 1e-200  # p-th powers below the float range: the _lp_root redo
+        R[3] *= 1e200  # and above it
+        R[4] = np.round(4.0 * R[4]) / 4.0  # ties between blocks
+        W[5] = 0.0
+        for plan in (norm_plan(sp), dual_plan(sp)):
+            assert any(g.idx is not None for g in plan.groups)
+            own = []
+            if plan.cols is not None:
+                atom = norm_plan(LpFinite(plan.p, len(np.arange(D)[plan.cols])))
+                own = [atom.probe(R[:, plan.cols], W[:, plan.cols])]
+            with np.errstate(over="ignore", invalid="ignore"):
+                want = self.combined(plan.p, own + [kid.probe(R, W) for kid in plan.kids])
+                got = plan.probe(R, W)
+                values = plan.evaluate(R)
+            for g, w in zip(got, want):
+                assert g.tobytes() == w.tobytes()
+            assert values.tobytes() == want[0].tobytes()
+
+    def test_one_probe_is_one_inner_call(self, monkeypatch):
+        sp = SupTuple(2, LpFinite(4.0, 2))
+        calls, probe = [], hullgeom.NormPlan.probe
+
+        def counting(plan, R, W):
+            calls.append((plan, R.shape))
+            return probe(plan, R, W)
+
+        monkeypatch.setattr(hullgeom.NormPlan, "probe", counting)
+        R = np.random.default_rng(3).uniform(-1.0, 1.0, (6, 4))
+        norm_plan(sp).probe(R, R[::-1])
+        assert [shape for _, shape in calls] == [(6, 4), (12, 2)]
+        assert calls[1][0] is norm_plan(sp).groups[0].plan
+
+    # (upper, witness digest) over the queries workload's lattice (m, eps,
+    # alpha): (1, e, 1), (2, e, 1), (1, e + 0.15, 1), (1, e, a) with e = 0.2,
+    # a = 1.3, at n = 2, budget 1, seed 3; the digest is the first 16 hex
+    # digits of the sha256 of the witness weights' and generators' bytes
+    QUERY_LATTICE = [(1, 0.2, 1.0), (2, 0.2, 1.0), (1, 0.35, 1.0), (1, 0.2, 1.3)]
+    QUERY_PINNED = {
+        ("lp(4,2)", (0.9, -0.2, -0.7, 0.5)): [
+            (1.0234812035424676, "57fc86f5e1cf2613"), (0.7560834139166477, "e40905dde2503f94"),
+            (0.7847537427179886, "10f9d2b410a08282"), (1.0234812035424676, "57fc86f5e1cf2613")],
+        ("lp(1.5,2)", (0.3, 0.8, -0.6, 0.1)): [
+            (0.5417207166789122, "5a9aab97748d2f86"), (0.41386215304935264, "af4bd92ae7f141a3"),
+            (0.26530834586854235, "59b2d5913dbaab79"), (0.5417207166789122, "5a9aab97748d2f86")],
+        ("dsum(2, lp(1,2), lp(inf,1))", (0.5, -0.3, 0.2, -0.4, 0.1, 0.6)): [
+            (0.5956245596303726, "1ddf841196c71f9c"), (0.5630859326274954, "50117afaf08db8d6"),
+            (0.35596863467347145, "2e41bca490bfa313"), (0.5956245596303726, "1ddf841196c71f9c")],
+    }
+
+    @pytest.mark.parametrize("text, z", list(QUERY_PINNED))
+    def test_queries_are_pinned(self, text, z):
+        got = []
+        for m, e, a in self.QUERY_LATTICE:
+            b = dist_to_cm_upper(parse_space(text), np.array(z), CmParams(2, e, a, m), budget=1, seed=3)
+            w = b.witness
+            digest = hashlib.sha256(w.weights.tobytes() + b"".join(g.tobytes() for g in w.generators))
+            got.append((b.upper, digest.hexdigest()[:16]))
+        assert got == self.QUERY_PINNED[text, z]
 
 
 class TestGridOracle:
