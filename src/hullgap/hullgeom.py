@@ -390,8 +390,8 @@ def _own_norming(p: float, idx: np.ndarray, v: np.ndarray, nv: float) -> List[np
 
 def _lp_norm(p: float, r: np.ndarray) -> np.ndarray:
     """The l_p norm of each row of r, for 1 < p < inf."""
-    if p == 2.0:
-        return np.sqrt(np.einsum("td,td->t", r, r))
+    if p == 2.0:  # the root of 0.5 is np.sqrt, bit for bit
+        return _lp_root(2.0, np.einsum("td,td->t", r, r), r.T)
     a = np.abs(r)
     with np.errstate(over="ignore", under="ignore"):  # _lp_root redoes those rows
         total = np.add.reduce(a ** p, axis=1)
@@ -410,18 +410,19 @@ _LP_SAFE = np.finfo(float).tiny * 2.0 ** 53
 
 
 def _lp_root(p: float, total: np.ndarray, terms) -> np.ndarray:
-    """total ** (1/p), where total sums the p-th powers of the rows of terms (all >= 0).
+    """total ** (1/p), where total sums the p-th powers of |terms|, column by column.
 
-    For large p the powers leave the float range at moderate scales:
-    (4e-4) ** 100 is 0 and (2e10) ** 30 is inf.  Entries of total below
-    ``_LP_SAFE`` or not finite are redone scaled by their largest term;
-    every other entry keeps the plain root.
+    The powers leave the float range at moderate scales for large p,
+    (4e-4) ** 100 is 0 and (2e10) ** 30 is inf, and at the ends of it for
+    p = 2: (1e-200) ** 2 is 0.  Entries of total below ``_LP_SAFE`` or not
+    finite are redone scaled by their largest term; every other entry keeps
+    the plain root.
     """
     f = total ** (1.0 / p)
     if np.minimum.reduce(total, initial=INF) >= _LP_SAFE and np.maximum.reduce(total, initial=0.0) < INF:
         return f
     bad = np.flatnonzero(~((total >= _LP_SAFE) & (total < INF)))
-    a = np.asarray(terms)[:, bad]
+    a = np.abs(np.asarray(terms)[:, bad])
     top = a.max(axis=0)
     keep = (top > 0.0) & (top < INF)
     bad, a, top = bad[keep], a[:, keep], top[keep]
@@ -597,6 +598,27 @@ def mean_norm_evaluator(space: Space, n: int) -> Callable[[np.ndarray], np.ndarr
     def ev(X: np.ndarray) -> np.ndarray:
         # the block sum over n, as ndarray.mean computes it without its call overhead
         return sub(np.add.reduce(X.reshape(X.shape[0], n, di), axis=1) / n)
+
+    return ev
+
+
+def _mean_sup_evaluator(space: Space, n: int) -> Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]:
+    """Batch evaluator of (block-mean norm, ambient sup norm) of ambient tuples.
+
+    One call of the space's evaluator takes the n blocks and the block mean
+    of every row, stacked.  The norm of ``ambient_space(space, n)`` is the
+    max of the block norms, and a max is exact, so the pair equals
+    ``mean_norm_evaluator`` and ``norm_evaluator(ambient_space(space, n))``
+    bit for bit.
+    """
+    di = dim(space)
+    sub = norm_evaluator(space)
+
+    def ev(X: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        T = X.shape[0]
+        f = sub(np.concatenate([X.reshape(T * n, di),
+                                np.add.reduce(X.reshape(T, n, di), axis=1) / n]))
+        return f[T * n:], f[: T * n].reshape(T, n).max(axis=1)
 
     return ev
 
@@ -817,7 +839,7 @@ _PAIR_CAP = 18
 
 def _polish_true_norm(
     space: Space, G: np.ndarray, Z: np.ndarray, lam: np.ndarray, sweeps: int
-) -> np.ndarray:
+) -> Tuple[np.ndarray, np.ndarray]:
     """Pairwise weight transfers with exact convex line searches, on a stack of rows.
 
     Row r has its own point Z[r] (Z is (R, D)), the generators G[r] (a
@@ -828,6 +850,10 @@ def _polish_true_norm(
     improves the norm, and a row that stops improving is done.  The rows
     are independent, but every sweep gathers the pairs of all rows still
     improving into one segment search.
+
+    Returns the weights and which rows settled: stopped improving within
+    ``sweeps``.  Every sweep is deterministic and row-wise, so a settled
+    row's weights are those any larger cap gives, bit for bit.
     """
     nrm = norm_evaluator(space)
     R, K, D = G.shape
@@ -863,7 +889,9 @@ def _polish_true_norm(
         step[ii, j[k]] += t[k]
         step = np.clip(step, 0.0, None)
         lam[live] = step / step.sum(axis=1)[:, None]
-    return lam
+    settled = np.ones(R, dtype=bool)
+    settled[live] = False
+    return lam, settled
 
 
 class _NormEpigraph:
@@ -1187,7 +1215,7 @@ def min_norm_point(
         stage = "lp"
     else:
         lam = _euclid_surrogate(G[None], zz[None])[0]
-        lam = _polish_true_norm(space, G[None], zz[None], lam[None], sweeps=25)[0]
+        lam = _polish_true_norm(space, G[None], zz[None], lam[None], sweeps=25)[0][0]
         best_val = dist(lam)
         lower, phi = certified_hull_lower(space, zz, G, zz - lam @ G)
         stage = "norming"
@@ -1233,10 +1261,13 @@ class _UpperEngine:
 
     One pull rule serves every alpha: below alpha = 1 the pool is first
     scaled by c = alpha (1 - 1e-12) into the alpha ball, and the supports
-    are solved once per c (c = 1 with the engine) and kept; monotonicity in
-    alpha is stated for alpha >= 1 only.  The prototypes promise mean norm
-    >= 1 - 1e-9 and sup norm <= 1 + 1e-12; a broken promise raises
-    ``InternalInconsistencyError``.
+    are solved once per c and kept in ``_scaled``; monotonicity in alpha is
+    stated for alpha >= 1 only.  At c = 1, with the engine, each support is
+    solved once: the greedy stage's solve of a chain support stands when
+    its polish settled within the greedy cap, since an accurate solve gives
+    the same bits, and only the rest are solved again.  The prototypes
+    promise mean norm >= 1 - 1e-9 and sup norm <= 1 + 1e-12; a broken
+    promise raises ``InternalInconsistencyError``.
 
     So one engine answers every (m, eps, alpha) for its tuple: the pulls
     are computed once per (eps, alpha), the closed forms of the supports of
@@ -1261,12 +1292,11 @@ class _UpperEngine:
         self.z = z.copy()
         self.budget = budget
         self.nrm_sup = norm_evaluator(self.amb)
-        self.nrm_mean = mean_norm_evaluator(space, n)
+        self.nrm_mean_sup = _mean_sup_evaluator(space, n)
         self.z_sup, self.z_mean = z_sup, z_mean
         self._pull_cache: Dict[Tuple[float, float], np.ndarray] = {}
         self._closed: Dict[Tuple[float, float], np.ndarray] = {}
         self._closed_sizes: set = set()  # the (eps, alpha, size) filled in _closed
-        self._scaled: Dict[float, tuple] = {}
         # one prototype per row distinct to 12 digits (+ 0.0 makes -0.0 equal
         # 0.0): the n_units tiled units, then the partition overwrites, which
         # hold `parts` rows for each parts = 1, 2, ...
@@ -1274,6 +1304,9 @@ class _UpperEngine:
         idx = np.array([index_of.setdefault(key.tobytes(), len(index_of))
                         for key in np.round(protos, 12) + 0.0])
         self.pool = protos[np.unique(idx, return_index=True)[1]]
+        # scale c -> (pool scaled by c, {support: (mu_C, d_C)}); c = 1 is
+        # the pool itself, and _grow_chains fills in its settled chain supports
+        self._scaled: Dict[float, tuple] = {1.0: (self.pool, {})}
         self._n_const = int(idx[:n_units].max()) + 1
         self.partition_supports: Dict[int, List[int]] = {}
         while n_units < len(idx):
@@ -1283,8 +1316,8 @@ class _UpperEngine:
 
     def _solve_support(
         self, gens: np.ndarray, Z: np.ndarray, accurate: bool
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Hull weights (C, K) and distances (C,) for a stack (C, K, D) of supports.
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Hull weights (C, K), distances (C,) and settled rows (C,) for a stack (C, K, D) of supports.
 
         Row c is the support gens[c] with its own point Z[c] (Z is (C, D)),
         so one stack may hold the supports of every engine of self's
@@ -1295,7 +1328,11 @@ class _UpperEngine:
         minimizer can lie far from the true-norm one on kinked norms, so the
         nearest generator, the polished weights and uniform weights are
         evaluated in the true norm and the first strictly nearest kept.
-        Every row gets the arithmetic of a support solved alone.
+        Every row gets the arithmetic of a support solved alone.  A row is
+        settled when its polish stopped within the cap (a single generator
+        always is): its weights and distance are then those of any larger
+        cap, bit for bit, so an 8-sweep solve of a settled row stands for an
+        ``accurate`` one.
         """
         C, K, D = gens.shape
         vd = self.nrm_sup((Z[:, None, :] - gens).reshape(C * K, D)).reshape(C, K)
@@ -1303,11 +1340,11 @@ class _UpperEngine:
         best_lam[np.arange(C), np.argmin(vd, axis=1)] = 1.0
         best_val = np.min(vd, axis=1)
         if K == 1:
-            return best_lam, best_val
+            return best_lam, best_val, np.ones(C, dtype=bool)
         uniform = np.full(K, 1.0 / K)
         u_val = self.nrm_sup(Z - np.matmul(uniform, gens))
-        lams = _polish_true_norm(self.amb, gens, Z, _euclid_surrogate(gens, Z),
-                                 sweeps=60 if accurate else 8)
+        lams, settled = _polish_true_norm(self.amb, gens, Z, _euclid_surrogate(gens, Z),
+                                          sweeps=60 if accurate else 8)
         p_val = self.nrm_sup(Z - (lams[:, None, :] @ gens)[:, 0])
         # after the vertex, the polished and then the uniform weights, each
         # kept only where strictly nearer
@@ -1315,7 +1352,7 @@ class _UpperEngine:
         best_lam[nearer], best_val[nearer] = lams[nearer], p_val[nearer]
         nearer = u_val < best_val
         best_lam[nearer], best_val[nearer] = uniform, u_val[nearer]
-        return best_lam, best_val
+        return best_lam, best_val, settled
 
     def _at_scale(self, c: float):
         """The pool scaled by c and each support's (mu_C, d_C) on it (``_solve_scale``)."""
@@ -1398,9 +1435,14 @@ def _build_engines(
       sup-decomposable space the partition overwrites of every engine are
       one array, from one norm evaluation of all blocks.  ``__init__``
       makes each engine's prototypes from these rows; the norms of every z
-      and the prototype promise take one evaluation each for the batch;
-    * greedy: the chains grow in lock step (``_grow_chains``);
-    * supports at c = 1: one stack per support size (``_solve_scale``).
+      and the prototype promise take one call each for the batch, of the
+      fused block-mean and sup evaluator (``_mean_sup_evaluator``);
+    * greedy: the chains grow in lock step (``_grow_chains``), which keeps
+      chain-1 (the nearest vertex) and every chain support whose polish
+      settled as solved at c = 1;
+    * supports at c = 1: the partition supports and the chain supports
+      whose polish hit the greedy cap, one accurate stack per support size
+      (``_solve_scale``).
     """
     budget = max(1, int(budget))
     di, amb = dim(space), ambient_space(space, n)
@@ -1438,7 +1480,7 @@ def _build_engines(
         blocks = blocks / np.maximum(nrm(blocks), 1.0)[:, None]
     overwrites = np.where(masks, fill, blocks.reshape(len(Z), 1, n, di))
     overwrites = overwrites.reshape(len(Z), len(masks), n * di)
-    z_sup, z_mean = norm_evaluator(amb)(Z), mean_norm_evaluator(space, n)(Z)
+    z_mean, z_sup = _mean_sup_evaluator(space, n)(Z)
     rows = zip(Z, np.split(np.tile(U, (1, n)), len(Z)), np.split(keep, len(Z)), overwrites)
     engines = [
         _UpperEngine(space, n, z, budget, np.concatenate([t[k], o]), int(k.sum()),
@@ -1447,7 +1489,8 @@ def _build_engines(
     ]
     # the pulls start every prototype inside the feasible set
     pools = np.concatenate([e.pool for e in engines])
-    broken = (engines[0].nrm_mean(pools) < 1.0 - 1e-9) | (engines[0].nrm_sup(pools) > 1.0 + 1e-12)
+    mean, sup = engines[0].nrm_mean_sup(pools)
+    broken = (mean < 1.0 - 1e-9) | (sup > 1.0 + 1e-12)
     if np.any(broken):
         raise InternalInconsistencyError(
             f"prototypes {np.nonzero(broken)[0].tolist()} of the batch break the promise "
@@ -1466,7 +1509,10 @@ def _grow_chains(engines: Sequence[_UpperEngine]) -> None:
     z, the first on a near tie, up to its cap or until a support reaches z.
     At step L every chain still growing has length L, so the extended
     supports of all engines form one stack of size L + 1.  An engine's
-    supports are its chain prefixes and its partition families.
+    supports are its chain prefixes and its partition families.  Chain-1
+    and each chosen extension whose 8-sweep polish settled are recorded as
+    solved at c = 1 (``_solve_support``), with the weights and distance
+    already computed.
     """
     lead = engines[0]
     vertex_d = np.split(
@@ -1475,7 +1521,9 @@ def _grow_chains(engines: Sequence[_UpperEngine]) -> None:
     candidates = []
     for e, vd in zip(engines, vertex_d):
         candidates.append([int(j) for j in np.argsort(vd, kind="stable")[:16]])
-        e.chain = [int(np.argmin(vd))]
+        j = int(np.argmin(vd))
+        e.chain = [j]
+        e._scaled[1.0][1][(j,)] = (np.ones(1), float(vd[j]))  # chain-1 is the vertex
     caps = [min(e._n_const, max(4, min(12, e.budget + 4))) for e in engines]
     growing = [i for i, e in enumerate(engines) if len(e.chain) < caps[i]]
     while growing:
@@ -1486,16 +1534,18 @@ def _grow_chains(engines: Sequence[_UpperEngine]) -> None:
         gens = np.concatenate(
             [engines[i].pool[[engines[i].chain + [j] for j in js]] for i, js in steps])
         Z = np.concatenate([np.broadcast_to(engines[i].z, (len(js),) + lead.z.shape) for i, js in steps])
-        _, vals = lead._solve_support(gens, Z, accurate=False)
+        lams, vals, settled = lead._solve_support(gens, Z, accurate=False)
         growing, at = [], 0
         for i, js in steps:
-            best_j, best_v = -1, None
-            for j, val in zip(js, vals[at : at + len(js)]):
-                if best_v is None or val < best_v - 1e-12:
-                    best_j, best_v = j, val
+            e, best = engines[i], at
+            for k in range(at + 1, at + len(js)):
+                if vals[k] < vals[best] - 1e-12:
+                    best = k
+            e.chain.append(js[best - at])
+            if settled[best]:  # the accurate solve of this chain support
+                e._scaled[1.0][1][tuple(e.chain)] = (lams[best], float(vals[best]))
             at += len(js)
-            engines[i].chain.append(best_j)
-            if best_v > 1e-13 and len(engines[i].chain) < caps[i]:
+            if vals[best] > 1e-13 and len(e.chain) < caps[i]:
                 growing.append(i)
     for e in engines:
         e.supports = [(f"chain-{L}", tuple(e.chain[:L])) for L in range(1, len(e.chain) + 1)]
@@ -1508,24 +1558,24 @@ def _solve_scale(engines: Sequence[_UpperEngine], c: float) -> None:
     """Each engine's pool scaled by c and each support's (mu_C, d_C) on it, solved once per c.
 
     The distinct supports of every engine not yet solved at c are one
-    stack per support size, each row with its own engine's z.
+    accurate stack per support size, each row with its own engine's z.  At
+    c = 1 that leaves the partition supports and the chain supports whose
+    greedy polish hit its cap: ``_grow_chains`` keeps the others.
     """
-    todo = [e for e in engines if c not in e._scaled]
-    if not todo:
-        return
-    pools = [c * e.pool for e in todo]
-    rows = [(t, idxs) for t, e in enumerate(todo)
-            for idxs in dict.fromkeys(idxs for _, idxs in e.supports)]
-    solutions = [{} for _ in todo]
-    for K in sorted({len(idxs) for _, idxs in rows}):
-        group = [(t, idxs) for t, idxs in rows if len(idxs) == K]
-        lams, vals = todo[0]._solve_support(
-            np.stack([pools[t][list(idxs)] for t, idxs in group]),
-            np.stack([todo[t].z for t, _ in group]), accurate=True)
-        for (t, idxs), lam, v in zip(group, lams, vals):
-            solutions[t][idxs] = (lam, float(v))
-    for e, pool, found in zip(todo, pools, solutions):
-        e._scaled[c] = (pool, found)
+    rows = []
+    for e in engines:
+        if c not in e._scaled:
+            e._scaled[c] = (c * e.pool, {})
+        pool, found = e._scaled[c]
+        rows += [(e, pool, found, idxs) for idxs in dict.fromkeys(idxs for _, idxs in e.supports)
+                 if idxs not in found]
+    for K in sorted({len(row[3]) for row in rows}):
+        group = [row for row in rows if len(row[3]) == K]
+        lams, vals, _ = engines[0]._solve_support(
+            np.stack([pool[list(idxs)] for _, pool, _, idxs in group]),
+            np.stack([e.z for e, _, _, _ in group]), accurate=True)
+        for (_, _, found, idxs), lam, v in zip(group, lams, vals):
+            found[idxs] = (lam, float(v))
 
 
 def _pool_scale(alpha: float) -> float:
@@ -1533,20 +1583,23 @@ def _pool_scale(alpha: float) -> float:
     return 1.0 if alpha >= 1.0 else alpha * (1.0 - 1e-12)
 
 
-def _pull_rows(nrm_mean, nrm_sup, pool: np.ndarray, Z: np.ndarray, eps: float,
+def _pull_rows(nrm_mean_sup, pool: np.ndarray, Z: np.ndarray, eps: float,
                alpha: float) -> np.ndarray:
     """Per row, the largest s found by bisection with (1 - s) pool + s Z feasible.
 
     Feasible means mean norm >= 1 - eps and sup norm <= alpha; both are
     convex constraints, so each row's feasible s form an interval from 0.
-    Every row is bisected on its own (Z is one row per row of pool, or one
-    row for all), however many rows share the call.
+    Each bisection step reads both from one call of ``nrm_mean_sup`` (an
+    engine's ``_mean_sup_evaluator``).  Every row is bisected on its own
+    (Z is one row per row of pool, or one row for all), however many rows
+    share the call.
     """
     lo, hi = np.zeros(len(pool)), np.ones(len(pool))
     for _ in range(60):
         mid = (lo + hi) / 2.0
         pts = (1.0 - mid)[:, None] * pool + mid[:, None] * Z
-        ok = (nrm_mean(pts) >= 1.0 - eps) & (nrm_sup(pts) <= alpha)
+        mean, sup = nrm_mean_sup(pts)
+        ok = (mean >= 1.0 - eps) & (sup <= alpha)
         lo, hi = np.where(ok, mid, lo), np.where(ok, hi, mid)
     return lo
 
@@ -1570,7 +1623,7 @@ def _prime_pulls(engines: Sequence[_UpperEngine], params: CmParams) -> None:
         _solve_scale(todo, c)
         pools = [e._scaled[c][0] for e in todo]
         Z = np.concatenate([np.broadcast_to(e.z, pool.shape) for e, pool in zip(todo, pools)])
-        s = _pull_rows(todo[0].nrm_mean, todo[0].nrm_sup, np.concatenate(pools), Z, *key)
+        s = _pull_rows(todo[0].nrm_mean_sup, np.concatenate(pools), Z, *key)
         for e, pulls in zip(todo, np.split(s, np.cumsum([len(pool) for pool in pools])[:-1])):
             e._pull_cache[key], e._closed[key] = pulls, np.full(len(e.supports), np.nan)
     by_size: Dict[int, list] = {}

@@ -357,9 +357,51 @@ class TestNormMachinery:
         assert f[2] == np.sum(np.abs(X[2]) ** p) ** (1.0 / p)
         assert g[0] == pytest.approx(ref, rel=4e-16) and g[1] == 0.0
 
+    def test_l2_norm_at_the_ends_of_the_float_range(self):
+        # the squares leave the float range where the norm does not
+        lp_norm = hullgeom._lp_norm
+        assert lp_norm(2.0, np.array([[1e-200, 0.0]]))[0] == 1e-200
+        assert lp_norm(2.0, np.array([[1e200, 0.0]]))[0] == 1e200
+        assert lp_norm(2.0, np.array([[3e200, 4e200]]))[0] == pytest.approx(5e200, rel=4e-16)
+        # a row in the normal range keeps the plain root, which is np.sqrt
+        X = np.array([[0.3, -1.7], [0.0, 0.0], [2.0, 5e-3]])
+        assert np.array_equal(lp_norm(2.0, X), np.sqrt(np.einsum("td,td->t", X, X)))
+
+    def test_l2_probe_sees_no_kink_at_a_tiny_row(self):
+        # s -> |1e-200 - s| on the first coordinate: slope -1 on both sides
+        r, w = np.array([[1e-200, 0.0, 0.0]]), np.array([[1.0, 0.0, 0.0]])
+        f, left, right = norm_plan(LpFinite(2.0, 3)).probe(r, w)
+        assert (f[0], left[0], right[0]) == (1e-200, -1.0, -1.0)
+
+    def test_l2_own_term_slopes_at_a_huge_row(self):
+        # the norm is 1-homogeneous, so its slopes at c v are those at v
+        plan = norm_plan(SupTuple(2, DirectSum(2.0, LpFinite(1.0, 2), LpFinite(INF, 1))))
+        v = np.array([[0.4, -0.9, 1.3, 0.2, 0.5, -0.6]])
+        w = np.array([[1.0, 0.5, -2.0, 0.3, 0.0, 1.0]])
+        f, left, right = plan.probe(v, w)
+        F, L, R = plan.probe(1e200 * v, w)
+        assert np.isfinite([L[0], R[0]]).all()
+        assert F[0] == pytest.approx(1e200 * f[0], rel=1e-15)
+        assert (L[0], R[0]) == (pytest.approx(left[0], rel=1e-12), pytest.approx(right[0], rel=1e-12))
+
     def test_mean_evaluator(self):
         ev = mean_norm_evaluator(SCALARS, 2)
         assert ev(np.array([[1.0, 0.8]]))[0] == pytest.approx(0.9)
+
+    @pytest.mark.parametrize("sp", PLAN_POOL, ids=format_space)
+    def test_mean_sup_evaluator_is_both_evaluators(self, sp):
+        rng = np.random.default_rng(21)
+        for n in (1, 2, 3):
+            D = n * dim(sp)
+            X = rng.standard_normal((7, D))
+            X[1] = 0.0
+            X[2, : dim(sp)] = 0.0  # a zero block
+            X[3] *= 1e-200
+            X[4] *= 1e200
+            X[5, -1] = 1e200
+            mean, sup = hullgeom._mean_sup_evaluator(sp, n)(X)
+            assert mean.tobytes() == mean_norm_evaluator(sp, n)(X).tobytes(), n
+            assert sup.tobytes() == norm_evaluator(hullgeom.ambient_space(sp, n))(X).tobytes(), n
 
     def test_plan_flattens_same_p_nests(self):
         for sp in (SupTuple(6, LpFinite(INF, 1)), SupTuple(3, LpFinite(INF, 4)),
@@ -870,14 +912,16 @@ class TestBatchedRows:
     """Stacked supports and primed pulls give each row the arithmetic it gets alone."""
 
     CASES = [
-        (LpFinite(INF, 3), [1.5, 0.2, -0.3, -1.2, 0.4, 0.1], 0.0),
-        (SupTuple(2, LpFinite(INF, 2)), [0.9, -0.4, 0.3, 1.1, -1.0, 0.2, -0.5, -0.8], 0.0),
-        (LpFinite(3.0, 2), [1.3, -0.4, 0.2, 0.9], 1e-15),
+        (LpFinite(INF, 3), [1.5, 0.2, -0.3, -1.2, 0.4, 0.1]),
+        (SupTuple(2, LpFinite(INF, 2)), [0.9, -0.4, 0.3, 1.1, -1.0, 0.2, -0.5, -0.8]),
+        (LpFinite(3.0, 2), [1.3, -0.4, 0.2, 0.9]),
     ]
 
-    @pytest.mark.parametrize("sp, z, tol", CASES)
-    def test_a_stack_solves_each_support_as_alone(self, sp, z, tol):
-        # one stack mixes the rows of two engines, each row with its own z
+    @pytest.mark.parametrize("sp, z", CASES)
+    def test_a_stack_solves_each_support_as_alone(self, sp, z):
+        # one stack mixes the rows of two engines, each row with its own z;
+        # an engine build reuses a greedy row's solve as its accurate one,
+        # which needs every row exact on curved norms too
         engs = hullgeom._build_engines(sp, 2, [z, -0.7 * np.array(z)[::-1]], 3, 2)
         rng = np.random.default_rng(11)
         for K in (1, 2, 3, 4):
@@ -885,13 +929,45 @@ class TestBatchedRows:
             rows += [(e, np.array(e.chain[:K])) for e in engs if len(e.chain) >= K]
             gens, Z = np.stack([e.pool[idx] for e, idx in rows]), np.stack([e.z for e, _ in rows])
             for accurate in (False, True):
-                lams, vals = engs[0]._solve_support(gens, Z, accurate=accurate)
-                for (e, row), lam, val in zip(rows, lams, vals):
-                    lam1, val1 = e._solve_support(e.pool[row][None], e.z[None], accurate=accurate)
-                    if tol == 0.0:
-                        assert np.array_equal(lam, lam1[0]) and val == val1[0], (K, row)
-                    else:
-                        assert np.max(np.abs(lam - lam1[0])) <= tol and abs(val - val1[0]) <= tol
+                lams, vals, settled = engs[0]._solve_support(gens, Z, accurate=accurate)
+                for (e, row), lam, val, done in zip(rows, lams, vals, settled):
+                    lam1, val1, done1 = e._solve_support(e.pool[row][None], e.z[None], accurate=accurate)
+                    assert np.array_equal(lam, lam1[0]) and val == val1[0], (K, row)
+                    assert done == done1[0]
+
+    # a queries-shaped tuple, round 38 of the benchmark's queries workload at
+    # seed 301, with its engine seed: the polish of its chosen chain-3
+    # support is still improving after the greedy stage's 8 sweeps
+    CAPPED = (
+        parse_space("dsum(2, lp(1,2), lp(inf,1))"),
+        [-0.1948904427825758, -0.3161928826072088, -0.5548674315210619,
+         0.1132703078657793, -0.5226358140952193, 0.15888668622474855],
+        837782,
+    )
+
+    def test_settled_rows_of_a_capped_polish_equal_a_longer_one(self):
+        sp, z, seed = self.CAPPED
+        e = hullgeom._build_engines(sp, 2, [z], seed, 1)[0]
+        rng = np.random.default_rng(14)
+        rows = [e.chain[:3]] + [rng.choice(len(e.pool), K, replace=False) for K in (2, 3, 4, 5)
+                                for _ in range(20)]
+        open_after_2 = []  # per size, the rows a 2-sweep polish leaves open
+        for sweeps in (2, 8):
+            for k in (2, 3, 4, 5):
+                G = np.stack([e.pool[list(r)] for r in rows if len(r) == k])
+                Z = np.broadcast_to(e.z, (G.shape[0], G.shape[2]))
+                start = hullgeom._euclid_surrogate(G, Z)
+                lam, settled = hullgeom._polish_true_norm(e.amb, G, Z, start, sweeps)
+                lam60, settled60 = hullgeom._polish_true_norm(e.amb, G, Z, start, 60)
+                assert np.array_equal(lam[settled], lam60[settled]), (sweeps, k)
+                assert settled60[settled].all()
+                if sweeps == 8 and k == 3:
+                    assert not settled[0]  # the capped chain support
+                    assert not np.array_equal(lam[0], lam60[0])
+                if sweeps == 2:
+                    open_after_2.append(~settled)
+        open_after_2 = np.concatenate(open_after_2)
+        assert open_after_2.any() and not open_after_2.all()
 
     @pytest.mark.parametrize("alpha", [1.0, 1.2, 0.95])
     def test_primed_pulls_equal_each_engines_own(self, alpha):
@@ -908,7 +984,7 @@ class TestBatchedRows:
                 continue
             own = hullgeom._build_engines(sp, n, [z], 1, 1)[0]
             pool = own._at_scale(hullgeom._pool_scale(alpha))[0]
-            own_pulls = hullgeom._pull_rows(own.nrm_mean, own.nrm_sup, pool, own.z[None, :], 0.2, alpha)
+            own_pulls = hullgeom._pull_rows(own.nrm_mean_sup, pool, own.z[None, :], 0.2, alpha)
             assert np.array_equal(eng._pull_cache[0.2, alpha], own_pulls)
 
     @pytest.mark.parametrize("sp, z", [case[:2] for case in CASES[::2]])
@@ -1022,7 +1098,7 @@ class TestBatchedEngines:
         if e._is_member(p):
             return 0.0
         pool, solutions = e._at_scale(hullgeom._pool_scale(p.alpha))
-        s = hullgeom._pull_rows(e.nrm_mean, e.nrm_sup, pool, e.z[None, :], p.epsilon, p.alpha)
+        s = hullgeom._pull_rows(e.nrm_mean_sup, pool, e.z[None, :], p.epsilon, p.alpha)
         return min(solutions[idxs][1] / float(np.sum(solutions[idxs][0] / (1.0 - s[list(idxs)])))
                    for _, idxs in e.supports if len(idxs) <= p.m)
 
@@ -1083,6 +1159,65 @@ class TestBatchedEngines:
         assert e._n_const == max(idx[:7]) + 1 == 3
         assert e.partition_supports == {1: idx[7:8], 2: idx[8:10]} == {1: [1], 2: [2, 3]}
 
+    @staticmethod
+    def settled_in_greedy(e, idxs):
+        """Whether the greedy stage's 8-sweep solve of a chain support settled."""
+        return (idxs == tuple(e.chain[: len(idxs)])
+                and e._solve_support(e.pool[list(idxs)][None], e.z[None], accurate=False)[2][0])
+
+    @pytest.mark.parametrize("sp, zs, seed, budget", [
+        (sp, [v for _, v in _adversaries(sp, n, budget, 5)] + [np.zeros(n * dim(sp))], 5, budget)
+        for sp, n, budget in ((LpFinite(INF, 3), 2, 1), (SupTuple(2, LpFinite(INF, 2)), 2, 8),
+                              (LpFinite(3.0, 2), 2, 1))
+    ] + [(TestBatchedRows.CAPPED[0], [TestBatchedRows.CAPPED[1]], TestBatchedRows.CAPPED[2], 1)])
+    def test_c1_solutions_are_fresh_accurate_solves(self, monkeypatch, sp, zs, seed, budget):
+        # every support at c = 1, whether kept from the greedy stage or
+        # solved in the c = 1 stage, is what an accurate solve of it alone gives
+        solve, accurate_rows = hullgeom._UpperEngine._solve_support, []
+
+        def recording(self, gens, Z, accurate):
+            if accurate:
+                accurate_rows.extend((g.tobytes(), z.tobytes()) for g, z in zip(gens, Z))
+            return solve(self, gens, Z, accurate)
+
+        monkeypatch.setattr(hullgeom._UpperEngine, "_solve_support", recording)
+        engines = hullgeom._build_engines(sp, 2, zs, seed, budget)
+        monkeypatch.undo()
+        kept = 0
+        for e in engines:
+            pool, found = e._scaled[1.0]
+            assert pool is e.pool and set(found) == {idxs for _, idxs in e.supports}
+            for idxs, (lam, d) in found.items():
+                lam1, d1, _ = solve(e, e.pool[list(idxs)][None], e.z[None], accurate=True)
+                assert lam.tobytes() == lam1[0].tobytes() and d == d1[0], idxs
+                resolved = (e.pool[list(idxs)].tobytes(), e.z.tobytes()) in accurate_rows
+                assert resolved != self.settled_in_greedy(e, idxs), idxs
+                kept += not resolved
+        assert kept >= len(engines)  # at least every chain-1
+        if sp == TestBatchedRows.CAPPED[0]:  # the capped chain-3 support took the re-solve
+            e = engines[0]
+            assert accurate_rows == [(e.pool[e.chain[:3]].tobytes(), e.z.tobytes())]
+
+    def test_a_settled_build_makes_no_accurate_stack(self, monkeypatch):
+        # lp(4,2) has no partition supports: when every greedy row settles,
+        # the build's greedy stacks are all it solves
+        calls = []
+        solve = hullgeom._UpperEngine._solve_support
+
+        def counting(self, gens, Z, accurate):
+            out = solve(self, gens, Z, accurate)
+            calls.append((gens.shape[1], accurate, bool(out[2].all())))
+            return out
+
+        monkeypatch.setattr(hullgeom._UpperEngine, "_solve_support", counting)
+        sp, z = LpFinite(4.0, 2), [0.9, -0.2, -0.7, 0.5]
+        hullgeom._engine.cache_clear()
+        dist_to_cm_upper(sp, z, CmParams(2, 0.2, 1.0, 1), budget=1)
+        engine = hullgeom._engine(sp, 2, np.array(z).tobytes(), 0, 1)
+        hullgeom._engine.cache_clear()
+        assert engine.partition_supports == {} and len(engine.chain) > 2
+        assert calls == [(K, False, True) for K in range(2, len(engine.chain) + 1)]
+
     def test_one_stack_per_step_for_a_whole_profile(self, monkeypatch):
         sizes, engines = [], []  # support size of each stack; the profile's engines
         solve, build = hullgeom._UpperEngine._solve_support, dkprofile._build_engines
@@ -1098,9 +1233,14 @@ class TestBatchedEngines:
         monkeypatch.setattr(hullgeom._UpperEngine, "_solve_support", counting)
         monkeypatch.setattr(dkprofile, "_build_engines", keep)
         estimate_dk(LpFinite(INF, 3), 2, 0.2, k_range=(1, 2, 3), budget=1, seed=5)
+        monkeypatch.undo()
         longest = max(len(e.chain) for e in engines)
-        support_sizes = sorted({len(idxs) for e in engines for _, idxs in e.supports})
-        assert sizes == list(range(2, longest + 1)) + support_sizes
+        # the c = 1 stage solves only the sizes the greedy stage left open:
+        # here the partition supports, and no chain support of size 4 or 5
+        open_sizes = sorted({len(idxs) for e in engines for _, idxs in e.supports
+                             if not self.settled_in_greedy(e, idxs)})
+        assert sizes == list(range(2, longest + 1)) + open_sizes
+        assert longest == 5 and open_sizes == [1, 2, 3]
         assert len(sizes) < len(engines) == 23
 
 
