@@ -1,19 +1,20 @@
 """One sha256 over the outputs of a fixed roster of upper bounds and profiles.
 
-    PYTHONPATH=src python scripts/output_digest.py [--verbose]
+    PYTHONPATH=src python scripts/output_digest.py
 
 The roster holds ``dist_to_cm_upper`` calls on curved and polyhedral
 spaces, at alpha below and above 1, over an (m, eps, alpha) lattice on
 seeded tuples, and ``estimate_dk`` profiles of the benchmark's sweep
 spaces and a curved space.  Every result is serialised exactly (floats by
 ``repr``, which round-trips) and fed to one hash, so two trees that print
-the same digest give the same bits on the whole roster.  Run it on two
-checkouts to show that a change moves no value.
+the same digest give the same bits on the whole roster.  The script exits
+1 when the digest differs from the pinned ``EXPECTED``, so a change that
+moves any value fails it; a change meant to move values re-pins it.
 """
 
-import argparse
 import hashlib
 import json
+import sys
 
 import numpy as np
 
@@ -31,6 +32,8 @@ UPPER_SPACES = (
     "lp(inf,3)",
     "sup(2, lp(inf,2))",
 )
+# the digest and result count of the roster below
+EXPECTED = ("6eb4f900dd6849deba28e011eef4d0ef872d3631a96e196b9916865f0e4d7de3", 744)
 N, TUPLES, BUDGET = 2, 5, 1
 LATTICE = [(m, eps, alpha) for m in (1, 2, 3) for eps in (0.15, 0.3) for alpha in (0.95, 1.0, 1.3)]
 # (space, n, eps, alpha, seed): the sweep workload's spaces and two curved ones,
@@ -53,7 +56,7 @@ def _tuple(space, rng) -> np.ndarray:
 
 
 def results():
-    """(label, jsonable result) for every call of the roster, in a fixed order."""
+    """The jsonable result of every call of the roster, in a fixed order."""
     for si, text in enumerate(UPPER_SPACES):
         space = parse_space(text)
         rng = np.random.default_rng([17, si])
@@ -61,26 +64,25 @@ def results():
             z = _tuple(space, rng)
             for m, eps, alpha in LATTICE:
                 b = dist_to_cm_upper(space, z, CmParams(N, eps, alpha, m), budget=BUDGET, seed=t)
-                yield f"upper {text} #{t} m={m} eps={eps} alpha={alpha}", b.to_jsonable()
+                yield b.to_jsonable()
     for text, n, eps, alpha, seed in PROFILES:
         prof = estimate_dk(parse_space(text), n, eps, alpha=alpha, k_range=(1, 2, 3),
                            budget=1, seed=seed)
-        yield f"profile {text} n={n} alpha={alpha} seed={seed}", prof.to_jsonable()
+        yield prof.to_jsonable()
 
 
-def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--verbose", action="store_true", help="also print each result's own sha256")
-    args = ap.parse_args()
+def main() -> int:
     total, count = hashlib.sha256(), 0
-    for label, out in results():
-        blob = json.dumps(out, sort_keys=True).encode()
-        total.update(blob)
+    for out in results():
+        total.update(json.dumps(out, sort_keys=True).encode())
         count += 1
-        if args.verbose:
-            print(hashlib.sha256(blob).hexdigest()[:16], label)
-    print(f"{total.hexdigest()}  {count} results")
+    got = (total.hexdigest(), count)
+    print(f"{got[0]}  {count} results")
+    if got != EXPECTED:
+        print(f"expected {EXPECTED[0]}  {EXPECTED[1]} results: a value moved", file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -1749,14 +1749,12 @@ def dist_to_cm_grid(space: Space, z, params: CmParams, resolution: float) -> Dis
     D = dim(amb)
     report = require_grid_fits(space, params, resolution)
     zz = as_coords(amb, z)
-    nrm = norm_evaluator(amb)
-    nrm_mean = mean_norm_evaluator(space, params.n)
+    mean_sup = _mean_sup_evaluator(space, params.n)
 
     pts = _grid_points(params.alpha, resolution, D)
-    sup_vals = nrm(pts)
-    mean_vals = nrm_mean(pts)
+    mean_vals, sup_vals = mean_sup(pts)
     # rounded up, so the relaxed set can only grow; the lower side is rounded down
-    r_cov = float(np.nextafter((resolution / 2.0) * float(nrm(np.ones((1, D)))[0]), INF))
+    r_cov = float(np.nextafter((resolution / 2.0) * float(mean_sup(np.ones((1, D)))[1][0]), INF))
 
     strict = pts[(sup_vals <= params.alpha) & (mean_vals > 1.0 - params.epsilon)]
     relax = pts[
