@@ -33,7 +33,7 @@ UPPER_SPACES = (
     "sup(2, lp(inf,2))",
 )
 # the digest and result count of the roster below
-EXPECTED = ("6eb4f900dd6849deba28e011eef4d0ef872d3631a96e196b9916865f0e4d7de3", 744)
+EXPECTED = ("b5dd6629d5908ea26d99fdaf3d8093715521f1cb0b19903c5b5a43ac41f2b03c", 744)
 N, TUPLES, BUDGET = 2, 5, 1
 LATTICE = [(m, eps, alpha) for m in (1, 2, 3) for eps in (0.15, 0.3) for alpha in (0.95, 1.0, 1.3)]
 # (space, n, eps, alpha, seed): the sweep workload's spaces and two curved ones,

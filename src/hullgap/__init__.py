@@ -8,7 +8,7 @@ constructive certificate families that force these gaps to decay like 1/k.
 
 Modules
 -------
-spaces        space descriptors, vectors, exact norms, sampling, grammar
+spaces        space descriptors, vectors, the compiled norm plans, sampling, grammar
 lipmetric     finite pointed metric spaces, Lipschitz seminorms, extension
 hullgeom      membership checks, hull distances, certified grid brackets
 certificates  ring-family search and the two construct/verify pipelines

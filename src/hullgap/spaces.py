@@ -1,4 +1,4 @@
-"""Finite-dimensional normed spaces: descriptors, vectors, exact norms.
+"""Finite-dimensional normed spaces: descriptors, vectors, and their one norm.
 
 A space is described by a small recursive grammar of building blocks:
 
@@ -13,8 +13,16 @@ A space is described by a small recursive grammar of building blocks:
 Every composite is the l_p norm of its parts' norms: a sup tuple or a
 module is n copies of one part under p = inf, a direct sum is two parts
 under its own p.  ``parts()`` is the one place that knows this layout;
-every walker here, and the norm-plan compiler in ``hullgeom``, handles the
-``LpFinite`` atom and the composite ``(p, parts)`` and nothing else.
+every walker here handles the ``LpFinite`` atom and the composite
+``(p, parts)`` and nothing else.
+
+Every norm of the package is computed here, by one compiler: ``norm_plan``
+turns a space into a ``NormPlan`` once, and its batch evaluator on (T, dim)
+rows serves ``norm`` (one row), ``sample_unit_ball`` and every hull
+computation in ``hullgeom``; ``dual_plan`` is the same plan with conjugate
+exponents.  An l_p sum of p-th powers that leaves the float range is redone
+scaled by its largest term, so a norm underflows to 0 or overflows to inf
+only where its value does.
 
 Vectors are flat coordinate arrays; the space descriptor drives the block
 interpretation.  ``p = inf`` is the ``math.inf`` marker and infinity norms
@@ -24,10 +32,11 @@ are always computed by ``max``, never by large-exponent powers.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import re
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -115,15 +124,6 @@ def parts(space: Space) -> Tuple[float, Tuple[Tuple[int, Space], ...]]:
     return INF, tuple((k * step, part) for k in range(copies))
 
 
-def combine(p: float, values: Sequence[float]) -> float:
-    """The l_p norm of the part values (a plain max for inf, a plain sum for 1)."""
-    if p == INF:
-        return max(values)
-    if p == 1.0:
-        return sum(values)
-    return float(np.linalg.norm(values, ord=p))
-
-
 def dim(space: Space) -> int:
     """Total coordinate dimension of a space."""
     if isinstance(space, LpFinite):
@@ -160,27 +160,396 @@ def as_coord_rows(space: Space, vs) -> np.ndarray:
     return np.stack([as_coords(space, v) for v in vs])
 
 
-def norm(space: Space, v) -> float:
-    """Exact norm of v in the given space (absolutely homogeneous, subadditive)."""
-    return _norm_arr(space, as_coords(space, v))
+# ---------------------------------------------------------------------------
+# the norm plan: every norm and dual norm of the package
 
 
-def _norm_arr(space: Space, x: np.ndarray) -> float:
+@dataclass(frozen=True, eq=False)
+class NormPlan:
+    """A space compiled once for batch work on (T, dim) arrays.
+
+    One node is the l_p combination of |x_c| over its own coordinates
+    ``cols`` and of its child nodes' norms.  Same-p nests are flattened on
+    compiling: a max of maxes is one max over the union of their
+    coordinates, a sum of sums one sum, so ``sup(n, lp(inf,d))`` is a single
+    ``np.max(np.abs(X), axis=1)``.  A one-coordinate atom is |x| for every
+    p and joins its parent's combination.
+
+    The dual plan (``dual_plan``) has the same nodes and columns with the
+    conjugate exponent at each node, since the dual of an l_p combination
+    is the l_q combination of the parts' duals.  Everything the hull solver
+    needs of a space comes from these nodes: the norm and the dual norm
+    (``evaluate``), the one-sided slopes (``probe``), the norming
+    functionals (``norming``) and the LP/NLP rows of hullgeom's
+    ``_NormEpigraph``.
+
+    ``evaluate`` and ``probe`` run the kids by ``groups``: sibling kids
+    that are one node at different column offsets (the n blocks of
+    ``sup(n, X)``, the fibers of a module) are one call of that node on
+    the gathered (T r, w) rows (``_KidGroup``).  The node's terms, its own
+    coordinates first and then its kids in kid order, fill one C-ordered
+    (K, T) stack, as the kids alone would, so each term gets the
+    operations it gets alone and grouping moves no value.  ``norming`` and
+    ``_NormEpigraph`` walk ``kids``.
+
+    ``polyhedral`` holds when every node has p in {1, inf}: the norm is then
+    a max of finitely many linear functionals, the hull problem is one LP,
+    and t -> ||V - tW|| is piecewise linear with at most ``pieces`` pieces,
+    so the segment line search, which runs on ``probe`` for every plan, is
+    exact.
+    """
+
+    p: float
+    cols: object  # None, a slice, or an index array when they are not contiguous
+    kids: Tuple["NormPlan", ...]
+    polyhedral: bool
+    pieces: int
+    evaluate: Callable[[np.ndarray], np.ndarray]
+    groups: Tuple["_KidGroup", ...] = ()
+
+    def probe(self, R: np.ndarray, W: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Value, left and right slope of s -> norm(R - sW) at s = 0, per row.
+
+        The value is computed by the same operations in the same order as
+        ``evaluate(R)``, so it equals it bit for bit.  |r_c| has slope
+        -sign(r_c) w_c, or -+|w_c| where r_c = 0; a max takes the extreme
+        slopes over its active terms, a sum the sums, and any other l_p
+        node the chain rule (``_lp_slopes``).
+        """
+        terms = []
+        if self.cols is not None:
+            r, w = R[:, self.cols], W[:, self.cols]
+            a, aw = np.abs(r), np.abs(w)
+            slope = -np.sign(r) * w
+            kink = r == 0.0
+            left = np.where(kink, -aw, slope)
+            right = np.where(kink, aw, slope)
+            if self.p == INF:
+                f = np.max(a, axis=1)
+                act = a == f[:, None]
+                terms.append((f, np.where(act, left, INF).min(axis=1),
+                              np.where(act, right, -INF).max(axis=1)))
+            elif self.p == 1.0:
+                terms.append((np.sum(a, axis=1), left.sum(axis=1), right.sum(axis=1)))
+            else:
+                f = _lp_norm(self.p, r)
+                terms.append((f,) + _lp_slopes(self.p, f, a.T, left.T, right.T))
+        if not self.groups:
+            return terms[0]
+        # value, left and right slope of each term, one C-ordered (K, T) stack each
+        T = R.shape[0]
+        fs, lefts, rights = stack = np.empty((3, len(terms) + len(self.kids), T))
+        for out, v in zip(stack, terms[0] if terms else ()):
+            out[0] = v
+        for g in self.groups:
+            for out, v in zip(stack, g.plan.probe(g.rows(R), g.rows(W))):
+                out[g.at] = g.split(v, T)
+        if self.p == INF:
+            f = functools.reduce(np.maximum, fs)
+            act = fs == f[None, :]
+            return f, np.where(act, lefts, INF).min(axis=0), np.where(act, rights, -INF).max(axis=0)
+        if self.p == 1.0:
+            return functools.reduce(np.add, fs), lefts.sum(axis=0), rights.sum(axis=0)
+        f = _lp_combine(self.p, fs)
+        return (f,) + _lp_slopes(self.p, f, fs, lefts, rights)
+
+    def norming(self, v: np.ndarray) -> List[Tuple[float, np.ndarray]]:
+        """Norming candidates at v: pairs (x @ v, x), best-attaining first.
+
+        Each x lies in the conjugate unit ball (up to rounding), and its
+        value x @ v attains this node's norm of v or nearly does: a term
+        within a fraction ``_NEAR_TIE`` of the max, or a coordinate that
+        close to 0 under a sum, counts as a tie.  A max takes the union over
+        its nearly attaining terms; any other combiner the product over its
+        terms, each child scaled by its dual l_q coefficient and cut to its
+        six best candidates.  The candidates of the dual plan at a
+        functional lie in the primal unit ball.
+        """
+        nv = float(self.evaluate(v[None, :])[0])
+        if not nv > 0.0:
+            return []
+        own = [] if self.cols is None else _own_norming(
+            self.p, np.arange(v.shape[0])[self.cols], v, nv)
+        if self.p == INF:
+            cands = own + [
+                x for kid in self.kids
+                if kid.evaluate(v[None, :])[0] >= (1.0 - _NEAR_TIE) * nv
+                for _, x in kid.norming(v)
+            ]
+        else:
+            factors = [[x for _, x in _ranked(own, v)]] if own else []
+            for kid in self.kids:
+                c = (float(kid.evaluate(v[None, :])[0]) / nv) ** (self.p - 1.0)
+                factors.append([c * x for _, x in kid.norming(v)] or [np.zeros(v.shape[0])])
+            cands = factors[0] if len(factors) == 1 else [
+                functools.reduce(np.add, combo)
+                for combo in itertools.product(*(f[:6] for f in factors))
+            ]
+        return _ranked(cands, v)
+
+
+@dataclass(frozen=True, eq=False)
+class _KidGroup:
+    """r sibling kids that are one node at r column offsets, run as one call.
+
+    ``plan`` is that node on the columns 0..w-1 of one copy, and row k of
+    ``idx`` (r, w) holds copy k's columns of the parent's rows; ``at``
+    holds the copies' places among the parent's terms.  A group of one is
+    the kid itself on the parent's rows, with ``idx`` None.
+    """
+
+    plan: NormPlan
+    idx: Optional[np.ndarray]
+    at: object  # a slice, or an index array when the places are not contiguous
+
+    def rows(self, X: np.ndarray) -> np.ndarray:
+        """The (T r, w) rows of the copies: row t r + k is copy k of row t of X."""
+        return X if self.idx is None else X[:, self.idx].reshape(-1, self.idx.shape[1])
+
+    @staticmethod
+    def split(v: np.ndarray, T: int) -> np.ndarray:
+        """Values (..., T r) over ``rows`` as (..., r, T): r term rows, copy by copy."""
+        return v.reshape(v.shape[:-1] + (T, -1)).swapaxes(-1, -2)
+
+
+_NEAR_TIE = 1e-3
+
+
+def _ranked(cands: List[np.ndarray], v: np.ndarray) -> List[Tuple[float, np.ndarray]]:
+    """(x @ v, x) for each candidate, largest value first, ties in given order."""
+    return sorted(((float(x @ v), x) for x in cands), key=lambda e: -e[0])
+
+
+def _own_norming(p: float, idx: np.ndarray, v: np.ndarray, nv: float) -> List[np.ndarray]:
+    """A node's norming factor on its own coordinates idx, as full-length vectors.
+
+    Under a max, the signed unit vector of each coordinate that nearly
+    attains nv; under a sum, the sign pattern, with both signs on up to four
+    coordinates that are nearly 0 (or single flips on the first eight of
+    more); under any other p, the gradient sign(v_c) (|v_c| / nv)^(p - 1).
+    """
+    a, sign = np.abs(v[idx]), np.sign(v[idx])
+    base = np.zeros(v.shape[0])
+    if p == INF:
+        hit = a >= (1.0 - _NEAR_TIE) * nv
+        return list(np.eye(v.shape[0])[idx[hit]] * sign[hit][:, None])
+    base[idx] = sign if p == 1.0 else sign * (a / nv) ** (p - 1.0)
+    free = idx[a <= _NEAR_TIE * nv] if p == 1.0 else idx[:0]
+    if free.shape[0] <= 4:
+        X = np.tile(base, (2 ** free.shape[0], 1))
+        X[:, free] = list(itertools.product((-1.0, 1.0), repeat=free.shape[0]))
+        return list(X)
+    k = np.arange(min(free.shape[0], 8))
+    X = np.tile(base, (1 + 2 * k.shape[0], 1))
+    X[1 + 2 * k, free[k]], X[2 + 2 * k, free[k]] = -1.0, 1.0
+    return list(X)
+
+
+def _lp_norm(p: float, r: np.ndarray) -> np.ndarray:
+    """The l_p norm of each row of r, for 1 < p < inf."""
+    if p == 2.0:  # the root of 0.5 is np.sqrt, bit for bit
+        return _lp_root(2.0, np.einsum("td,td->t", r, r), r.T)
+    a = np.abs(r)
+    with np.errstate(over="ignore", under="ignore"):  # _lp_root redoes those rows
+        total = np.add.reduce(a ** p, axis=1)
+    return _lp_root(p, total, a.T)
+
+
+def _lp_combine(p: float, fs) -> np.ndarray:
+    """The l_p combination (1 < p < inf) of the terms fs, one row of T values each."""
+    with np.errstate(over="ignore", under="ignore"):  # _lp_root redoes those rows
+        total = functools.reduce(np.add, [fk ** p for fk in fs])
+    return _lp_root(p, total, fs)
+
+
+# below this a sum of p-th powers may have lost digits to subnormal terms
+_LP_SAFE = np.finfo(float).tiny * 2.0 ** 53
+
+
+def _lp_root(p: float, total: np.ndarray, terms) -> np.ndarray:
+    """total ** (1/p), where total sums the p-th powers of |terms|, column by column.
+
+    The powers leave the float range at moderate scales for large p,
+    (4e-4) ** 100 is 0 and (2e10) ** 30 is inf, and at the ends of it for
+    p = 2: (1e-200) ** 2 is 0.  Entries of total below ``_LP_SAFE`` or not
+    finite are redone scaled by their largest term; every other entry keeps
+    the plain root.
+    """
+    f = total ** (1.0 / p)
+    if np.minimum.reduce(total, initial=INF) >= _LP_SAFE and np.maximum.reduce(total, initial=0.0) < INF:
+        return f
+    bad = np.flatnonzero(~((total >= _LP_SAFE) & (total < INF)))
+    a = np.abs(np.asarray(terms)[:, bad])
+    top = a.max(axis=0)
+    keep = (top > 0.0) & (top < INF)
+    bad, a, top = bad[keep], a[:, keep], top[keep]
+    f[bad] = top * np.sum((a / top) ** p, axis=0) ** (1.0 / p)
+    return f
+
+
+def _lp_slopes(p: float, f: np.ndarray, fs: np.ndarray, lefts: np.ndarray,
+               rights: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Left and right slopes of f, the l_p combination (1 < p < inf) of terms.
+
+    Term k is row k of fs, with its one-sided slopes in lefts and rights.
+    Where f > 0 the chain rule weighs term k by (f_k / f)^(p - 1), which is
+    0 on a zero term; where f = 0 every term is 0 and grows like |s| times
+    its slope on each side, so f does too, with the l_p norm of those slopes.
+    """
+    pos = f > 0.0
+    c = (fs / np.where(pos, f, 1.0)) ** (p - 1.0)
+    left, right = (c * lefts).sum(axis=0), (c * rights).sum(axis=0)
+    if not pos.all():
+        zero = ~pos
+        left[zero] = -_lp_combine(p, np.abs(lefts[:, zero]))
+        right[zero] = _lp_combine(p, np.abs(rights[:, zero]))
+    return left, right
+
+
+def _own_evaluator(p: float, cols) -> Callable[[np.ndarray], np.ndarray]:
+    """The l_p norm of the coordinates ``cols`` of each row."""
+    if p == INF:
+        return lambda X: np.max(np.abs(X[:, cols]), axis=1)
+    if p == 1.0:
+        return lambda X: np.sum(np.abs(X[:, cols]), axis=1)
+    return lambda X: _lp_norm(p, X[:, cols])
+
+
+def _combined_evaluator(p: float, own, groups: Tuple[_KidGroup, ...],
+                        K: int) -> Callable[[np.ndarray], np.ndarray]:
+    """The l_p norm of the K >= 2 terms' values: own first, then the kids in kid order."""
+    if p in (1.0, INF):
+        combine = functools.partial(functools.reduce, np.maximum if p == INF else np.add)
+    else:
+        combine = functools.partial(_lp_combine, p)
+
+    def ev(X: np.ndarray) -> np.ndarray:
+        fs = np.empty((K, X.shape[0]))
+        if own is not None:
+            fs[0] = own(X)
+        for g in groups:
+            fs[g.at] = g.split(g.plan.evaluate(g.rows(X)), X.shape[0])
+        return combine(fs)
+
+    return ev
+
+
+def _flat_layout(space: Space, off: int) -> Tuple[Optional[float], List[int], list]:
+    """(p, own coordinates, child layouts) with same-p nests spliced in.
+
+    p is None for a one-coordinate atom, which fits under any combiner.
+    """
     if isinstance(space, LpFinite):
-        if space.p == INF:
-            return float(np.max(np.abs(x)))
-        return float(np.linalg.norm(x, ord=space.p))
+        return (space.p if space.d > 1 else None), list(range(off, off + space.d)), []
     p, subs = parts(space)
-    return combine(p, [_norm_arr(part, x[off : off + dim(part)]) for off, part in subs])
+    cols: List[int] = []
+    kids = []
+    for o, part in subs:
+        q, c, k = _flat_layout(part, off + o)
+        if q is None or q == p:
+            cols += c
+            kids += k
+        else:
+            kids.append((q, c, k))
+    if not cols and len(kids) == 1:
+        return kids[0]
+    return p, cols, kids
 
 
-def mean_block(space: SupTuple, z) -> np.ndarray:
-    """Arithmetic mean (1/n) * sum of the n blocks, as coordinates of the inner space."""
-    if not isinstance(space, SupTuple):
-        raise TypeError(f"mean_block needs a SupTuple space, got {format_space(space)}")
-    x = as_coords(space, z)
-    di = dim(space.inner)
-    return x.reshape(space.n, di).mean(axis=0)
+def _conjugate(p: float) -> float:
+    if p == 1.0:
+        return INF
+    if p == INF:
+        return 1.0
+    return p / (p - 1.0)
+
+
+def _layout_cols(layout: tuple) -> List[int]:
+    """Every column a flat layout reads, its own and its kids'."""
+    _, cols, kids = layout
+    return list(cols) + [c for k in kids for c in _layout_cols(k)]
+
+
+def _shifted(layout: tuple, by: int) -> tuple:
+    """The layout with every column lowered by ``by``, as nested tuples."""
+    p, cols, kids = layout
+    return p, tuple(c - by for c in cols), tuple(_shifted(k, by) for k in kids)
+
+
+def _kid_groups(kids: list, nodes: Tuple[NormPlan, ...], first: int,
+                exponent: Callable[[float], float]) -> Tuple[_KidGroup, ...]:
+    """The kids grouped by their layout up to a column offset; kid i is term first + i."""
+    found: Dict[tuple, List[Tuple[int, int]]] = {}
+    for i, kid in enumerate(kids):
+        lo = min(_layout_cols(kid))
+        found.setdefault(_shifted(kid, lo), []).append((first + i, lo))
+    groups = []
+    for template, members in found.items():
+        at, offsets = (np.array(v) for v in zip(*members))
+        if np.all(np.diff(at) == 1):
+            at = slice(int(at[0]), int(at[-1]) + 1)
+        if len(members) == 1:
+            groups.append(_KidGroup(nodes[members[0][0] - first], None, at))
+        else:
+            idx = offsets[:, None] + np.arange(max(_layout_cols(template)) + 1)
+            groups.append(_KidGroup(_compile(template, exponent), idx, at))
+    return tuple(groups)
+
+
+def _compile(layout: tuple, exponent: Callable[[float], float]) -> NormPlan:
+    """The plan of a flat layout, with ``exponent`` applied to each node's p.
+
+    Kids with the same layout up to a column offset are grouped
+    (``_kid_groups``): one template plan, compiled on the columns of one
+    copy, runs them all in ``evaluate`` and ``probe``.
+    """
+    p, cols, kids = layout
+    p = exponent(INF if p is None else p)
+    nodes = tuple(_compile(k, exponent) for k in kids)
+    if not cols:
+        sel = None
+    elif list(cols) == list(range(cols[0], cols[0] + len(cols))):
+        sel = slice(cols[0], cols[0] + len(cols))
+    else:
+        sel = np.array(cols)
+    own = None if sel is None else _own_evaluator(p, sel)
+    first = int(own is not None)  # the kids' first place among the terms
+    groups = _kid_groups(kids, nodes, first, exponent)
+    # along a line: |x_c| has two pieces and one kink; a max of convex pieces
+    # has at most as many pieces as its terms together, a sum one more than
+    # the kinks of its terms together
+    if p == INF:
+        pieces = 2 * len(cols) + sum(k.pieces for k in nodes)
+    else:
+        pieces = 1 + len(cols) + sum(k.pieces - 1 for k in nodes)
+    return NormPlan(
+        p=p, cols=sel, kids=nodes,
+        polyhedral=p in (1.0, INF) and all(k.polyhedral for k in nodes),
+        pieces=pieces, groups=groups,
+        evaluate=own if not nodes else _combined_evaluator(p, own, groups, first + len(nodes)),
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def norm_plan(space: Space) -> NormPlan:
+    """The space's norm plan, compiled once per (frozen) descriptor."""
+    return _compile(_flat_layout(space, 0), lambda p: p)
+
+
+@functools.lru_cache(maxsize=None)
+def dual_plan(space: Space) -> NormPlan:
+    """The plan of the dual norm: the norm plan's nodes with conjugate exponents."""
+    return _compile(_flat_layout(space, 0), _conjugate)
+
+
+def norm_evaluator(space: Space) -> Callable[[np.ndarray], np.ndarray]:
+    """The batch evaluator mapping an (T, dim) array to the T norms."""
+    return norm_plan(space).evaluate
+
+
+def norm(space: Space, v) -> float:
+    """The norm of one vector: the space's norm plan on a single row."""
+    return float(norm_plan(space).evaluate(as_coords(space, v)[None, :])[0])
 
 
 def sup_slots(space: Space) -> Optional[List[Tuple[int, Space]]]:
@@ -237,15 +606,19 @@ def norming_section(space: Space) -> np.ndarray:
     return x
 
 
-def _unit(space: Space, x: np.ndarray) -> Optional[np.ndarray]:
-    n = _norm_arr(space, x)
-    if n == 0.0 or not math.isfinite(n):
-        return None
-    y = x / n
-    n2 = _norm_arr(space, y)
-    if n2 > 1.0:
-        y = y / n2
-    return y
+def _units(space: Space, X: np.ndarray) -> np.ndarray:
+    """The rows of X with a finite nonzero norm, each divided by its norm.
+
+    A quotient whose norm rounds above 1 is divided by that norm once more.
+    """
+    ev = norm_plan(space).evaluate
+    n = ev(X)
+    ok = (n > 0.0) & (n < INF)
+    U = X[ok] / n[ok, None]
+    n = ev(U)
+    over = n > 1.0
+    U[over] = U[over] / n[over, None]
+    return U
 
 
 def sample_unit_ball(space: Space, count: int, seed: int) -> np.ndarray:
@@ -258,39 +631,23 @@ def sample_unit_ball(space: Space, count: int, seed: int) -> np.ndarray:
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     D = dim(space)
-    rng = np.random.default_rng(seed)
+    # sign patterns, bit i of the code -> -1 so (1, 1, ..., 1) comes first; a
+    # pattern's norm lies in [1, D], so no pattern is dropped or repeats another
+    codes = np.arange(min(2 ** min(D, 12), count))
+    signs = np.ones((codes.shape[0], D))
+    signs[:, :12] = np.where((codes[:, None] >> np.arange(min(D, 12))) & 1, -1.0, 1.0)
+    eye = np.eye(D)
+    U = _units(space, np.concatenate([signs, np.stack([eye, -eye], axis=1).reshape(2 * D, D)]))
     out: List[np.ndarray] = []
     seen = set()
-
-    def push_structured(x: np.ndarray) -> None:
-        u = _unit(space, x)
-        if u is None:
-            return
-        key = tuple(np.round(u, 12))
-        if key in seen:
-            return
-        seen.add(key)
-        out.append(u)
-
-    # sign-pattern vertices; bit 0 -> +1 so (1, 1, ..., 1) comes first
-    for code in range(min(2 ** min(D, 12), 4096)):
-        if len(out) >= count:
-            break
-        s = np.array([1.0 if not (code >> i) & 1 else -1.0 for i in range(D)])
-        push_structured(s)
-    for i in range(D):
-        if len(out) >= count:
-            break
-        e = np.zeros(D)
-        e[i] = 1.0
-        push_structured(e)
-        if len(out) < count:
-            push_structured(-e)
-    while len(out) < count:
-        g = rng.standard_normal(D)
-        u = _unit(space, g)
-        if u is not None:
+    for u, key in zip(U, map(tuple, np.round(U, 12))):
+        if key not in seen:
+            seen.add(key)
             out.append(u)
+    rng = np.random.default_rng(seed)
+    while len(out) < count:
+        # k draws of D as one (k, D) block: the same stream as k draws one by one
+        out.extend(_units(space, rng.standard_normal((count - len(out), D))))
     return np.stack(out[:count])
 
 

@@ -14,6 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import hullgap.dkprofile as dkprofile
 import hullgap.hullgeom as hullgeom
+import hullgap.spaces as spaces
 from hullgap.dkprofile import _adversaries, estimate_dk
 from hullgap.errors import (
     CapabilityRefusal,
@@ -29,12 +30,9 @@ from hullgap.hullgeom import (
     dist_to_cm_grid,
     dist_to_cm_upper,
     dual_norm,
-    dual_plan,
     grid_guard_report,
     mean_norm_evaluator,
     min_norm_point,
-    norm_evaluator,
-    norm_plan,
     require_nonempty,
     validate_decomposition,
 )
@@ -47,8 +45,11 @@ from hullgap.spaces import (
     SupTuple,
     canonical_unit,
     dim,
+    dual_plan,
     format_space,
     norm,
+    norm_evaluator,
+    norm_plan,
     parse_space,
 )
 
@@ -243,6 +244,22 @@ class TestMemberCheck:
         p = CmParams(n=2, epsilon=0.1, alpha=1.1)
         assert cm_member_check(SCALARS, p, [1.05, 0.95]).passed
 
+    def test_mean_norm_is_the_norm_of_the_block_mean(self):
+        p = CmParams(n=2, epsilon=0.1)
+        assert cm_member_check(LpFinite(2.0, 2), p, [3, 4, 3, 4]).mean_norm == 5.0
+        assert cm_member_check(LpFinite(2.0, 2), p, [1, 2, -1, -2]).mean_norm == 0.0
+        three = cm_member_check(LpFinite(INF, 1), CmParams(n=3, epsilon=0.1), [1, 1, -1])
+        assert three.mean_norm == pytest.approx(1 / 3, abs=1e-12)
+
+    def test_norms_stay_finite_at_a_huge_tuple(self):
+        p = CmParams(n=2, epsilon=0.1)
+        for text in ("lp(2,2)", "lp(4,2)", "dsum(2, lp(1,1), lp(1,1))"):
+            sp = parse_space(text)
+            g = 1e200 * np.concatenate([canonical_unit(sp), 0.5 * canonical_unit(sp)])
+            rep = cm_member_check(sp, p, g)
+            assert rep.sup_norm == 1e200, text
+            assert rep.mean_norm == pytest.approx(0.75e200, rel=1e-15), text
+
 
 class TestDecompositions:
     def test_count_mismatch(self):
@@ -359,7 +376,7 @@ class TestNormMachinery:
 
     def test_l2_norm_at_the_ends_of_the_float_range(self):
         # the squares leave the float range where the norm does not
-        lp_norm = hullgeom._lp_norm
+        lp_norm = spaces._lp_norm
         assert lp_norm(2.0, np.array([[1e-200, 0.0]]))[0] == 1e-200
         assert lp_norm(2.0, np.array([[1e200, 0.0]]))[0] == 1e200
         assert lp_norm(2.0, np.array([[3e200, 4e200]]))[0] == pytest.approx(5e200, rel=4e-16)
@@ -1266,8 +1283,8 @@ class TestKidGroups:
             return f, np.where(act, lefts, INF).min(axis=0), np.where(act, rights, -INF).max(axis=0)
         if p == 1.0:
             return functools.reduce(np.add, fs), lefts.sum(axis=0), rights.sum(axis=0)
-        f = hullgeom._lp_combine(p, fs)
-        return (f,) + hullgeom._lp_slopes(p, f, fs, lefts, rights)
+        f = spaces._lp_combine(p, fs)
+        return (f,) + spaces._lp_slopes(p, f, fs, lefts, rights)
 
     @pytest.mark.parametrize("sp", GROUPED, ids=format_space)
     def test_terms_match_each_block_alone(self, sp):
@@ -1296,13 +1313,13 @@ class TestKidGroups:
 
     def test_one_probe_is_one_inner_call(self, monkeypatch):
         sp = SupTuple(2, LpFinite(4.0, 2))
-        calls, probe = [], hullgeom.NormPlan.probe
+        calls, probe = [], spaces.NormPlan.probe
 
         def counting(plan, R, W):
             calls.append((plan, R.shape))
             return probe(plan, R, W)
 
-        monkeypatch.setattr(hullgeom.NormPlan, "probe", counting)
+        monkeypatch.setattr(spaces.NormPlan, "probe", counting)
         R = np.random.default_rng(3).uniform(-1.0, 1.0, (6, 4))
         norm_plan(sp).probe(R, R[::-1])
         assert [shape for _, shape in calls] == [(6, 4), (12, 2)]

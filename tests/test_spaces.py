@@ -17,8 +17,9 @@ from hullgap.spaces import (
     canonical_unit,
     dim,
     format_space,
-    mean_block,
     norm,
+    norm_evaluator,
+    norm_plan,
     norming_section,
     parse_space,
     parts,
@@ -76,26 +77,14 @@ class TestNormExamples:
             norm(LpFinite(2, 3), [1, 2])
         assert "2" in str(err.value) and "3" in str(err.value)
 
-
-class TestMeanBlock:
-    def test_idempotent_on_equal_blocks(self):
-        sp = SupTuple(2, LpFinite(2, 2))
-        v = [1, 2, 1, 2]
-        assert np.array_equal(mean_block(sp, v), [1, 2])
-
-    def test_opposite_blocks_cancel(self):
-        sp = SupTuple(2, LpFinite(2, 2))
-        v = [1, 2, -1, -2]
-        assert np.array_equal(mean_block(sp, v), [0, 0])
-
-    def test_scalar_arithmetic(self):
-        sp = SupTuple(3, LpFinite(INF, 1))
-        m = mean_block(sp, [1, 1, -1])
-        assert m[0] == pytest.approx(1 / 3, abs=ATOL)
-
-    def test_rejects_non_tuple_space(self):
-        with pytest.raises(TypeError):
-            mean_block(LpFinite(2, 2), [1, 2])
+    @pytest.mark.parametrize("text, row, want", [
+        ("lp(4,2)", [1e-100, 0.0], 1e-100),
+        ("lp(4,2)", [1e100, 0.0], 1e100),
+        ("lp(2,2)", [1e200, 0.0], 1e200),
+        ("dsum(2, lp(1,1), lp(1,1))", [1e200, 1e200], 1.414213562373095e200),
+    ])
+    def test_norm_where_the_powers_leave_the_float_range(self, text, row, want):
+        assert norm(parse_space(text), row) == want
 
 
 class TestSampling:
@@ -116,6 +105,65 @@ class TestSampling:
 
     def test_count_respected(self):
         assert sample_unit_ball(LpFinite(1, 2), 17, seed=1).shape == (17, 2)
+
+    def test_curved_rows_at_most_one(self):
+        sp = LpFinite(4.0, 2)
+        assert np.all(norm_evaluator(sp)(sample_unit_ball(sp, 200, seed=5)) <= 1.0)
+
+    @staticmethod
+    def one_at_a_time(space, count, seed):
+        """sample_unit_ball as a loop over single vectors, each normed by ``norm``."""
+        D = dim(space)
+        out, seen = [], set()
+
+        def unit(x):
+            n = norm(space, x)
+            if n == 0.0 or not math.isfinite(n):
+                return None
+            y = x / n
+            n2 = norm(space, y)
+            return y / n2 if n2 > 1.0 else y
+
+        def push(x):
+            u = unit(x)
+            key = tuple(np.round(u, 12))
+            if key not in seen:
+                seen.add(key)
+                out.append(u)
+
+        for code in range(min(2 ** min(D, 12), 4096)):
+            if len(out) >= count:
+                break
+            push(np.array([-1.0 if (code >> i) & 1 else 1.0 for i in range(D)]))
+        for i in range(D):
+            if len(out) >= count:
+                break
+            e = np.zeros(D)
+            e[i] = 1.0
+            push(e)
+            if len(out) < count:
+                push(-e)
+        rng = np.random.default_rng(seed)
+        while len(out) < count:
+            u = unit(rng.standard_normal(D))
+            if u is not None:
+                out.append(u)
+        return np.stack(out)
+
+    @pytest.mark.parametrize("text, count", [
+        ("lp(2,1)", 7),  # +-e_0 repeat the two sign patterns
+        ("lp(inf,1)", 1),
+        ("lp(4,2)", 3),
+        ("dsum(2, lp(1,2), lp(inf,1))", 40),  # past the 8 patterns and 6 basis vectors
+        ("sup(3, lp(1.5,2))", 90),
+        ("fmod(2, lp(3,7))", 50),  # D = 14: the patterns vary bits 0..11 only
+        ("lp(1.5,13)", 4130),  # all 4096 patterns, the 26 basis vectors, 8 draws
+    ])
+    def test_batches_equal_the_vector_loop(self, text, count):
+        sp = parse_space(text)
+        for seed in (0, 11):
+            got = sample_unit_ball(sp, count, seed)
+            assert got.tobytes() == self.one_at_a_time(sp, count, seed).tobytes(), seed
 
 
 class TestHelpers:
@@ -225,7 +273,15 @@ class TestNormAxioms:
         both = np.concatenate([u, v])
         s1 = DirectSum(1, sp, sp)
         si = DirectSum(INF, sp, sp)
-        assert norm(s1, both) == norm(sp, u) + norm(sp, v)
+        a, b = norm(s1, both), norm(sp, u) + norm(sp, v)
+        if norm_plan(sp).p != 1.0:
+            assert a == b
+        else:
+            # the plan splices a sum of sums into one flat sum: a and b add the
+            # same k <= dim(s1) nonnegative terms in two orders, each within
+            # gamma_(k-1) S of their exact sum S (Higham 2002, sec. 4.2)
+            g = (dim(s1) - 1) * 2.0 ** -53 / (1.0 - (dim(s1) - 1) * 2.0 ** -53)
+            assert abs(a - b) <= 2.0 * g * b / (1.0 - g)
         assert norm(si, both) == max(norm(sp, u), norm(sp, v))
 
     @settings(max_examples=200, deadline=None)
