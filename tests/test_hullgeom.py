@@ -244,13 +244,6 @@ class TestMemberCheck:
         p = CmParams(n=2, epsilon=0.1, alpha=1.1)
         assert cm_member_check(SCALARS, p, [1.05, 0.95]).passed
 
-    def test_mean_norm_is_the_norm_of_the_block_mean(self):
-        p = CmParams(n=2, epsilon=0.1)
-        assert cm_member_check(LpFinite(2.0, 2), p, [3, 4, 3, 4]).mean_norm == 5.0
-        assert cm_member_check(LpFinite(2.0, 2), p, [1, 2, -1, -2]).mean_norm == 0.0
-        three = cm_member_check(LpFinite(INF, 1), CmParams(n=3, epsilon=0.1), [1, 1, -1])
-        assert three.mean_norm == pytest.approx(1 / 3, abs=1e-12)
-
     def test_norms_stay_finite_at_a_huge_tuple(self):
         p = CmParams(n=2, epsilon=0.1)
         for text in ("lp(2,2)", "lp(4,2)", "dsum(2, lp(1,1), lp(1,1))"):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hullgap.hullgeom import CmParams, cm_member_check
 from hullgap.spaces import (
     INF,
     DimensionMismatch,
@@ -76,6 +77,22 @@ class TestNormExamples:
         with pytest.raises(DimensionMismatch) as err:
             norm(LpFinite(2, 3), [1, 2])
         assert "2" in str(err.value) and "3" in str(err.value)
+
+
+class TestMeanBlock:
+    """The block mean of an ambient n-tuple, as cm_member_check norms it."""
+
+    def test_idempotent_on_equal_blocks(self):
+        rep = cm_member_check(LpFinite(2, 2), CmParams(n=2, epsilon=0.1), [3, 4, 3, 4])
+        assert rep.mean_norm == 5.0
+
+    def test_opposite_blocks_cancel(self):
+        rep = cm_member_check(LpFinite(2, 2), CmParams(n=2, epsilon=0.1), [1, 2, -1, -2])
+        assert rep.mean_norm == 0.0
+
+    def test_scalar_arithmetic(self):
+        rep = cm_member_check(LpFinite(INF, 1), CmParams(n=3, epsilon=0.1), [1, 1, -1])
+        assert rep.mean_norm == pytest.approx(1 / 3, abs=ATOL)
 
     @pytest.mark.parametrize("text, row, want", [
         ("lp(4,2)", [1e-100, 0.0], 1e-100),
