@@ -4,8 +4,9 @@
 
 The roster holds ``dist_to_cm_upper`` calls on curved and polyhedral
 spaces, at alpha below and above 1, over an (m, eps, alpha) lattice on
-seeded tuples, and ``estimate_dk`` profiles of the benchmark's sweep
-spaces and a curved space.  Every result is serialised exactly (floats by
+seeded tuples, ``estimate_dk`` profiles of the benchmark's sweep spaces
+and a curved space, gridded profiles of the reals with n = 2, and
+``dist_to_cm_grid`` brackets at z* = (1, -1) of the reals with n = 2.  Every result is serialised exactly (floats by
 ``repr``, which round-trips) and fed to one hash, so two trees that print
 the same digest give the same bits on the whole roster.  The script exits
 1 when the digest differs from the pinned ``EXPECTED``, so a change that
@@ -19,7 +20,7 @@ import sys
 import numpy as np
 
 from hullgap.dkprofile import estimate_dk
-from hullgap.hullgeom import CmParams, dist_to_cm_upper
+from hullgap.hullgeom import CmParams, dist_to_cm_grid, dist_to_cm_upper
 from hullgap.spaces import dim, norm, parse_space
 
 UPPER_SPACES = (
@@ -33,7 +34,7 @@ UPPER_SPACES = (
     "sup(2, lp(inf,2))",
 )
 # the digest and result count of the roster below
-EXPECTED = ("b5dd6629d5908ea26d99fdaf3d8093715521f1cb0b19903c5b5a43ac41f2b03c", 744)
+EXPECTED = ("4195ba054da30a86f405e156185a4a34bd114a567c5c17430015227beea1b777", 764)
 N, TUPLES, BUDGET = 2, 5, 1
 LATTICE = [(m, eps, alpha) for m in (1, 2, 3) for eps in (0.15, 0.3) for alpha in (0.95, 1.0, 1.3)]
 # (space, n, eps, alpha, seed): the sweep workload's spaces and two curved ones,
@@ -44,6 +45,12 @@ PROFILES = [
     for alpha in (1.0, 0.95)
     for seed in (1, 5, 9)
 ]
+# (eps, resolution, seed): gridded profiles of the reals with n = 2, k 1..3,
+# whose lower sides come from the grid oracle in ambient dimension 2
+GRID_PROFILES = [(eps, h, seed) for h in (0.1, 0.05) for eps in (0.15, 0.3) for seed in (1, 5)]
+# (eps, m, resolution): grid brackets at z* = (1, -1) of the reals with n = 2,
+# as the benchmark's brackets workload asks them
+ZSTAR = [(eps, m, h) for h in (0.1, 0.05) for eps in (0.15, 0.3) for m in (1, 2, 3)]
 
 
 def _tuple(space, rng) -> np.ndarray:
@@ -69,6 +76,12 @@ def results():
         prof = estimate_dk(parse_space(text), n, eps, alpha=alpha, k_range=(1, 2, 3),
                            budget=1, seed=seed)
         yield prof.to_jsonable()
+    reals = parse_space("lp(2,1)")
+    for eps, h, seed in GRID_PROFILES:
+        prof = estimate_dk(reals, 2, eps, k_range=(1, 2, 3), budget=1, seed=seed, resolution=h)
+        yield prof.to_jsonable()
+    for eps, m, h in ZSTAR:
+        yield dist_to_cm_grid(reals, np.array([1.0, -1.0]), CmParams(2, eps, 1.0, m), h).to_jsonable()
 
 
 def main() -> int:
