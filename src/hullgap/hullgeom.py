@@ -459,16 +459,18 @@ _PAIR_CAP = 18
 
 
 def _polish_true_norm(
-    space: Space, G: np.ndarray, Z: np.ndarray, lam: np.ndarray, sweeps: int
+    space: Space, G: np.ndarray, Z: np.ndarray, lam: np.ndarray, sweeps: int,
+    dists: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Pairwise weight transfers with exact convex line searches, on a stack of rows.
 
     Row r has its own point Z[r] (Z is (R, D)), the generators G[r] (a
     (R, K, D) stack) and the weights lam[r], so one stack may hold the
-    supports of many upper engines.  In a row, weight moves from the
-    support to the support and the ``_PAIR_CAP`` generators nearest Z[r]; a
-    sweep takes the best transfer (the first pair on a tie) while it
-    improves the norm, and a row that stops improving is done.  The rows
+    supports of many upper engines; dists[r, k] is the norm of Z[r] -
+    G[r, k], which every caller has already computed.  In a row, weight
+    moves from the support to the support and the ``_PAIR_CAP`` generators
+    nearest Z[r]; a sweep takes the best transfer (the first pair on a tie)
+    while it improves the norm, and a row that stops improving is done.  The rows
     are independent, but every sweep gathers the pairs of all rows still
     improving into one segment search.
 
@@ -477,9 +479,9 @@ def _polish_true_norm(
     row's weights are those any larger cap gives, bit for bit.
     """
     nrm = norm_evaluator(space)
-    R, K, D = G.shape
+    R, K = dists.shape
     near = np.zeros((R, K), dtype=bool)
-    order = np.argsort(nrm((Z[:, None, :] - G).reshape(R * K, D)).reshape(R, K), axis=1)
+    order = np.argsort(dists, axis=1)
     np.put_along_axis(near, order[:, :_PAIR_CAP], True, axis=1)
     lam = lam.copy()
     live = np.arange(R)
@@ -836,7 +838,8 @@ def min_norm_point(
         stage = "lp"
     else:
         lam = _euclid_surrogate(G[None], zz[None])[0]
-        lam = _polish_true_norm(space, G[None], zz[None], lam[None], sweeps=25)[0][0]
+        lam = _polish_true_norm(space, G[None], zz[None], lam[None], sweeps=25,
+                                dists=vertex_dists[None])[0][0]
         best_val = dist(lam)
         lower, phi = certified_hull_lower(space, zz, G, zz - lam @ G)
         stage = "norming"
@@ -965,7 +968,7 @@ class _UpperEngine:
         uniform = np.full(K, 1.0 / K)
         u_val = self.nrm_sup(Z - np.matmul(uniform, gens))
         lams, settled = _polish_true_norm(self.amb, gens, Z, _euclid_surrogate(gens, Z),
-                                          sweeps=60 if accurate else 8)
+                                          sweeps=60 if accurate else 8, dists=vd)
         p_val = self.nrm_sup(Z - (lams[:, None, :] @ gens)[:, 0])
         # after the vertex, the polished and then the uniform weights, each
         # kept only where strictly nearer

@@ -969,8 +969,9 @@ class TestBatchedRows:
                 G = np.stack([e.pool[list(r)] for r in rows if len(r) == k])
                 Z = np.broadcast_to(e.z, (G.shape[0], G.shape[2]))
                 start = hullgeom._euclid_surrogate(G, Z)
-                lam, settled = hullgeom._polish_true_norm(e.amb, G, Z, start, sweeps)
-                lam60, settled60 = hullgeom._polish_true_norm(e.amb, G, Z, start, 60)
+                dists = e.nrm_sup((Z[:, None, :] - G).reshape(-1, G.shape[2])).reshape(G.shape[:2])
+                lam, settled = hullgeom._polish_true_norm(e.amb, G, Z, start, sweeps, dists)
+                lam60, settled60 = hullgeom._polish_true_norm(e.amb, G, Z, start, 60, dists)
                 assert np.array_equal(lam[settled], lam60[settled]), (sweeps, k)
                 assert settled60[settled].all()
                 if sweeps == 8 and k == 3:
