@@ -41,7 +41,7 @@ from .hullgeom import (
     _best_upper,
     _build_engines,
     ambient_space,
-    dist_to_cm_grid,
+    dist_to_cm_grid_lower,
     grid_guard_report,
     require_grid_fits,
     validate_decomposition,
@@ -60,8 +60,9 @@ from .certificates import (
     validate_ring_family,
 )
 
-# auto-chosen grids run once per (adversary, k) pair, so they get a point
-# budget well under the single-call guard
+# an auto-chosen grid is normed once per profile, but its members are
+# scanned once per (adversary, m class) pair, so it gets a point budget
+# well under the single-call guard
 _AUTO_GRID_CAP = 300_000
 _AUTO_LADDER = (0.01, 0.02, 0.025, 0.05, 0.1, 0.2, 0.25)
 
@@ -198,9 +199,12 @@ def estimate_dk(
     point cap (or the caller pins a resolution), each lower side is the
     largest certified grid lower over the candidates, not monotonized: a
     candidate's m = 1 lower is never below its m >= 2 one, which is the same
-    for every m >= 2, so the grid runs once per candidate for k = 1 and once
-    for all k >= 2.  With an explicit resolution the guard refusal
-    propagates instead of degrading.
+    for every m >= 2, so the grid oracle's lower side
+    (``dist_to_cm_grid_lower``, the bracket's lower without its upper side)
+    runs once per candidate for k = 1 and once for all k >= 2.  Those calls
+    share one normed grid and one member selection, with its hulls.  With
+    an explicit resolution the guard refusal propagates instead of
+    degrading, and a grid with no members refuses as the oracle does.
 
     Deterministic for fixed (seed, budget): the candidate list, the inner
     engines, and the grid are all seeded or exact.  The candidates' upper
@@ -233,9 +237,9 @@ def estimate_dk(
         if h is not None and min(k, 2) not in lows:
             low, low_id = 0.0, ""
             for cid, v in cands:
-                g = dist_to_cm_grid(space, v, p, h)
-                if g.lower > low:
-                    low, low_id = g.lower, cid
+                g = dist_to_cm_grid_lower(space, v, p, h)
+                if g > low:
+                    low, low_id = g, cid
             lows[min(k, 2)] = (low, low_id)
         low, low_id = lows.get(min(k, 2), (0.0, ""))
         raw.append((k, up, up_id, up_wit, up_support, low, low_id))

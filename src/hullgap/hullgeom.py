@@ -19,7 +19,9 @@ module answers "how far is z from that set" three ways:
   weights are polished by one segment line search on every norm, tangent
   cuts on the norm plan's one-sided slopes;
 * ``dist_to_cm_grid`` -- an enumeration oracle producing two-sided brackets
-  whose lower side is backed by a covering-radius argument.
+  whose lower side is backed by a covering-radius argument; the grid and
+  its members are computed once and shared by every call at the same
+  parameters, and ``dist_to_cm_grid_lower`` computes the lower side alone.
 
 Every norm and dual norm here is a plan that ``spaces`` compiles
 (``norm_plan``, ``dual_plan``, ``norm_evaluator``); this module adds the
@@ -34,7 +36,6 @@ the closure of the constraint set; the infimum is the same.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -357,6 +358,10 @@ class MinNormResult:
     # "slsqp-primal" (the same after the primal refinement) or "slsqp-dual"
     # (the dual refinement)
     stage: str
+    # the functional of ``lower``, rescaled into the dual unit ball: lower is
+    # max(0, phi(z) - max_j phi(g_j)), so it certifies any other generator
+    # set too; None where lower is 0 without one
+    functional: Optional[np.ndarray] = None
 
 
 _CURVED_STEPS = 100
@@ -800,8 +805,8 @@ def min_norm_point(
 
     ``distance`` is the norm of z - lam G for the returned weights lam on
     the simplex; ``lower`` is phi(z) - max_j phi(g_j) for a functional phi
-    rescaled by its exactly computed dual norm, so the gap is rigorous
-    whatever the solvers' tolerances.  One of two routes runs:
+    (``functional``) rescaled by its exactly computed dual norm, so the gap
+    is rigorous whatever the solvers' tolerances.  One of two routes runs:
 
     * polyhedral norms (``norm_plan(space).polyhedral``): one LP,
       whose equality marginals are the functional (stage "lp");
@@ -834,7 +839,7 @@ def min_norm_point(
             raise InternalInconsistencyError(f"hull LP failed on {K} generators in dimension {D}")
         lam = sol[0]
         best_val = dist(lam)
-        lower, _ = _dual_lower(space, zz, G, sol[1])
+        lower, phi = _dual_lower(space, zz, G, sol[1])
         stage = "lp"
     else:
         lam = _euclid_surrogate(G[None], zz[None])[0]
@@ -851,9 +856,9 @@ def min_norm_point(
                 if lower_r > lower:
                     lower, phi, stage = lower_r, phi_r, "slsqp-primal"
         if best_val - lower > target_gap:
-            lower_d, _ = _dual_lower(space, zz, G, _slsqp_dual(space, G, zz, phi))
+            lower_d, phi_d = _dual_lower(space, zz, G, _slsqp_dual(space, G, zz, phi))
             if lower_d > lower:
-                lower, stage = lower_d, "slsqp-dual"
+                lower, phi, stage = lower_d, phi_d, "slsqp-dual"
     gap = max(0.0, best_val - lower)
     return MinNormResult(
         distance=best_val,
@@ -863,6 +868,7 @@ def min_norm_point(
         lower=lower,
         converged=gap <= target_gap,
         stage=stage,
+        functional=phi,
     )
 
 
@@ -1344,6 +1350,122 @@ def _grid_points(alpha: float, h: float, D: int) -> np.ndarray:
     return np.stack([g.reshape(-1) for g in grids], axis=1)
 
 
+def _read_only(*arrays: Optional[np.ndarray]) -> None:
+    for a in arrays:
+        if a is not None:
+            a.flags.writeable = False
+
+
+@functools.lru_cache(maxsize=4)
+def _grid_nodes(space: Space, n: int, alpha: float, h: float):
+    """The grid of one (space, n, alpha, h), normed once: (points, mean norms, sup norms, r_cov).
+
+    The covering radius r_cov is rounded up, so the relaxed sets can only
+    grow and the lower side only shrink.  The arrays are read-only.
+    """
+    D = dim(ambient_space(space, n))
+    mean_sup = _mean_sup_evaluator(space, n)
+    pts = _grid_points(alpha, h, D)
+    mean_vals, sup_vals = mean_sup(pts)
+    r_cov = float(np.nextafter((h / 2.0) * float(mean_sup(np.ones((1, D)))[1][0]), INF))
+    _read_only(pts, mean_vals, sup_vals)
+    return pts, mean_vals, sup_vals, r_cov
+
+
+# Qhull's output grows like K^(D/2) facets: on 3,320 relaxed members in
+# D = 7 it makes 116,722 facets in 6 s, where 1,584 members in D = 5 take
+# 8 ms.  Above this dimension the m >= 2 lower side solves on every member.
+_VERTEX_DIM_CAP = 5
+
+
+@dataclass(frozen=True, eq=False)
+class _GridMembers:
+    """The strict and relaxed grid members of one (space, n, alpha, h, eps).
+
+    Read-only arrays, with what every call at these parameters asks of
+    their hulls.  In the plane (D = 2): the strict set's hull edges (the
+    extreme pair when Qhull refuses a degenerate set), and the relaxed
+    set's hull edges and facet equations (None when Qhull refuses).  In
+    3 <= D <= ``_VERTEX_DIM_CAP``: the relaxed set's hull vertices, found
+    on the first m >= 2 lower side that needs them (None when Qhull
+    refuses, or above the cap).
+    """
+
+    grid_points: int
+    r_cov: float
+    strict: np.ndarray
+    relax: np.ndarray
+    strict_edges: Optional[np.ndarray]
+    relax_edges: Optional[np.ndarray]
+    relax_equations: Optional[np.ndarray]
+
+    def meta(self, resolution: float) -> dict:
+        """A new copy of the bracket meta of these members."""
+        return {
+            "resolution": resolution,
+            "covering_radius": self.r_cov,
+            "covering_constant": self.r_cov / resolution,
+            "grid_points": self.grid_points,
+            "strict_members": int(self.strict.shape[0]),
+            "relax_members": int(self.relax.shape[0]),
+        }
+
+    @functools.cached_property
+    def relax_vertices(self) -> Optional[np.ndarray]:
+        from scipy.spatial import ConvexHull, QhullError
+
+        if self.relax.shape[1] > _VERTEX_DIM_CAP:
+            return None
+        try:
+            vertices = ConvexHull(self.relax).vertices
+        except QhullError:
+            return None
+        _read_only(vertices)
+        return vertices
+
+
+def _members(strict: np.ndarray, relax: np.ndarray, r_cov: float, grid_points: int) -> _GridMembers:
+    """The member record of two member sets, with their planar hulls computed."""
+    from scipy.spatial import ConvexHull, QhullError
+
+    strict_edges = relax_edges = equations = None
+    if strict.shape[1] == 2:
+        if strict.shape[0] >= 2:
+            strict_edges = _hull_edges(strict)
+        if relax.shape[0]:
+            try:
+                hull = ConvexHull(relax)
+                relax_edges, equations = hull.simplices, hull.equations
+            except QhullError:
+                pass  # degenerate (collinear): the lower side solves on every member
+    _read_only(strict, relax, strict_edges, relax_edges, equations)
+    return _GridMembers(grid_points, r_cov, strict, relax, strict_edges, relax_edges, equations)
+
+
+@functools.lru_cache(maxsize=16)
+def _grid_members(space: Space, n: int, alpha: float, h: float, eps: float) -> _GridMembers:
+    """The grid members of one (space, n, alpha, h, eps), selected once from ``_grid_nodes``."""
+    pts, mean_vals, sup_vals, r_cov = _grid_nodes(space, n, alpha, h)
+    strict = pts[(sup_vals <= alpha) & (mean_vals > 1.0 - eps)]
+    relax = pts[(sup_vals <= alpha + r_cov) & (mean_vals >= 1.0 - eps - r_cov)]
+    return _members(strict, relax, r_cov, int(pts.shape[0]))
+
+
+def _checked_members(space: Space, params: CmParams, resolution: float) -> _GridMembers:
+    """The grid members at params, or the refusal of a grid too large or too coarse."""
+    require_nonempty(params)
+    if resolution <= 0:
+        raise ParameterError(f"resolution must be positive, got {resolution}")
+    report = require_grid_fits(space, params, resolution)
+    members = _grid_members(space, params.n, params.alpha, resolution, params.epsilon)
+    if members.strict.shape[0] == 0 or members.relax.shape[0] == 0:
+        raise CapabilityRefusal(
+            "grid too coarse: no members at this resolution",
+            report={**report, **members.meta(resolution)},
+        )
+    return members
+
+
 def _segment_scan(space: Space, z, A: np.ndarray, B: np.ndarray) -> Tuple[float, int, float]:
     """Min over segments [A_i, B_i] of the distance to z; returns (val, index, t)."""
     V = z[None, :] - A
@@ -1358,68 +1480,49 @@ def dist_to_cm_grid(space: Space, z, params: CmParams, resolution: float) -> Dis
     """Two-sided certified bracket for d(z, C) from grid enumeration.
 
     Upper side: distance to explicit members on the grid (point scan, hull
-    edges, near pairs), every one a genuine feasible decomposition.  Lower
-    side: members of the closure are within the covering radius of a grid
-    point satisfying the relaxed constraints, so the distance to the relaxed
-    grid hull minus the covering radius is a valid lower bound.
+    edges, near pairs), every one a genuine feasible decomposition
+    (``_grid_upper``).  Lower side: members of the closure are within the
+    covering radius of a grid point satisfying the relaxed constraints, so
+    the distance to the relaxed grid hull minus the covering radius is a
+    valid lower bound (``_grid_lower``; ``dist_to_cm_grid_lower`` is that
+    side alone).
 
-    The bracket is the same for every m >= 2: the upper side uses at most
-    two grid members and the lower side the full relaxed hull.
+    The grid is normed once per (space, n, alpha, resolution) and its
+    members, with their hulls, are selected once per eps; both are kept in
+    small caches of read-only arrays, so repeated calls share them.  Each
+    call gets its own ``meta``.  The bracket is the same for every m >= 2:
+    the upper side uses at most two grid members and the lower side the
+    full relaxed hull.
     """
-    require_nonempty(params)
-    if resolution <= 0:
-        raise ParameterError(f"resolution must be positive, got {resolution}")
+    members = _checked_members(space, params, resolution)
     amb = ambient_space(space, params.n)
-    D = dim(amb)
-    report = require_grid_fits(space, params, resolution)
     zz = as_coords(amb, z)
-    mean_sup = _mean_sup_evaluator(space, params.n)
-
-    pts = _grid_points(params.alpha, resolution, D)
-    mean_vals, sup_vals = mean_sup(pts)
-    # rounded up, so the relaxed set can only grow; the lower side is rounded down
-    r_cov = float(np.nextafter((resolution / 2.0) * float(mean_sup(np.ones((1, D)))[1][0]), INF))
-
-    strict = pts[(sup_vals <= params.alpha) & (mean_vals > 1.0 - params.epsilon)]
-    relax = pts[
-        (sup_vals <= params.alpha + r_cov)
-        & (mean_vals >= 1.0 - params.epsilon - r_cov)
-    ]
-    meta = {
-        "resolution": resolution,
-        "covering_radius": r_cov,
-        "covering_constant": r_cov / resolution,
-        "grid_points": int(pts.shape[0]),
-        "strict_members": int(strict.shape[0]),
-        "relax_members": int(relax.shape[0]),
-    }
-
-    if strict.shape[0] == 0 or relax.shape[0] == 0:
-        raise CapabilityRefusal(
-            "grid too coarse: no members at this resolution", report={**report, **meta}
-        )
-
-    upper, witness, upper_method = _grid_upper(amb, zz, strict, params.m)
-    lower_raw, lower_method = _grid_hull_lower(amb, zz, relax, params.m)
-    lower = max(0.0, float(np.nextafter(lower_raw - r_cov, -INF)))
-    lower = min(lower, upper)
+    upper, witness, upper_method = _grid_upper(amb, zz, members, params.m)
+    lower, lower_method = _grid_lower(amb, zz, members, params.m)
     return DistanceBracket(
-        lower, upper, lower_method, upper_method, witness=witness, meta=meta
+        min(lower, upper), upper, lower_method, upper_method, witness=witness,
+        meta=members.meta(resolution),
     )
 
 
-def _grid_upper(amb: Space, z, S: np.ndarray, m: int) -> Tuple[float, ConvexDecomposition, str]:
+def dist_to_cm_grid_lower(space: Space, z, params: CmParams, resolution: float) -> float:
+    """The lower side of ``dist_to_cm_grid`` alone, bit for bit, with the same refusals."""
+    members = _checked_members(space, params, resolution)
+    amb = ambient_space(space, params.n)
+    return _grid_lower(amb, as_coords(amb, z), members, params.m)[0]
+
+
+def _grid_upper(amb: Space, z, members: _GridMembers, m: int) -> Tuple[float, ConvexDecomposition, str]:
+    S = members.strict
     d_point = norm_evaluator(amb)(z[None, :] - S)
     j = int(np.argmin(d_point))
     best_val = float(d_point[j])
     best_dec = ConvexDecomposition(np.array([1.0]), [S[j].copy()])
     method = "grid-point-scan"
     if m >= 2 and S.shape[0] >= 2:
-        edges = _hull_edges(S)
+        edges = members.strict_edges
         if edges is not None and len(edges):
-            A = S[[a for a, _ in edges]]
-            B = S[[b for _, b in edges]]
-            val, k, t = _segment_scan(amb, z, A, B)
+            val, k, t = _segment_scan(amb, z, S[edges[:, 0]], S[edges[:, 1]])
             if val < best_val:
                 a, b = edges[k]
                 best_val = val
@@ -1427,59 +1530,68 @@ def _grid_upper(amb: Space, z, S: np.ndarray, m: int) -> Tuple[float, ConvexDeco
                     np.array([1.0 - t, t]), [S[a].copy(), S[b].copy()]
                 )
                 method = "grid-hull-edges"
-        # near pairs mop up the case of z inside the hull but off co_2
+        # near pairs mop up the case of z inside the hull but off co_2; the
+        # pairs (i < j) of the 120 nearest, in itertools.combinations order
         order = np.argsort(d_point)[:120]
-        pairs = list(itertools.combinations(order.tolist(), 2))
-        if pairs:
-            A = S[[a for a, _ in pairs]]
-            B = S[[b for _, b in pairs]]
-            val, k, t = _segment_scan(amb, z, A, B)
+        a, b = (order[i] for i in np.triu_indices(order.shape[0], 1))
+        if a.shape[0]:
+            val, k, t = _segment_scan(amb, z, S[a], S[b])
             if val < best_val - 1e-15:
-                a, b = pairs[k]
                 best_val = val
                 best_dec = ConvexDecomposition(
-                    np.array([1.0 - t, t]), [S[a].copy(), S[b].copy()]
+                    np.array([1.0 - t, t]), [S[a[k]].copy(), S[b[k]].copy()]
                 )
                 method = "grid-near-pairs"
     return best_val, best_dec, method
 
 
-def _hull_edges(S: np.ndarray):
+def _hull_edges(S: np.ndarray) -> np.ndarray:
+    """The (E, 2) hull edges of a planar point set; the extreme pair when it is collinear."""
     from scipy.spatial import ConvexHull, QhullError
 
-    if S.shape[1] != 2:
-        return None
     try:
-        hull = ConvexHull(S)
+        return ConvexHull(S).simplices
     except QhullError:
         # degenerate (collinear) point sets: use the extreme pair
         spread = S - S.mean(axis=0)
         _, _, vt = np.linalg.svd(spread, full_matrices=False)
         proj = spread @ vt[0]
-        return [(int(np.argmin(proj)), int(np.argmax(proj)))]
-    return [tuple(simplex) for simplex in hull.simplices]
+        return np.array([[int(np.argmin(proj)), int(np.argmax(proj))]])
 
 
-def _grid_hull_lower(amb: Space, z, S: np.ndarray, m: int) -> Tuple[float, str]:
-    from scipy.spatial import ConvexHull, QhullError
+def _grid_lower(amb: Space, z, members: _GridMembers, m: int) -> Tuple[float, str]:
+    """The covering lower side: d(z, relaxed hull) - r_cov, rounded down, and its method.
 
+    m = 1 scans the relaxed points.  For m >= 2 in the plane, a nearest
+    point of the full hull lies on a boundary edge whenever z is outside,
+    so <= 2 generators suffice and the full-hull distance equals the m-fold
+    one for every m >= 2: the cached hull's edges give it.  Otherwise the
+    hull distance is certified by a dual functional (``_dual_certificate``).
+    """
+    S = members.relax
     if m == 1:
-        return float(np.min(norm_evaluator(amb)(z[None, :] - S))), "grid-point-scan"
-    if S.shape[1] == 2:
-        # in the plane, a nearest point of the full hull lies on a boundary
-        # edge whenever z is outside, so <= 2 generators suffice and the
-        # full-hull distance equals the m-fold one for every m >= 2
-        try:
-            hull = ConvexHull(S)
-        except QhullError:
-            hull = None  # degenerate (collinear) set: the dual certificate below
-        if hull is not None:
-            if np.all(hull.equations @ np.append(z, 1.0) <= 1e-12):
-                return 0.0, "grid-hull-inside"
-            edges = [tuple(s) for s in hull.simplices]
-            A = S[[a for a, _ in edges]]
-            B = S[[b for _, b in edges]]
-            val, _, _ = _segment_scan(amb, z, A, B)
-            return val, "grid-hull-exact"
-    # general ambient dimension: certified dual lower bound on the full hull
-    return min_norm_point(amb, z, S, target_gap=1e-9).lower, "grid-dual-certificate"
+        raw, method = float(np.min(norm_evaluator(amb)(z[None, :] - S))), "grid-point-scan"
+    elif members.relax_edges is not None:
+        if np.all(members.relax_equations @ np.append(z, 1.0) <= 1e-12):
+            return 0.0, "grid-hull-inside"
+        edges = members.relax_edges
+        raw, _, _ = _segment_scan(amb, z, S[edges[:, 0]], S[edges[:, 1]])
+        method = "grid-hull-exact"
+    else:
+        raw, method = _dual_certificate(amb, z, members), "grid-dual-certificate"
+    return max(0.0, float(np.nextafter(raw - members.r_cov, -INF))), method
+
+
+def _dual_certificate(amb: Space, z, members: _GridMembers) -> float:
+    """A certified lower bound on d(z, co(relaxed members)).
+
+    ``min_norm_point`` solves on the relaxed set's hull vertices, and its
+    functional is then checked against every relaxed member in one matrix
+    product (``_dual_lower``): the bound holds for the full set whatever
+    points Qhull's facet merging dropped.  Without vertices it solves on
+    every member.
+    """
+    S, V = members.relax, members.relax_vertices
+    if V is None:
+        return min_norm_point(amb, z, S, target_gap=1e-9).lower
+    return _dual_lower(amb, z, S, min_norm_point(amb, z, S[V], target_gap=1e-9).functional)[0]

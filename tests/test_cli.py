@@ -339,6 +339,17 @@ class TestDk:
         assert "refusal" in doc
         assert doc["report"]["required_resolution"] > 0.05
 
+    def test_grid_too_coarse_refusal(self, capsys):
+        # no grid point at step 0.3 is a strict member: (0.9, 0.9) has mean 0.9
+        code, doc = run_json(
+            capsys,
+            "dk", "--space", "lp(2,1)", "--n", "2", "--eps", "0.05",
+            "--k", "1..2", "--resolution", "0.3", "--seed", "0",
+        )
+        assert code == EXIT_REFUSED
+        assert doc["refusal"] == "grid too coarse: no members at this resolution"
+        assert doc["report"]["strict_members"] == 0
+
     def test_bad_space_grammar(self, capsys):
         code, out, err = run(
             capsys,

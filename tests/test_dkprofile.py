@@ -127,13 +127,13 @@ class TestEstimateDk:
     def test_grid_runs_once_per_m_class(self, monkeypatch):
         # one grid pass for k = 1 and one for k = 2 and 3 together
         calls = []
-        grid = dkprofile.dist_to_cm_grid
+        grid = dkprofile.dist_to_cm_grid_lower
 
         def counting(space, v, params, h):
             calls.append(params.m)
             return grid(space, v, params, h)
 
-        monkeypatch.setattr(dkprofile, "dist_to_cm_grid", counting)
+        monkeypatch.setattr(dkprofile, "dist_to_cm_grid_lower", counting)
         prof = estimate_dk(R1, 2, 0.25, 1.0, (1, 2, 3), budget=2, seed=3, resolution=0.1)
         n_cands = len(_adversaries(R1, 2, 2, 3))
         assert sorted(calls) == [1] * n_cands + [2] * n_cands

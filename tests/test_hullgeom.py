@@ -28,6 +28,7 @@ from hullgap.hullgeom import (
     _batch_segment_min,
     cm_member_check,
     dist_to_cm_grid,
+    dist_to_cm_grid_lower,
     dist_to_cm_upper,
     dual_norm,
     grid_guard_report,
@@ -1404,3 +1405,108 @@ class TestGridOracle:
     def test_too_coarse_refused(self):
         with pytest.raises(CapabilityRefusal, match="coarse"):
             dist_to_cm_grid(SCALARS, [1.0, -1.0], self.P1, resolution=2.0)
+
+    def test_empty_strict_set_refused_on_both_paths(self):
+        # at step 0.3 the grid's largest point in the unit ball is (0.9, 0.9),
+        # whose mean misses 1 - eps = 0.95; the relaxed set still has two points
+        p = CmParams(n=2, epsilon=0.05, m=2)
+        for oracle in (dist_to_cm_grid, dist_to_cm_grid_lower):
+            with pytest.raises(CapabilityRefusal, match="coarse") as exc:
+                oracle(SCALARS, [1.0, -1.0], p, 0.3)
+            assert exc.value.report["strict_members"] == 0
+            assert exc.value.report["relax_members"] == 2
+
+    # (space, n, resolution): ambient dimension 2, 3 and 4
+    LOWER_CASES = [(SCALARS, 2, 0.05), (SCALARS, 3, 0.25), (LpFinite(2.0, 2), 2, 0.25)]
+
+    @pytest.mark.parametrize("sp, n, h", LOWER_CASES)
+    def test_lower_only_path_equals_the_bracket_lower(self, sp, n, h):
+        rng = np.random.default_rng(n)
+        D = dim(sp) * n
+        zs = [rng.uniform(-1.2, 1.2, D) for _ in range(4)] + [np.tile(canonical_unit(sp), n)]
+        for eps in (0.2, 0.3):
+            for m in (1, 2):
+                p = CmParams(n=n, epsilon=eps, m=m)
+                for z in zs:
+                    # the lower side alone on cold caches, the bracket on warm ones
+                    hullgeom._grid_nodes.cache_clear()
+                    hullgeom._grid_members.cache_clear()
+                    low = dist_to_cm_grid_lower(sp, z, p, h)
+                    g = dist_to_cm_grid(sp, z, p, h)
+                    assert np.float64(low).tobytes() == np.float64(g.lower).tobytes(), (eps, m, z)
+
+    def test_cached_arrays_are_read_only_and_caches_bounded(self):
+        for eps in np.linspace(0.1, 0.5, 40):
+            dist_to_cm_grid(SCALARS, [1.0, -1.0, 0.5], CmParams(n=3, epsilon=eps, m=2), 0.25)
+        for cache in (hullgeom._grid_nodes, hullgeom._grid_members):
+            info = cache.cache_info()
+            assert info.maxsize is not None and info.currsize <= info.maxsize <= 16
+        members = hullgeom._grid_members(SCALARS, 3, 1.0, 0.25, 0.5)
+        assert members.relax_vertices is not None  # found by the m = 2 calls
+        arrays = list(hullgeom._grid_nodes(SCALARS, 3, 1.0, 0.25)[:3])
+        arrays += [members.strict, members.relax, members.relax_vertices]
+        planar = hullgeom._grid_members(SCALARS, 2, 1.0, 0.1, 0.2)
+        arrays += [planar.strict_edges, planar.relax_edges, planar.relax_equations]
+        for a in arrays:
+            assert isinstance(a, np.ndarray) and not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0
+        # every call gets its own meta
+        p = CmParams(n=3, epsilon=0.5, m=2)
+        first = dist_to_cm_grid(SCALARS, [1.0, -1.0, 0.5], p, 0.25)
+        first.meta["grid_points"] = -1
+        again = dist_to_cm_grid(SCALARS, [1.0, -1.0, 0.5], p, 0.25)
+        assert again.meta["grid_points"] == 9**3 and again.meta is not first.meta
+
+    @pytest.mark.parametrize("sp, n, h", LOWER_CASES[1:])
+    def test_vertex_solve_lower_is_below_the_all_member_distance(self, sp, n, h):
+        amb = hullgeom.ambient_space(sp, n)
+        members = hullgeom._grid_members(sp, n, 1.0, h, 0.25)
+        V = members.relax_vertices
+        assert V is not None and 0 < V.shape[0] < members.relax.shape[0]
+        rng = np.random.default_rng(7)
+        for _ in range(6):
+            z = rng.uniform(-1.5, 1.5, amb_dim := dim(amb))
+            lower = hullgeom._dual_certificate(amb, z, members)
+            full = min_norm_point(amb, z, members.relax, target_gap=1e-9)
+            # up to the rounding of phi(z) - max phi(g), which is not yet
+            # outward: at a grid point nearest z, full.lower itself reads one
+            # ulp above full.distance
+            assert lower <= full.distance + 4 * math.ulp(full.distance), (z, amb_dim)
+            assert lower >= full.lower - 1e-9
+            # the vertex solve's functional certifies the lower it reports
+            res = min_norm_point(amb, z, members.relax[V], target_gap=1e-9)
+            if res.functional is not None:
+                phi = res.functional
+                assert dual_norm(amb, phi) <= 1.0 + 1e-12
+                assert res.lower == max(0.0, float(phi @ z - np.max(members.relax[V] @ phi)))
+
+    def test_a_vertex_qhull_drops_cannot_raise_the_lower(self):
+        # drop the relaxed vertex nearest z from the vertex set: the solve on
+        # the rest reports too large a lower, and checking its functional
+        # against every member brings it back under the true distance
+        amb = hullgeom.ambient_space(SCALARS, 3)
+        base = hullgeom._grid_members(SCALARS, 3, 1.0, 0.25, 0.25)
+        members = hullgeom._members(base.strict, base.relax, base.r_cov, base.grid_points)
+        V = base.relax_vertices
+        z = 2.0 * base.relax[V[0]]
+        members.__dict__["relax_vertices"] = V[1:]
+        full = min_norm_point(amb, z, base.relax, target_gap=1e-9)
+        assert min_norm_point(amb, z, base.relax[V[1:]], target_gap=1e-9).lower > full.distance + 1e-3
+        assert hullgeom._dual_certificate(amb, z, members) <= full.distance + 4 * math.ulp(full.distance)
+
+    def test_flat_relaxed_set_in_three_dimensions_falls_back(self):
+        # members on the plane x3 = x1 + x2: Qhull refuses, so the m >= 2
+        # lower side solves on every member
+        amb = hullgeom.ambient_space(SCALARS, 3)
+        rng = np.random.default_rng(5)
+        xy = rng.uniform(-1.0, 1.0, (30, 2))
+        flat = np.column_stack([xy, xy.sum(axis=1)])
+        members = hullgeom._members(flat[:5].copy(), flat, 0.01, 30)
+        assert members.relax_vertices is None
+        z = np.array([0.4, -0.8, 1.3])
+        lower, method = hullgeom._grid_lower(amb, z, members, 2)
+        want = min_norm_point(amb, z, flat, target_gap=1e-9).lower
+        assert method == "grid-dual-certificate"
+        assert lower == max(0.0, float(np.nextafter(want - 0.01, -math.inf)))
+        assert lower > 0.0
