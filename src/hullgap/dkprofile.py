@@ -36,6 +36,7 @@ from .spaces import (
     sample_unit_ball,
 )
 from .hullgeom import (
+    GRID_CACHE_CAP,
     CmParams,
     DistanceBracket,
     _best_upper,
@@ -62,8 +63,8 @@ from .certificates import (
 
 # an auto-chosen grid is normed once per profile, but its members are
 # scanned once per (adversary, m class) pair, so it gets a point budget
-# well under the single-call guard
-_AUTO_GRID_CAP = 300_000
+# well under the single-call guard: the largest grid the grid caches keep
+_AUTO_GRID_CAP = GRID_CACHE_CAP
 _AUTO_LADDER = (0.01, 0.02, 0.025, 0.05, 0.1, 0.2, 0.25)
 
 

@@ -1356,9 +1356,16 @@ def _read_only(*arrays: Optional[np.ndarray]) -> None:
             a.flags.writeable = False
 
 
-@functools.lru_cache(maxsize=4)
-def _grid_nodes(space: Space, n: int, alpha: float, h: float):
-    """The grid of one (space, n, alpha, h), normed once: (points, mean norms, sup norms, r_cov).
+# The grid caches keep grids of at most this many points, the most that
+# dkprofile picks on its own.  One such grid with its two norms is at most
+# 300k (D + 2) floats, 31 MB at D = 11, the largest D with 3^D <= 300k.  A
+# larger grid, which only an explicit resolution asks for, is normed for
+# its call and freed with it.
+GRID_CACHE_CAP = 300_000
+
+
+def _normed_grid(space: Space, n: int, alpha: float, h: float):
+    """The grid of one (space, n, alpha, h), normed: (points, mean norms, sup norms, r_cov).
 
     The covering radius r_cov is rounded up, so the relaxed sets can only
     grow and the lower side only shrink.  The arrays are read-only.
@@ -1372,10 +1379,16 @@ def _grid_nodes(space: Space, n: int, alpha: float, h: float):
     return pts, mean_vals, sup_vals, r_cov
 
 
-# Qhull's output grows like K^(D/2) facets: on 3,320 relaxed members in
-# D = 7 it makes 116,722 facets in 6 s, where 1,584 members in D = 5 take
-# 8 ms.  Above this dimension the m >= 2 lower side solves on every member.
-_VERTEX_DIM_CAP = 5
+_grid_nodes = functools.lru_cache(maxsize=4)(_normed_grid)
+
+# Qhull's output grows like K^(D/2) facets.  On the 24 candidates of an
+# auto-grid profile at m >= 2, Qhull plus the vertex solves against the
+# solves on every relaxed member: lp(2,2) n 2 (D = 4, 27,876 members, 200
+# vertices) 168 ms against 1,476 ms, lp(3,4) (98,632 members) 489 against
+# 1,116 ms; but in D = 5 lp(3,5) (81,774 members, 4,266 vertices) takes
+# 8,152 against 1,676 ms and lp(1.5,5) 2,321 against 472 ms.  Above this
+# dimension the m >= 2 lower side solves on every member.
+_VERTEX_DIM_CAP = 4
 
 
 @dataclass(frozen=True, eq=False)
@@ -1388,9 +1401,11 @@ class _GridMembers:
     set's hull edges and facet equations (None when Qhull refuses).  In
     3 <= D <= ``_VERTEX_DIM_CAP``: the relaxed set's hull vertices, found
     on the first m >= 2 lower side that needs them (None when Qhull
-    refuses, or above the cap).
+    refuses, above the cap, or when the record is not ``shared``: Qhull
+    only pays off over the calls of a cached grid).
     """
 
+    shared: bool
     grid_points: int
     r_cov: float
     strict: np.ndarray
@@ -1414,7 +1429,7 @@ class _GridMembers:
     def relax_vertices(self) -> Optional[np.ndarray]:
         from scipy.spatial import ConvexHull, QhullError
 
-        if self.relax.shape[1] > _VERTEX_DIM_CAP:
+        if not self.shared or self.relax.shape[1] > _VERTEX_DIM_CAP:
             return None
         try:
             vertices = ConvexHull(self.relax).vertices
@@ -1424,7 +1439,9 @@ class _GridMembers:
         return vertices
 
 
-def _members(strict: np.ndarray, relax: np.ndarray, r_cov: float, grid_points: int) -> _GridMembers:
+def _members(
+    strict: np.ndarray, relax: np.ndarray, r_cov: float, grid_points: int, shared: bool
+) -> _GridMembers:
     """The member record of two member sets, with their planar hulls computed."""
     from scipy.spatial import ConvexHull, QhullError
 
@@ -1439,25 +1456,38 @@ def _members(strict: np.ndarray, relax: np.ndarray, r_cov: float, grid_points: i
             except QhullError:
                 pass  # degenerate (collinear): the lower side solves on every member
     _read_only(strict, relax, strict_edges, relax_edges, equations)
-    return _GridMembers(grid_points, r_cov, strict, relax, strict_edges, relax_edges, equations)
+    return _GridMembers(shared, grid_points, r_cov, strict, relax, strict_edges, relax_edges, equations)
+
+
+def _select_members(nodes, alpha: float, eps: float, shared: bool) -> _GridMembers:
+    """The member record of a normed grid (``_normed_grid``) at (alpha, eps)."""
+    pts, mean_vals, sup_vals, r_cov = nodes
+    strict = pts[(sup_vals <= alpha) & (mean_vals > 1.0 - eps)]
+    relax = pts[(sup_vals <= alpha + r_cov) & (mean_vals >= 1.0 - eps - r_cov)]
+    return _members(strict, relax, r_cov, int(pts.shape[0]), shared)
 
 
 @functools.lru_cache(maxsize=16)
 def _grid_members(space: Space, n: int, alpha: float, h: float, eps: float) -> _GridMembers:
     """The grid members of one (space, n, alpha, h, eps), selected once from ``_grid_nodes``."""
-    pts, mean_vals, sup_vals, r_cov = _grid_nodes(space, n, alpha, h)
-    strict = pts[(sup_vals <= alpha) & (mean_vals > 1.0 - eps)]
-    relax = pts[(sup_vals <= alpha + r_cov) & (mean_vals >= 1.0 - eps - r_cov)]
-    return _members(strict, relax, r_cov, int(pts.shape[0]))
+    return _select_members(_grid_nodes(space, n, alpha, h), alpha, eps, True)
 
 
-def _checked_members(space: Space, params: CmParams, resolution: float) -> _GridMembers:
-    """The grid members at params, or the refusal of a grid too large or too coarse."""
+def _grid_report(space: Space, params: CmParams, resolution: float) -> dict:
+    """The grid guard report at params, or the refusal of a grid too large."""
     require_nonempty(params)
     if resolution <= 0:
         raise ParameterError(f"resolution must be positive, got {resolution}")
-    report = require_grid_fits(space, params, resolution)
-    members = _grid_members(space, params.n, params.alpha, resolution, params.epsilon)
+    return require_grid_fits(space, params, resolution)
+
+
+def _checked_members(space: Space, params: CmParams, resolution: float, report: dict) -> _GridMembers:
+    """The grid members at params, or the refusal of a grid too coarse to have any."""
+    key = (space, params.n, params.alpha, resolution)
+    if report["grid_points"] <= GRID_CACHE_CAP:
+        members = _grid_members(*key, params.epsilon)
+    else:  # too large to keep: normed for this call and freed with it
+        members = _select_members(_normed_grid(*key), params.alpha, params.epsilon, False)
     if members.strict.shape[0] == 0 or members.relax.shape[0] == 0:
         raise CapabilityRefusal(
             "grid too coarse: no members at this resolution",
@@ -1487,16 +1517,18 @@ def dist_to_cm_grid(space: Space, z, params: CmParams, resolution: float) -> Dis
     valid lower bound (``_grid_lower``; ``dist_to_cm_grid_lower`` is that
     side alone).
 
-    The grid is normed once per (space, n, alpha, resolution) and its
-    members, with their hulls, are selected once per eps; both are kept in
-    small caches of read-only arrays, so repeated calls share them.  Each
-    call gets its own ``meta``.  The bracket is the same for every m >= 2:
+    A grid of at most ``GRID_CACHE_CAP`` points is normed once per (space,
+    n, alpha, resolution) and its members, with their hulls, are selected
+    once per eps; both are kept in small caches of read-only arrays, so
+    repeated calls share them.  A larger grid is normed for its call alone
+    and freed with it.  Each call gets its own ``meta``.  The bracket is the same for every m >= 2:
     the upper side uses at most two grid members and the lower side the
     full relaxed hull.
     """
-    members = _checked_members(space, params, resolution)
+    report = _grid_report(space, params, resolution)
     amb = ambient_space(space, params.n)
     zz = as_coords(amb, z)
+    members = _checked_members(space, params, resolution, report)
     upper, witness, upper_method = _grid_upper(amb, zz, members, params.m)
     lower, lower_method = _grid_lower(amb, zz, members, params.m)
     return DistanceBracket(
@@ -1507,9 +1539,10 @@ def dist_to_cm_grid(space: Space, z, params: CmParams, resolution: float) -> Dis
 
 def dist_to_cm_grid_lower(space: Space, z, params: CmParams, resolution: float) -> float:
     """The lower side of ``dist_to_cm_grid`` alone, bit for bit, with the same refusals."""
-    members = _checked_members(space, params, resolution)
+    report = _grid_report(space, params, resolution)
     amb = ambient_space(space, params.n)
-    return _grid_lower(amb, as_coords(amb, z), members, params.m)[0]
+    zz = as_coords(amb, z)
+    return _grid_lower(amb, zz, _checked_members(space, params, resolution, report), params.m)[0]
 
 
 def _grid_upper(amb: Space, z, members: _GridMembers, m: int) -> Tuple[float, ConvexDecomposition, str]:

@@ -35,7 +35,7 @@ import functools
 import itertools
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
@@ -197,12 +197,6 @@ class NormPlan:
     and t -> ||V - tW|| is piecewise linear with at most ``pieces`` pieces,
     so the segment line search, which runs on ``probe`` for every plan, is
     exact.
-
-    The p-th powers of an l_p node may leave the float range, and
-    ``_lp_root`` redoes those rows, so they must not warn.  ``top`` marks
-    the plan that ``norm_plan`` or ``dual_plan`` hands out when it has an
-    l_p node: its ``evaluate`` and ``probe`` enter that error state once
-    per call, and the nodes below run inside it.
     """
 
     p: float
@@ -212,7 +206,6 @@ class NormPlan:
     pieces: int
     evaluate: Callable[[np.ndarray], np.ndarray]
     groups: Tuple["_KidGroup", ...] = ()
-    top: bool = False
 
     def probe(self, R: np.ndarray, W: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Value, left and right slope of s -> norm(R - sW) at s = 0, per row.
@@ -223,12 +216,6 @@ class NormPlan:
         slopes over its active terms, a sum the sums, and any other l_p
         node the chain rule (``_lp_slopes``).
         """
-        if self.top:
-            with _powers_may_leave_range():
-                return self._probe(R, W)
-        return self._probe(R, W)
-
-    def _probe(self, R: np.ndarray, W: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         terms = []
         if self.cols is not None:
             r, w = R[:, self.cols], W[:, self.cols]
@@ -276,13 +263,8 @@ class NormPlan:
         its nearly attaining terms; any other combiner the product over its
         terms, each child scaled by its dual l_q coefficient and cut to its
         six best candidates.  The candidates of the dual plan at a
-        functional lie in the primal unit ball.  Every node's call enters
-        ``_powers_may_leave_range``, since it evaluates its kids alone.
+        functional lie in the primal unit ball.
         """
-        with _powers_may_leave_range():
-            return self._norming(v)
-
-    def _norming(self, v: np.ndarray) -> List[Tuple[float, np.ndarray]]:
         nv = float(self.evaluate(v[None, :])[0])
         if not nv > 0.0:
             return []
@@ -363,33 +345,21 @@ def _own_norming(p: float, idx: np.ndarray, v: np.ndarray, nv: float) -> List[np
     return list(X)
 
 
-def _powers_may_leave_range() -> np.errstate:
-    """The error state of a top plan's call: p-th powers over or under the
-    float range are silent, since ``_lp_root`` redoes those rows."""
-    return np.errstate(over="ignore", under="ignore")
-
-
-def _quiet(evaluate: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
-    """A top plan's evaluator: ``evaluate`` inside ``_powers_may_leave_range``."""
-
-    def ev(X: np.ndarray) -> np.ndarray:
-        with _powers_may_leave_range():
-            return evaluate(X)
-
-    return ev
-
-
 def _lp_norm(p: float, r: np.ndarray) -> np.ndarray:
-    """The l_p norm of each row of r, for 1 < p < inf; a top plan's call runs it."""
+    """The l_p norm of each row of r, for 1 < p < inf."""
     if p == 2.0:  # the root of 0.5 is np.sqrt, bit for bit
         return _lp_root(2.0, np.einsum("td,td->t", r, r), r.T)
     a = np.abs(r)
-    return _lp_root(p, np.add.reduce(a ** p, axis=1), a.T)
+    with np.errstate(over="ignore", under="ignore"):  # _lp_root redoes those rows
+        total = np.add.reduce(a ** p, axis=1)
+    return _lp_root(p, total, a.T)
 
 
 def _lp_combine(p: float, fs) -> np.ndarray:
     """The l_p combination (1 < p < inf) of the terms fs, one row of T values each."""
-    return _lp_root(p, functools.reduce(np.add, [fk ** p for fk in fs]), fs)
+    with np.errstate(over="ignore", under="ignore"):  # _lp_root redoes those rows
+        total = functools.reduce(np.add, [fk ** p for fk in fs])
+    return _lp_root(p, total, fs)
 
 
 # below this a sum of p-th powers may have lost digits to subnormal terms
@@ -560,23 +530,16 @@ def _compile(layout: tuple, exponent: Callable[[float], float]) -> NormPlan:
     )
 
 
-def _top(plan: NormPlan) -> NormPlan:
-    """The plan as handed out: with an l_p node, ``top``, and its evaluator quiet."""
-    if plan.polyhedral:
-        return plan
-    return replace(plan, evaluate=_quiet(plan.evaluate), top=True)
-
-
 @functools.lru_cache(maxsize=None)
 def norm_plan(space: Space) -> NormPlan:
     """The space's norm plan, compiled once per (frozen) descriptor."""
-    return _top(_compile(_flat_layout(space, 0), lambda p: p))
+    return _compile(_flat_layout(space, 0), lambda p: p)
 
 
 @functools.lru_cache(maxsize=None)
 def dual_plan(space: Space) -> NormPlan:
     """The plan of the dual norm: the norm plan's nodes with conjugate exponents."""
-    return _top(_compile(_flat_layout(space, 0), _conjugate))
+    return _compile(_flat_layout(space, 0), _conjugate)
 
 
 def norm_evaluator(space: Space) -> Callable[[np.ndarray], np.ndarray]:

@@ -1416,6 +1416,41 @@ class TestGridOracle:
             assert exc.value.report["strict_members"] == 0
             assert exc.value.report["relax_members"] == 2
 
+    def test_wrong_length_z_is_refused_before_the_grid(self):
+        # the grid at step 0.3 has no strict members, but z is checked first
+        p = CmParams(n=2, epsilon=0.05, m=2)
+        for oracle in (dist_to_cm_grid, dist_to_cm_grid_lower):
+            with pytest.raises(spaces.DimensionMismatch):
+                oracle(SCALARS, [1.0, -1.0, 0.5], p, 0.3)
+
+    def test_a_grid_above_the_cache_cap_is_not_kept(self, monkeypatch):
+        h = 0.003  # 669^2 = 447,561 points
+        p = CmParams(n=2, epsilon=0.2, m=2)
+        assert grid_guard_report(SCALARS, p, h)["grid_points"] > hullgeom.GRID_CACHE_CAP
+        hullgeom._grid_nodes.cache_clear()
+        hullgeom._grid_members.cache_clear()
+        g = dist_to_cm_grid(SCALARS, [1.0, -1.0], p, h)
+        low = dist_to_cm_grid_lower(SCALARS, [1.0, -1.0], p, h)
+        for cache in (hullgeom._grid_nodes, hullgeom._grid_members):
+            assert cache.cache_info().currsize == 0
+        # the same bracket as the grid kept in the caches
+        monkeypatch.setattr(hullgeom, "GRID_CACHE_CAP", 10**6)
+        kept = dist_to_cm_grid(SCALARS, [1.0, -1.0], p, h)
+        assert hullgeom._grid_members.cache_info().currsize == 1
+        assert (g.lower, g.upper, g.meta) == (kept.lower, kept.upper, kept.meta)
+        assert low == g.lower
+        hullgeom._grid_nodes.cache_clear()
+        hullgeom._grid_members.cache_clear()
+
+    def test_no_vertex_solve_above_the_dimension_cap_or_off_the_caches(self):
+        members = hullgeom._grid_members(SCALARS, 5, 1.0, 0.5, 0.25)
+        assert members.relax.shape[1] > hullgeom._VERTEX_DIM_CAP
+        assert members.relax_vertices is None
+        base = hullgeom._grid_members(SCALARS, 3, 1.0, 0.25, 0.25)
+        assert base.relax_vertices is not None
+        alone = hullgeom._members(base.strict, base.relax, base.r_cov, base.grid_points, False)
+        assert alone.relax_vertices is None
+
     # (space, n, resolution): ambient dimension 2, 3 and 4
     LOWER_CASES = [(SCALARS, 2, 0.05), (SCALARS, 3, 0.25), (LpFinite(2.0, 2), 2, 0.25)]
 
@@ -1487,7 +1522,7 @@ class TestGridOracle:
         # against every member brings it back under the true distance
         amb = hullgeom.ambient_space(SCALARS, 3)
         base = hullgeom._grid_members(SCALARS, 3, 1.0, 0.25, 0.25)
-        members = hullgeom._members(base.strict, base.relax, base.r_cov, base.grid_points)
+        members = hullgeom._members(base.strict, base.relax, base.r_cov, base.grid_points, True)
         V = base.relax_vertices
         z = 2.0 * base.relax[V[0]]
         members.__dict__["relax_vertices"] = V[1:]
@@ -1502,7 +1537,7 @@ class TestGridOracle:
         rng = np.random.default_rng(5)
         xy = rng.uniform(-1.0, 1.0, (30, 2))
         flat = np.column_stack([xy, xy.sum(axis=1)])
-        members = hullgeom._members(flat[:5].copy(), flat, 0.01, 30)
+        members = hullgeom._members(flat[:5].copy(), flat, 0.01, 30, True)
         assert members.relax_vertices is None
         z = np.array([0.4, -0.8, 1.3])
         lower, method = hullgeom._grid_lower(amb, z, members, 2)
