@@ -203,7 +203,8 @@ def estimate_dk(
     for every m >= 2, so the grid oracle's lower side
     (``dist_to_cm_grid_lower``, the bracket's lower without its upper side)
     runs once per candidate for k = 1 and once for all k >= 2.  Those calls
-    share one normed grid and one member selection, with its hulls.  With
+    share one normed grid and one member selection, with its hulls, unless
+    an explicit resolution makes the grid too large to cache.  With
     an explicit resolution the guard refusal propagates instead of
     degrading, and a grid with no members refuses as the oracle does.
 

@@ -1521,9 +1521,9 @@ def dist_to_cm_grid(space: Space, z, params: CmParams, resolution: float) -> Dis
     n, alpha, resolution) and its members, with their hulls, are selected
     once per eps; both are kept in small caches of read-only arrays, so
     repeated calls share them.  A larger grid is normed for its call alone
-    and freed with it.  Each call gets its own ``meta``.  The bracket is the same for every m >= 2:
-    the upper side uses at most two grid members and the lower side the
-    full relaxed hull.
+    and freed with it.  Each call gets its own ``meta``.  The bracket is
+    the same for every m >= 2: the upper side uses at most two grid
+    members and the lower side the full relaxed hull.
     """
     report = _grid_report(space, params, resolution)
     amb = ambient_space(space, params.n)
