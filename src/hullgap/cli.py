@@ -119,9 +119,12 @@ def _floats_from_arg(text: str) -> List[float]:
     else:
         raw = [t for t in text.replace(",", " ").split() if t]
     try:
-        return [float(t) for t in raw]
+        vals = [float(t) for t in raw]
     except ValueError as exc:
         raise _InputError(f"bad numeric value: {exc}")
+    if not np.all(np.isfinite(vals)):
+        raise _InputError(f"non-finite numeric value in {text!r}")
+    return vals
 
 
 def _ints_from_arg(text: str) -> List[int]:

@@ -36,15 +36,14 @@ from .spaces import (
     sample_unit_ball,
 )
 from .hullgeom import (
-    GRID_CACHE_CAP,
     CmParams,
     DistanceBracket,
     _best_upper,
     _build_engines,
+    _grid_lower,
+    _grid_members,
     ambient_space,
-    dist_to_cm_grid_lower,
     grid_guard_report,
-    require_grid_fits,
     validate_decomposition,
 )
 from .lipmetric import FiniteMetricSpace, LipFunction, lip_seminorm
@@ -63,8 +62,8 @@ from .certificates import (
 
 # an auto-chosen grid is normed once per profile, but its members are
 # scanned once per (adversary, m class) pair, so it gets a point budget
-# well under the single-call guard: the largest grid the grid caches keep
-_AUTO_GRID_CAP = GRID_CACHE_CAP
+# well under the single-call guard
+_AUTO_GRID_CAP = 300_000
 _AUTO_LADDER = (0.01, 0.02, 0.025, 0.05, 0.1, 0.2, 0.25)
 
 
@@ -200,13 +199,12 @@ def estimate_dk(
     point cap (or the caller pins a resolution), each lower side is the
     largest certified grid lower over the candidates, not monotonized: a
     candidate's m = 1 lower is never below its m >= 2 one, which is the same
-    for every m >= 2, so the grid oracle's lower side
-    (``dist_to_cm_grid_lower``, the bracket's lower without its upper side)
+    for every m >= 2, so the grid oracle's lower side (``_grid_lower``)
     runs once per candidate for k = 1 and once for all k >= 2.  Those calls
-    share one normed grid and one member selection, with its hulls, unless
-    an explicit resolution makes the grid too large to cache.  With
-    an explicit resolution the guard refusal propagates instead of
-    degrading, and a grid with no members refuses as the oracle does.
+    share one member record (``_grid_members``), built once per profile
+    before the engines, with the checks and refusals of
+    ``dist_to_cm_grid``: with an explicit resolution the guard refusal
+    propagates instead of degrading, and a grid with no members refuses.
 
     Deterministic for fixed (seed, budget): the candidate list, the inner
     engines, and the grid are all seeded or exact.  The candidates' upper
@@ -221,10 +219,9 @@ def estimate_dk(
     ks = _budgets(k_range)
     base = CmParams(n=n, epsilon=epsilon, alpha=alpha)
     h = resolution if resolution is not None else _auto_resolution(space, base)
-    if resolution is not None:
-        # refuse before the engine builds, not after, as the grid oracle would
-        require_grid_fits(space, base, resolution)
+    members = None if h is None else _grid_members(space, base, h)
 
+    amb = ambient_space(space, n)
     cands = _adversaries(space, n, budget, seed)
     engines = _build_engines(space, n, [v for _, v in cands], seed, budget)
 
@@ -236,10 +233,10 @@ def estimate_dk(
         up, up_id, up_wit, up_support = b.upper, cands[i][0], b.witness, b.meta["support"]
         if not validate_decomposition(space, p, up_wit):
             raise InternalInconsistencyError(f"sweep witness failed validation at k={k}")
-        if h is not None and min(k, 2) not in lows:
+        if members is not None and min(k, 2) not in lows:
             low, low_id = 0.0, ""
             for cid, v in cands:
-                g = dist_to_cm_grid_lower(space, v, p, h)
+                g = _grid_lower(amb, v, members, k)[0]
                 if g > low:
                     low, low_id = g, cid
             lows[min(k, 2)] = (low, low_id)

@@ -19,14 +19,14 @@ module answers "how far is z from that set" three ways:
   weights are polished by one segment line search on every norm, tangent
   cuts on the norm plan's one-sided slopes;
 * ``dist_to_cm_grid`` -- an enumeration oracle producing two-sided brackets
-  whose lower side is backed by a covering-radius argument; the grid and
-  its members are computed once and shared by every call at the same
-  parameters, and ``dist_to_cm_grid_lower`` computes the lower side alone.
+  whose lower side is backed by a covering-radius argument; its grid
+  members are one record (``_grid_members``) that a caller builds once and
+  passes to every lower side it runs (``_grid_lower``).
 
 Every norm and dual norm here is a plan that ``spaces`` compiles
 (``norm_plan``, ``dual_plan``, ``norm_evaluator``); this module adds the
 evaluators of ambient tuples (block-mean norm, and block-mean and sup norm
-in one call) and the dual norm of a functional.
+in one call) and the rescaling of a functional into the dual unit ball.
 
 Strictness: the "> 1 - eps" constraint is checked as "> 1 - eps - tol" with
 a declared tolerance (default 1e-9), i.e. all distances are reported about
@@ -86,8 +86,8 @@ class CmParams:
             raise ParameterError(f"n must be a positive integer, got {self.n}")
         if not (0.0 < self.epsilon < 1.0):
             raise ParameterError(f"epsilon must lie in (0, 1), got {self.epsilon}")
-        if not (self.alpha > 0.0):
-            raise ParameterError(f"alpha must be positive, got {self.alpha}")
+        if not (0.0 < self.alpha < INF):
+            raise ParameterError(f"alpha must be positive and finite, got {self.alpha}")
         if int(self.m) != self.m or self.m < 1:
             raise ParameterError(f"m must be a positive integer, got {self.m}")
         object.__setattr__(self, "n", int(self.n))
@@ -97,9 +97,6 @@ class CmParams:
 
     def with_m(self, m: int) -> "CmParams":
         return CmParams(self.n, self.epsilon, self.alpha, m)
-
-    def eps_plus(self) -> "CmParams":
-        return CmParams(self.n, self.epsilon, 1.0 + self.epsilon, self.m)
 
 
 def require_nonempty(params: CmParams) -> None:
@@ -157,9 +154,6 @@ class ConvexDecomposition:
             )
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "generators", gens)
-
-    def point(self) -> np.ndarray:
-        return np.einsum("j,jd->d", self.weights, np.stack(self.generators))
 
     def to_jsonable(self) -> dict:
         return {
@@ -243,11 +237,6 @@ def _mean_sup_evaluator(space: Space, n: int) -> Callable[[np.ndarray], Tuple[np
         return f[T * n:], f[: T * n].reshape(T, n).max(axis=1)
 
     return ev
-
-
-def dual_norm(space: Space, phi) -> float:
-    """Exact dual norm of a functional given by its coordinate vector."""
-    return float(dual_plan(space).evaluate(as_coords(space, phi)[None, :])[0])
 
 
 def _dual_unit(space: Space, phi: np.ndarray) -> Optional[np.ndarray]:
@@ -984,11 +973,6 @@ class _UpperEngine:
         best_lam[nearer], best_val[nearer] = uniform, u_val[nearer]
         return best_lam, best_val, settled
 
-    def _at_scale(self, c: float):
-        """The pool scaled by c and each support's (mu_C, d_C) on it (``_solve_scale``)."""
-        _solve_scale([self], c)
-        return self._scaled[c]
-
     # -- parameter-dependent stage --------------------------------------
 
     def _is_member(self, params: CmParams) -> bool:
@@ -1331,55 +1315,12 @@ def grid_guard_report(space: Space, params: CmParams, h: float) -> dict:
     }
 
 
-def require_grid_fits(space: Space, params: CmParams, h: float) -> dict:
-    """The grid guard report, or a refusal carrying it when the grid is too large."""
-    report = grid_guard_report(space, params, h)
-    if report["grid_points"] > GRID_GUARD:
-        raise CapabilityRefusal(
-            f"grid of {report['grid_points']} points exceeds the guard "
-            f"({GRID_GUARD}); need resolution >= {report['required_resolution']:.3g}",
-            report=report,
-        )
-    return report
-
-
 def _grid_points(alpha: float, h: float, D: int) -> np.ndarray:
     K = math.ceil(alpha / h - 1e-12)
     axis = np.arange(-K, K + 1) * h
     grids = np.meshgrid(*([axis] * D), indexing="ij")
     return np.stack([g.reshape(-1) for g in grids], axis=1)
 
-
-def _read_only(*arrays: Optional[np.ndarray]) -> None:
-    for a in arrays:
-        if a is not None:
-            a.flags.writeable = False
-
-
-# The grid caches keep grids of at most this many points, the most that
-# dkprofile picks on its own.  One such grid with its two norms is at most
-# 300k (D + 2) floats, 31 MB at D = 11, the largest D with 3^D <= 300k.  A
-# larger grid, which only an explicit resolution asks for, is normed for
-# its call and freed with it.
-GRID_CACHE_CAP = 300_000
-
-
-def _normed_grid(space: Space, n: int, alpha: float, h: float):
-    """The grid of one (space, n, alpha, h), normed: (points, mean norms, sup norms, r_cov).
-
-    The covering radius r_cov is rounded up, so the relaxed sets can only
-    grow and the lower side only shrink.  The arrays are read-only.
-    """
-    D = dim(ambient_space(space, n))
-    mean_sup = _mean_sup_evaluator(space, n)
-    pts = _grid_points(alpha, h, D)
-    mean_vals, sup_vals = mean_sup(pts)
-    r_cov = float(np.nextafter((h / 2.0) * float(mean_sup(np.ones((1, D)))[1][0]), INF))
-    _read_only(pts, mean_vals, sup_vals)
-    return pts, mean_vals, sup_vals, r_cov
-
-
-_grid_nodes = functools.lru_cache(maxsize=4)(_normed_grid)
 
 # Qhull's output grows like K^(D/2) facets.  On the 24 candidates of an
 # auto-grid profile at m >= 2, Qhull plus the vertex solves against the
@@ -1393,107 +1334,87 @@ _VERTEX_DIM_CAP = 4
 
 @dataclass(frozen=True, eq=False)
 class _GridMembers:
-    """The strict and relaxed grid members of one (space, n, alpha, h, eps).
+    """The strict and relaxed grid members of one (space, params, resolution).
 
-    Read-only arrays, with what every call at these parameters asks of
-    their hulls.  In the plane (D = 2): the strict set's hull edges (the
-    extreme pair when Qhull refuses a degenerate set), and the relaxed
-    set's hull edges and facet equations (None when Qhull refuses).  In
-    3 <= D <= ``_VERTEX_DIM_CAP``: the relaxed set's hull vertices, found
-    on the first m >= 2 lower side that needs them (None when Qhull
-    refuses, above the cap, or when the record is not ``shared``: Qhull
-    only pays off over the calls of a cached grid).
+    They come with the bracket ``meta`` and with what the grid's lower and
+    upper sides ask of their hulls.  In the plane (D = 2): the strict
+    set's hull edges (the extreme pair when Qhull refuses a degenerate
+    set), and the relaxed set's hull edges and facet equations (None when
+    Qhull refuses).  In 3 <= D <= ``_VERTEX_DIM_CAP``: the relaxed set's
+    hull vertices, found on the first m >= 2 lower side that needs them
+    (None when Qhull refuses or above the cap).
     """
 
-    shared: bool
-    grid_points: int
     r_cov: float
     strict: np.ndarray
     relax: np.ndarray
     strict_edges: Optional[np.ndarray]
     relax_edges: Optional[np.ndarray]
     relax_equations: Optional[np.ndarray]
-
-    def meta(self, resolution: float) -> dict:
-        """A new copy of the bracket meta of these members."""
-        return {
-            "resolution": resolution,
-            "covering_radius": self.r_cov,
-            "covering_constant": self.r_cov / resolution,
-            "grid_points": self.grid_points,
-            "strict_members": int(self.strict.shape[0]),
-            "relax_members": int(self.relax.shape[0]),
-        }
+    meta: dict
 
     @functools.cached_property
     def relax_vertices(self) -> Optional[np.ndarray]:
         from scipy.spatial import ConvexHull, QhullError
 
-        if not self.shared or self.relax.shape[1] > _VERTEX_DIM_CAP:
+        if self.relax.shape[1] > _VERTEX_DIM_CAP:
             return None
         try:
-            vertices = ConvexHull(self.relax).vertices
+            return ConvexHull(self.relax).vertices
         except QhullError:
             return None
-        _read_only(vertices)
-        return vertices
 
 
-def _members(
-    strict: np.ndarray, relax: np.ndarray, r_cov: float, grid_points: int, shared: bool
-) -> _GridMembers:
-    """The member record of two member sets, with their planar hulls computed."""
+def _grid_members(space: Space, params: CmParams, resolution: float) -> _GridMembers:
+    """The grid members at params, normed once, with their planar hulls.
+
+    Checks in order: a non-empty constraint set, a resolution in (0, inf),
+    and the grid guard; then refuses a grid too coarse to have members.
+    The covering radius r_cov is rounded up, so the relaxed set can only
+    grow and the lower side only shrink.  Callers build one record and
+    pass it to every ``_grid_lower`` (and ``_grid_upper``) they run.
+    """
+    require_nonempty(params)
+    if not 0.0 < resolution < INF:
+        raise ParameterError(f"resolution must be positive and finite, got {resolution}")
+    report = grid_guard_report(space, params, resolution)
+    if report["grid_points"] > GRID_GUARD:
+        raise CapabilityRefusal(
+            f"grid of {report['grid_points']} points exceeds the guard "
+            f"({GRID_GUARD}); need resolution >= {report['required_resolution']:.3g}",
+            report=report,
+        )
     from scipy.spatial import ConvexHull, QhullError
 
-    strict_edges = relax_edges = equations = None
-    if strict.shape[1] == 2:
-        if strict.shape[0] >= 2:
-            strict_edges = _hull_edges(strict)
-        if relax.shape[0]:
-            try:
-                hull = ConvexHull(relax)
-                relax_edges, equations = hull.simplices, hull.equations
-            except QhullError:
-                pass  # degenerate (collinear): the lower side solves on every member
-    _read_only(strict, relax, strict_edges, relax_edges, equations)
-    return _GridMembers(shared, grid_points, r_cov, strict, relax, strict_edges, relax_edges, equations)
-
-
-def _select_members(nodes, alpha: float, eps: float, shared: bool) -> _GridMembers:
-    """The member record of a normed grid (``_normed_grid``) at (alpha, eps)."""
-    pts, mean_vals, sup_vals, r_cov = nodes
+    D, alpha, eps = report["dimension"], params.alpha, params.epsilon
+    mean_sup = _mean_sup_evaluator(space, params.n)
+    pts = _grid_points(alpha, resolution, D)
+    mean_vals, sup_vals = mean_sup(pts)
+    r_cov = float(np.nextafter((resolution / 2.0) * float(mean_sup(np.ones((1, D)))[1][0]), INF))
     strict = pts[(sup_vals <= alpha) & (mean_vals > 1.0 - eps)]
     relax = pts[(sup_vals <= alpha + r_cov) & (mean_vals >= 1.0 - eps - r_cov)]
-    return _members(strict, relax, r_cov, int(pts.shape[0]), shared)
-
-
-@functools.lru_cache(maxsize=16)
-def _grid_members(space: Space, n: int, alpha: float, h: float, eps: float) -> _GridMembers:
-    """The grid members of one (space, n, alpha, h, eps), selected once from ``_grid_nodes``."""
-    return _select_members(_grid_nodes(space, n, alpha, h), alpha, eps, True)
-
-
-def _grid_report(space: Space, params: CmParams, resolution: float) -> dict:
-    """The grid guard report at params, or the refusal of a grid too large."""
-    require_nonempty(params)
-    if resolution <= 0:
-        raise ParameterError(f"resolution must be positive, got {resolution}")
-    return require_grid_fits(space, params, resolution)
-
-
-def _checked_members(space: Space, params: CmParams, resolution: float, report: dict) -> _GridMembers:
-    """The grid members at params, or the refusal of a grid too coarse to have any."""
-    key = (space, params.n, params.alpha, resolution)
-    if report["grid_points"] <= GRID_CACHE_CAP:
-        members = _grid_members(*key, params.epsilon)
-    else:  # too large to keep: normed for this call and freed with it
-        members = _select_members(_normed_grid(*key), params.alpha, params.epsilon, False)
-    if members.strict.shape[0] == 0 or members.relax.shape[0] == 0:
+    meta = {
+        "resolution": resolution,
+        "covering_radius": r_cov,
+        "covering_constant": r_cov / resolution,
+        "grid_points": int(pts.shape[0]),
+        "strict_members": int(strict.shape[0]),
+        "relax_members": int(relax.shape[0]),
+    }
+    if strict.shape[0] == 0 or relax.shape[0] == 0:
         raise CapabilityRefusal(
-            "grid too coarse: no members at this resolution",
-            report={**report, **members.meta(resolution)},
+            "grid too coarse: no members at this resolution", report={**report, **meta}
         )
-    return members
+    strict_edges = relax_edges = equations = None
+    if D == 2:
+        if strict.shape[0] >= 2:
+            strict_edges = _hull_edges(strict)
+        try:
+            hull = ConvexHull(relax)
+            relax_edges, equations = hull.simplices, hull.equations
+        except QhullError:
+            pass  # degenerate (collinear): the lower side solves on every member
+    return _GridMembers(r_cov, strict, relax, strict_edges, relax_edges, equations, meta)
 
 
 def _segment_scan(space: Space, z, A: np.ndarray, B: np.ndarray) -> Tuple[float, int, float]:
@@ -1514,35 +1435,21 @@ def dist_to_cm_grid(space: Space, z, params: CmParams, resolution: float) -> Dis
     (``_grid_upper``).  Lower side: members of the closure are within the
     covering radius of a grid point satisfying the relaxed constraints, so
     the distance to the relaxed grid hull minus the covering radius is a
-    valid lower bound (``_grid_lower``; ``dist_to_cm_grid_lower`` is that
-    side alone).
+    valid lower bound (``_grid_lower``).
 
-    A grid of at most ``GRID_CACHE_CAP`` points is normed once per (space,
-    n, alpha, resolution) and its members, with their hulls, are selected
-    once per eps; both are kept in small caches of read-only arrays, so
-    repeated calls share them.  A larger grid is normed for its call alone
-    and freed with it.  Each call gets its own ``meta``.  The bracket is
-    the same for every m >= 2: the upper side uses at most two grid
-    members and the lower side the full relaxed hull.
+    z's length is checked first; each call then builds its own member
+    record (``_grid_members``), with its checks and refusals, and its own
+    ``meta``.  The bracket is the same for every m >= 2: the upper side
+    uses at most two grid members and the lower side the full relaxed hull.
     """
-    report = _grid_report(space, params, resolution)
     amb = ambient_space(space, params.n)
     zz = as_coords(amb, z)
-    members = _checked_members(space, params, resolution, report)
+    members = _grid_members(space, params, resolution)
     upper, witness, upper_method = _grid_upper(amb, zz, members, params.m)
     lower, lower_method = _grid_lower(amb, zz, members, params.m)
     return DistanceBracket(
-        min(lower, upper), upper, lower_method, upper_method, witness=witness,
-        meta=members.meta(resolution),
+        min(lower, upper), upper, lower_method, upper_method, witness=witness, meta=members.meta
     )
-
-
-def dist_to_cm_grid_lower(space: Space, z, params: CmParams, resolution: float) -> float:
-    """The lower side of ``dist_to_cm_grid`` alone, bit for bit, with the same refusals."""
-    report = _grid_report(space, params, resolution)
-    amb = ambient_space(space, params.n)
-    zz = as_coords(amb, z)
-    return _grid_lower(amb, zz, _checked_members(space, params, resolution, report), params.m)[0]
 
 
 def _grid_upper(amb: Space, z, members: _GridMembers, m: int) -> Tuple[float, ConvexDecomposition, str]:
@@ -1598,7 +1505,7 @@ def _grid_lower(amb: Space, z, members: _GridMembers, m: int) -> Tuple[float, st
     m = 1 scans the relaxed points.  For m >= 2 in the plane, a nearest
     point of the full hull lies on a boundary edge whenever z is outside,
     so <= 2 generators suffice and the full-hull distance equals the m-fold
-    one for every m >= 2: the cached hull's edges give it.  Otherwise the
+    one for every m >= 2: the record's hull edges give it.  Otherwise the
     hull distance is certified by a dual functional (``_dual_certificate``).
     """
     S = members.relax

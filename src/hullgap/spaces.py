@@ -609,15 +609,20 @@ def norming_section(space: Space) -> np.ndarray:
 def _units(space: Space, X: np.ndarray) -> np.ndarray:
     """The rows of X with a finite nonzero norm, each divided by its norm.
 
-    A quotient whose norm rounds above 1 is divided by that norm once more.
+    A quotient whose norm rounds above 1 is divided by that norm once more,
+    and one that still reads above 1 by the next float above its norm,
+    until none does: dividing by a norm of 1 + ulp can round a row back to
+    itself.
     """
     ev = norm_plan(space).evaluate
     n = ev(X)
     ok = (n > 0.0) & (n < INF)
     U = X[ok] / n[ok, None]
-    n = ev(U)
-    over = n > 1.0
-    U[over] = U[over] / n[over, None]
+    n, first = ev(U), True
+    while np.any(over := n > 1.0):
+        div = n[over] if first else np.nextafter(n[over], INF)
+        U[over] = U[over] / div[:, None]
+        n[over], first = ev(U[over]), False
     return U
 
 

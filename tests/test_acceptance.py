@@ -173,7 +173,7 @@ def test_criterion_5_upper_bound_monotonicity(gate):
             lo, hi = up(CmParams(n, eps, 1.0, 2)), up(CmParams(n, eps, 1.5, 2))
             if hi > lo + 1e-9:
                 violations.append(("alpha", cfg, lo, hi))
-            if up(base.eps_plus()) > up(base) + 1e-9:
+            if up(CmParams(n, eps, 1.0 + eps, 1)) > up(base) + 1e-9:
                 violations.append(("widened", cfg))
         assert violations == []
 

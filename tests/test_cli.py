@@ -92,6 +92,12 @@ class TestLip:
         assert code == EXIT_INPUT
         assert "3 points" in err
 
+    @pytest.mark.parametrize("values", ["1,2,3,nan", "1,inf,3,4"])
+    def test_non_finite_value_is_input_error(self, capsys, values):
+        code, out, err = run(capsys, "lip", "--metric", "chain(0.5,4)", "--values", values)
+        assert code == EXIT_INPUT
+        assert out == "" and "non-finite" in err
+
     def test_csv_format_rejected(self, capsys):
         code, out, err = run(
             capsys,
@@ -349,6 +355,28 @@ class TestDk:
         assert code == EXIT_REFUSED
         assert doc["refusal"] == "grid too coarse: no members at this resolution"
         assert doc["report"]["strict_members"] == 0
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--resolution", "0"), ("--resolution", "inf"), ("--resolution", "nan"), ("--alpha", "inf"),
+    ])
+    def test_bad_grid_and_alpha_values_are_input_errors(self, capsys, flag, value):
+        code, out, err = run(
+            capsys,
+            "dk", "--space", "lp(2,1)", "--n", "2", "--eps", "0.2",
+            "--k", "1..2", "--seed", "0", flag, value,
+        )
+        assert code == EXIT_INPUT
+        assert out == "" and flag[2:] in err
+
+    def test_empty_constraint_set_is_refused_before_the_grid_guard(self, capsys):
+        # alpha 0.5 <= 1 - eps, and a step of 1e-4 is far over the guard
+        code, out, err = run(
+            capsys,
+            "dk", "--space", "lp(2,1)", "--n", "2", "--eps", "0.2", "--alpha", "0.5",
+            "--k", "1..2", "--seed", "0", "--resolution", "1e-4",
+        )
+        assert code == EXIT_INPUT
+        assert out == "" and "empty" in err
 
     def test_bad_space_grammar(self, capsys):
         code, out, err = run(

@@ -125,18 +125,29 @@ class TestEstimateDk:
             assert b.upper > 0.0
 
     def test_grid_runs_once_per_m_class(self, monkeypatch):
-        # one grid pass for k = 1 and one for k = 2 and 3 together
+        # one member record per profile, built before the engines; one lower
+        # side per candidate for k = 1 and one for k = 2 and 3 together
         calls = []
-        grid = dkprofile.dist_to_cm_grid_lower
+        build, lower, engines = dkprofile._grid_members, dkprofile._grid_lower, dkprofile._build_engines
 
-        def counting(space, v, params, h):
-            calls.append(params.m)
-            return grid(space, v, params, h)
+        def counting_build(*args):
+            calls.append("record")
+            return build(*args)
 
-        monkeypatch.setattr(dkprofile, "dist_to_cm_grid_lower", counting)
+        def counting_lower(amb, v, members, m):
+            calls.append(min(m, 2))
+            return lower(amb, v, members, m)
+
+        def counting_engines(*args):
+            calls.append("engines")
+            return engines(*args)
+
+        monkeypatch.setattr(dkprofile, "_grid_members", counting_build)
+        monkeypatch.setattr(dkprofile, "_grid_lower", counting_lower)
+        monkeypatch.setattr(dkprofile, "_build_engines", counting_engines)
         prof = estimate_dk(R1, 2, 0.25, 1.0, (1, 2, 3), budget=2, seed=3, resolution=0.1)
         n_cands = len(_adversaries(R1, 2, 2, 3))
-        assert sorted(calls) == [1] * n_cands + [2] * n_cands
+        assert calls == ["record", "engines"] + [1] * n_cands + [2] * n_cands
         assert prof.bracket(2).lower == prof.bracket(3).lower
         assert prof.bracket(2).lower <= prof.bracket(1).lower
 

@@ -28,9 +28,7 @@ from hullgap.hullgeom import (
     _batch_segment_min,
     cm_member_check,
     dist_to_cm_grid,
-    dist_to_cm_grid_lower,
     dist_to_cm_upper,
-    dual_norm,
     grid_guard_report,
     mean_norm_evaluator,
     min_norm_point,
@@ -56,6 +54,18 @@ from hullgap.spaces import (
 
 SCALARS = LpFinite(2.0, 1)
 PLANE = LpFinite(INF, 2)
+
+
+def dual_norm_of(space, phi) -> float:
+    """The exact dual norm of a functional, from the space's dual plan."""
+    return float(dual_plan(space).evaluate(np.asarray(phi, dtype=float)[None, :])[0])
+
+
+def at_scale(engine, c: float):
+    """An engine's pool scaled by c and each support's (mu_C, d_C) on it."""
+    hullgeom._solve_scale([engine], c)
+    return engine._scaled[c]
+
 
 POOL = [
     LpFinite(INF, 3),
@@ -207,14 +217,14 @@ class TestParams:
             CmParams(n=2.5, epsilon=0.1)
 
     def test_rejects_bad_alpha(self):
-        with pytest.raises(ParameterError, match="alpha"):
-            CmParams(n=2, epsilon=0.1, alpha=-1.0)
+        for alpha in (-1.0, math.inf, math.nan):
+            with pytest.raises(ParameterError, match="alpha"):
+                CmParams(n=2, epsilon=0.1, alpha=alpha)
 
     def test_derived_params(self):
         p = CmParams(n=3, epsilon=0.2)
         assert p.with_m(5).m == 5 and p.with_m(5).n == 3
-        q = p.eps_plus()
-        assert q.alpha == pytest.approx(1.2) and q.epsilon == 0.2
+        assert p.with_m(5).epsilon == 0.2 and p.with_m(5).alpha == 1.0
 
     def test_empty_set_detection(self):
         require_nonempty(CmParams(n=2, epsilon=0.1, alpha=0.95))
@@ -262,7 +272,7 @@ class TestDecompositions:
 
     def test_point_is_weighted_average(self):
         dec = ConvexDecomposition([0.25, 0.75], [np.array([1.0, 0.0]), np.array([0.0, 1.0])])
-        assert np.allclose(dec.point(), [0.25, 0.75])
+        assert np.allclose(dec.weights @ np.stack(dec.generators), [0.25, 0.75])
 
     def test_validation_limits(self):
         p = CmParams(n=2, epsilon=0.1, m=1)
@@ -300,12 +310,12 @@ class TestNormMachinery:
     @given(st.integers(0, len(PLAN_POOL) - 1), st.integers(0, 2**31 - 1))
     def test_dual_norm_matches_conjugate_space(self, si, seed):
         # the dual plan's norming candidates at phi lie in the unit ball of the
-        # scalar reference norm, and the best one attains dual_norm(phi): with
-        # the pairing inequality below, dual_norm is the sup of phi on that ball
+        # scalar reference norm, and the best one attains the dual norm of phi:
+        # with the pairing inequality below, it is the sup of phi on that ball
         sp = PLAN_POOL[si]
         rng = np.random.default_rng(seed)
         phi = rng.uniform(-2.0, 2.0, dim(sp))
-        dn = dual_norm(sp, phi)
+        dn = dual_norm_of(sp, phi)
         cands = dual_plan(sp).norming(phi)
         assert cands
         assert phi @ cands[0][1] == pytest.approx(dn, abs=1e-12)
@@ -321,13 +331,13 @@ class TestNormMachinery:
         rng = np.random.default_rng(seed)
         phi = rng.uniform(-2.0, 2.0, dim(sp))
         x = rng.uniform(-2.0, 2.0, dim(sp))
-        assert abs(phi @ x) <= dual_norm(sp, phi) * norm(sp, x) + 1e-9
+        assert abs(phi @ x) <= dual_norm_of(sp, phi) * norm(sp, x) + 1e-9
 
     def test_conjugate_exponent_formulas(self):
         phi = np.array([0.5, -2.0, 1.0])
-        assert dual_norm(LpFinite(INF, 3), phi) == pytest.approx(3.5)
-        assert dual_norm(LpFinite(1.0, 3), phi) == pytest.approx(2.0)
-        assert dual_norm(LpFinite(2.0, 3), phi) == pytest.approx(np.linalg.norm(phi))
+        assert dual_norm_of(LpFinite(INF, 3), phi) == pytest.approx(3.5)
+        assert dual_norm_of(LpFinite(1.0, 3), phi) == pytest.approx(2.0)
+        assert dual_norm_of(LpFinite(2.0, 3), phi) == pytest.approx(np.linalg.norm(phi))
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, len(NORM_POOL) - 1), st.integers(0, 2**31 - 1))
@@ -339,7 +349,7 @@ class TestNormMachinery:
         nv = norm(sp, v)
         cuts = [psi for val, psi in hullgeom._norming_functionals(sp, v) if val >= (1.0 - 1e-12) * nv]
         for psi in cuts:
-            assert dual_norm(sp, psi) <= 1.0 + 1e-9
+            assert dual_norm_of(sp, psi) <= 1.0 + 1e-9
             assert psi @ v == pytest.approx(nv, abs=1e-9)
 
     @pytest.mark.parametrize("p, row", [
@@ -773,7 +783,7 @@ class TestDescentUpper:
         for eps in (0.1, 0.25):
             p = CmParams(n=2, epsilon=eps, m=2)
             assert (
-                dist_to_cm_upper(SCALARS, z, p.eps_plus()).upper
+                dist_to_cm_upper(SCALARS, z, CmParams(2, eps, 1.0 + eps, 2)).upper
                 <= dist_to_cm_upper(SCALARS, z, p).upper + 1e-9
             )
 
@@ -867,7 +877,8 @@ class TestEngineReuse:
         dist_to_cm_upper(PLANE, z, self.P)
         again = dist_to_cm_upper(PLANE, [2.0, 0.0, -2.0, 0.0], self.P)
         assert again.upper == first.upper and again.meta == first.meta
-        assert np.array_equal(again.witness.point(), first.witness.point())
+        assert np.array_equal(again.witness.weights @ np.stack(again.witness.generators),
+                              first.witness.weights @ np.stack(first.witness.generators))
 
 
 class TestOnePullRule:
@@ -997,7 +1008,7 @@ class TestBatchedRows:
                 assert (0.2, alpha) not in eng._pull_cache
                 continue
             own = hullgeom._build_engines(sp, n, [z], 1, 1)[0]
-            pool = own._at_scale(hullgeom._pool_scale(alpha))[0]
+            pool = at_scale(own, hullgeom._pool_scale(alpha))[0]
             own_pulls = hullgeom._pull_rows(own.nrm_mean_sup, pool, own.z[None, :], 0.2, alpha)
             assert np.array_equal(eng._pull_cache[0.2, alpha], own_pulls)
 
@@ -1067,7 +1078,7 @@ class TestBatchedEngines:
         """The pool, chain and supports, the solutions at c = 1 and below, and values."""
         out = [e.pool.tobytes(), e._n_const, e.chain, e.supports, e.z_sup, e.z_mean]
         for c in (1.0, hullgeom._pool_scale(0.95)):
-            pool, solutions = e._at_scale(c)
+            pool, solutions = at_scale(e, c)
             out.append(pool.tobytes())
             out += [(idxs, lam.tobytes(), d) for idxs, (lam, d) in sorted(solutions.items())]
         for m in (1, 2, 4):
@@ -1111,7 +1122,7 @@ class TestBatchedEngines:
         """The smallest closed form d_C / Z computed support by support, or 0 for a member."""
         if e._is_member(p):
             return 0.0
-        pool, solutions = e._at_scale(hullgeom._pool_scale(p.alpha))
+        pool, solutions = at_scale(e, hullgeom._pool_scale(p.alpha))
         s = hullgeom._pull_rows(e.nrm_mean_sup, pool, e.z[None, :], p.epsilon, p.alpha)
         return min(solutions[idxs][1] / float(np.sum(solutions[idxs][0] / (1.0 - s[list(idxs)])))
                    for _, idxs in e.supports if len(idxs) <= p.m)
@@ -1406,87 +1417,62 @@ class TestGridOracle:
         with pytest.raises(CapabilityRefusal, match="coarse"):
             dist_to_cm_grid(SCALARS, [1.0, -1.0], self.P1, resolution=2.0)
 
-    def test_empty_strict_set_refused_on_both_paths(self):
+    def test_rejects_non_finite_resolution_before_any_grid_work(self, monkeypatch):
+        def no_grid(*args):
+            raise AssertionError("grid built")
+
+        monkeypatch.setattr(hullgeom, "_grid_points", no_grid)
+        for h in (-0.5, math.inf, math.nan):
+            with pytest.raises(ParameterError, match="resolution"):
+                dist_to_cm_grid(SCALARS, [1.0, -1.0], self.P1, resolution=h)
+
+    def test_empty_strict_set_refused_on_both_paths(self, monkeypatch):
         # at step 0.3 the grid's largest point in the unit ball is (0.9, 0.9),
-        # whose mean misses 1 - eps = 0.95; the relaxed set still has two points
+        # whose mean misses 1 - eps = 0.95; the relaxed set still has two
+        # points.  A profile refuses as the bracket does, before its engines.
         p = CmParams(n=2, epsilon=0.05, m=2)
-        for oracle in (dist_to_cm_grid, dist_to_cm_grid_lower):
+        monkeypatch.setattr(dkprofile, "_build_engines", None)
+        for entry in (lambda: dist_to_cm_grid(SCALARS, [1.0, -1.0], p, 0.3),
+                      lambda: estimate_dk(SCALARS, 2, 0.05, k_range=(1, 2), resolution=0.3)):
             with pytest.raises(CapabilityRefusal, match="coarse") as exc:
-                oracle(SCALARS, [1.0, -1.0], p, 0.3)
+                entry()
             assert exc.value.report["strict_members"] == 0
             assert exc.value.report["relax_members"] == 2
 
     def test_wrong_length_z_is_refused_before_the_grid(self):
-        # the grid at step 0.3 has no strict members, but z is checked first
+        # z is checked before every grid refusal: a grid with no strict
+        # members, a zero step and a grid over the guard.  A profile takes no
+        # z; its candidates come from the unit-ball sampler at the right length.
         p = CmParams(n=2, epsilon=0.05, m=2)
-        for oracle in (dist_to_cm_grid, dist_to_cm_grid_lower):
+        for h in (0.3, 0.0, 1e-4):
             with pytest.raises(spaces.DimensionMismatch):
-                oracle(SCALARS, [1.0, -1.0, 0.5], p, 0.3)
+                dist_to_cm_grid(SCALARS, [1.0, -1.0, 0.5], p, h)
 
-    def test_a_grid_above_the_cache_cap_is_not_kept(self, monkeypatch):
-        h = 0.003  # 669^2 = 447,561 points
-        p = CmParams(n=2, epsilon=0.2, m=2)
-        assert grid_guard_report(SCALARS, p, h)["grid_points"] > hullgeom.GRID_CACHE_CAP
-        hullgeom._grid_nodes.cache_clear()
-        hullgeom._grid_members.cache_clear()
-        g = dist_to_cm_grid(SCALARS, [1.0, -1.0], p, h)
-        low = dist_to_cm_grid_lower(SCALARS, [1.0, -1.0], p, h)
-        for cache in (hullgeom._grid_nodes, hullgeom._grid_members):
-            assert cache.cache_info().currsize == 0
-        # the same bracket as the grid kept in the caches
-        monkeypatch.setattr(hullgeom, "GRID_CACHE_CAP", 10**6)
-        kept = dist_to_cm_grid(SCALARS, [1.0, -1.0], p, h)
-        assert hullgeom._grid_members.cache_info().currsize == 1
-        assert (g.lower, g.upper, g.meta) == (kept.lower, kept.upper, kept.meta)
-        assert low == g.lower
-        hullgeom._grid_nodes.cache_clear()
-        hullgeom._grid_members.cache_clear()
-
-    def test_no_vertex_solve_above_the_dimension_cap_or_off_the_caches(self):
-        members = hullgeom._grid_members(SCALARS, 5, 1.0, 0.5, 0.25)
+    def test_no_vertex_solve_above_the_dimension_cap(self):
+        members = hullgeom._grid_members(SCALARS, CmParams(5, 0.25, m=2), 0.5)
         assert members.relax.shape[1] > hullgeom._VERTEX_DIM_CAP
         assert members.relax_vertices is None
-        base = hullgeom._grid_members(SCALARS, 3, 1.0, 0.25, 0.25)
-        assert base.relax_vertices is not None
-        alone = hullgeom._members(base.strict, base.relax, base.r_cov, base.grid_points, False)
-        assert alone.relax_vertices is None
+        assert hullgeom._grid_members(SCALARS, CmParams(3, 0.25, m=2), 0.25).relax_vertices is not None
 
     # (space, n, resolution): ambient dimension 2, 3 and 4
     LOWER_CASES = [(SCALARS, 2, 0.05), (SCALARS, 3, 0.25), (LpFinite(2.0, 2), 2, 0.25)]
 
     @pytest.mark.parametrize("sp, n, h", LOWER_CASES)
     def test_lower_only_path_equals_the_bracket_lower(self, sp, n, h):
+        # one record per eps for every z and m, as a profile uses it, against
+        # a bracket that builds its own record per call
+        amb = hullgeom.ambient_space(sp, n)
         rng = np.random.default_rng(n)
-        D = dim(sp) * n
-        zs = [rng.uniform(-1.2, 1.2, D) for _ in range(4)] + [np.tile(canonical_unit(sp), n)]
+        zs = [rng.uniform(-1.2, 1.2, dim(amb)) for _ in range(4)] + [np.tile(canonical_unit(sp), n)]
         for eps in (0.2, 0.3):
+            members = hullgeom._grid_members(sp, CmParams(n, eps), h)
             for m in (1, 2):
-                p = CmParams(n=n, epsilon=eps, m=m)
                 for z in zs:
-                    # the lower side alone on cold caches, the bracket on warm ones
-                    hullgeom._grid_nodes.cache_clear()
-                    hullgeom._grid_members.cache_clear()
-                    low = dist_to_cm_grid_lower(sp, z, p, h)
-                    g = dist_to_cm_grid(sp, z, p, h)
+                    low = hullgeom._grid_lower(amb, z, members, m)[0]
+                    g = dist_to_cm_grid(sp, z, CmParams(n, eps, m=m), h)
                     assert np.float64(low).tobytes() == np.float64(g.lower).tobytes(), (eps, m, z)
 
-    def test_cached_arrays_are_read_only_and_caches_bounded(self):
-        for eps in np.linspace(0.1, 0.5, 40):
-            dist_to_cm_grid(SCALARS, [1.0, -1.0, 0.5], CmParams(n=3, epsilon=eps, m=2), 0.25)
-        for cache in (hullgeom._grid_nodes, hullgeom._grid_members):
-            info = cache.cache_info()
-            assert info.maxsize is not None and info.currsize <= info.maxsize <= 16
-        members = hullgeom._grid_members(SCALARS, 3, 1.0, 0.25, 0.5)
-        assert members.relax_vertices is not None  # found by the m = 2 calls
-        arrays = list(hullgeom._grid_nodes(SCALARS, 3, 1.0, 0.25)[:3])
-        arrays += [members.strict, members.relax, members.relax_vertices]
-        planar = hullgeom._grid_members(SCALARS, 2, 1.0, 0.1, 0.2)
-        arrays += [planar.strict_edges, planar.relax_edges, planar.relax_equations]
-        for a in arrays:
-            assert isinstance(a, np.ndarray) and not a.flags.writeable
-            with pytest.raises(ValueError, match="read-only"):
-                a[0] = 0
-        # every call gets its own meta
+    def test_each_call_gets_its_own_meta(self):
         p = CmParams(n=3, epsilon=0.5, m=2)
         first = dist_to_cm_grid(SCALARS, [1.0, -1.0, 0.5], p, 0.25)
         first.meta["grid_points"] = -1
@@ -1496,7 +1482,7 @@ class TestGridOracle:
     @pytest.mark.parametrize("sp, n, h", LOWER_CASES[1:])
     def test_vertex_solve_lower_is_below_the_all_member_distance(self, sp, n, h):
         amb = hullgeom.ambient_space(sp, n)
-        members = hullgeom._grid_members(sp, n, 1.0, h, 0.25)
+        members = hullgeom._grid_members(sp, CmParams(n, 0.25, m=2), h)
         V = members.relax_vertices
         assert V is not None and 0 < V.shape[0] < members.relax.shape[0]
         rng = np.random.default_rng(7)
@@ -1513,7 +1499,7 @@ class TestGridOracle:
             res = min_norm_point(amb, z, members.relax[V], target_gap=1e-9)
             if res.functional is not None:
                 phi = res.functional
-                assert dual_norm(amb, phi) <= 1.0 + 1e-12
+                assert dual_norm_of(amb, phi) <= 1.0 + 1e-12
                 assert res.lower == max(0.0, float(phi @ z - np.max(members.relax[V] @ phi)))
 
     def test_a_vertex_qhull_drops_cannot_raise_the_lower(self):
@@ -1521,8 +1507,8 @@ class TestGridOracle:
         # the rest reports too large a lower, and checking its functional
         # against every member brings it back under the true distance
         amb = hullgeom.ambient_space(SCALARS, 3)
-        base = hullgeom._grid_members(SCALARS, 3, 1.0, 0.25, 0.25)
-        members = hullgeom._members(base.strict, base.relax, base.r_cov, base.grid_points, True)
+        base = hullgeom._grid_members(SCALARS, CmParams(3, 0.25, m=2), 0.25)
+        members = hullgeom._GridMembers(base.r_cov, base.strict, base.relax, None, None, None, {})
         V = base.relax_vertices
         z = 2.0 * base.relax[V[0]]
         members.__dict__["relax_vertices"] = V[1:]
@@ -1537,7 +1523,7 @@ class TestGridOracle:
         rng = np.random.default_rng(5)
         xy = rng.uniform(-1.0, 1.0, (30, 2))
         flat = np.column_stack([xy, xy.sum(axis=1)])
-        members = hullgeom._members(flat[:5].copy(), flat, 0.01, 30, True)
+        members = hullgeom._GridMembers(0.01, flat[:5].copy(), flat, None, None, None, {})
         assert members.relax_vertices is None
         z = np.array([0.4, -0.8, 1.3])
         lower, method = hullgeom._grid_lower(amb, z, members, 2)

@@ -127,6 +127,16 @@ class TestSampling:
         sp = LpFinite(4.0, 2)
         assert np.all(norm_evaluator(sp)(sample_unit_ball(sp, 200, seed=5)) <= 1.0)
 
+    @pytest.mark.parametrize("p, d", [(1.5, 4), (1.5, 7)])
+    def test_rows_dividing_back_to_themselves_are_shrunk(self, p, d):
+        # a row of norm 1 + ulp divided by that norm can round back to
+        # itself; over these seeds such rows turn up on both spaces
+        sp = LpFinite(p, d)
+        for seed in range(12):
+            U = sample_unit_ball(sp, 200, seed)
+            assert np.all(norm_evaluator(sp)(U) <= 1.0), seed
+            assert all(norm(sp, u) <= 1.0 for u in U), seed
+
     @staticmethod
     def one_at_a_time(space, count, seed):
         """sample_unit_ball as a loop over single vectors, each normed by ``norm``."""
@@ -139,7 +149,10 @@ class TestSampling:
                 return None
             y = x / n
             n2 = norm(space, y)
-            return y / n2 if n2 > 1.0 else y
+            y = y / n2 if n2 > 1.0 else y
+            while (n2 := norm(space, y)) > 1.0:
+                y = y / np.nextafter(n2, math.inf)
+            return y
 
         def push(x):
             u = unit(x)
