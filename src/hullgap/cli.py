@@ -43,7 +43,7 @@ from .lipmetric import (
     mcshane_extend,
     restricted_seminorm,
 )
-from .hullgeom import DistanceBracket
+from .hullgeom import CmParams, DistanceBracket
 from .certificates import (
     FunctionModuleSection,
     RingFamily,
@@ -344,6 +344,7 @@ def cmd_dk(cfg: RunConfig) -> Tuple[str, int]:
     fmt = _require_format(cfg, ("csv", "json"))
     space = parse_space(cfg.space)
     ks = _k_range(cfg.k)
+    CmParams(cfg.n, cfg.eps, cfg.alpha)  # both routes check n, eps and alpha alike
     if isinstance(space, FunctionModule):
         if cfg.alpha < 1.0:
             # the partition panel verifies the alpha = 1 construction, and
@@ -416,11 +417,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, out: Optional[str]) -> None:
-    if out:
-        Path(out).write_text(text)
-    else:
+def _emit(cfg: RunConfig, text: str, code: int) -> int:
+    """Write the output to --out, or to stdout; an unwritable --out is an input error."""
+    if not cfg.out:
         sys.stdout.write(text)
+        return code
+    try:
+        Path(cfg.out).write_text(text)
+    except OSError as exc:
+        sys.stderr.write(f"hullgap {cfg.command}: cannot write --out {cfg.out!r}: {exc}\n")
+        return EXIT_INPUT
+    return code
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -441,16 +448,14 @@ def main(argv: Optional[List[str]] = None) -> int:
             "refusal": str(exc),
             "report": exc.report,
         }
-        _emit(_render_json(doc), cfg.out)
-        return EXIT_REFUSED
+        return _emit(cfg, _render_json(doc), EXIT_REFUSED)
     except (VerificationError, InternalInconsistencyError) as exc:
         sys.stderr.write(f"hullgap {cfg.command}: {exc}\n")
         return EXIT_FAIL
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"hullgap {cfg.command}: {exc}\n")
         return EXIT_INPUT
-    _emit(text, cfg.out)
-    return code
+    return _emit(cfg, text, code)
 
 
 if __name__ == "__main__":

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -90,7 +89,7 @@ class DkProfile:
         for a, b in zip(ups, ups[1:]):
             if b > a + 1e-12:
                 raise InternalInconsistencyError(
-                    f"upper bounds increase along k after monotonization: {ups}"
+                    f"upper bounds increase along k, which no engine's upper can: {ups}"
                 )
 
     @property
@@ -194,10 +193,12 @@ def estimate_dk(
 
     Each entry's upper side is the largest explicit-decomposition upper
     bound over the candidates (a heuristic for the supremum: candidates
-    only sample the ball), monotonized by running minimum since enlarging
-    the hull cannot increase any distance.  When a grid fits under the
-    point cap (or the caller pins a resolution), each lower side is the
-    largest certified grid lower over the candidates, not monotonized: a
+    only sample the ball).  It is nonincreasing in k as computed: each
+    engine's upper is a min over supports of at most m generators, whose
+    closed forms are fixed per (epsilon, alpha), so the max over the
+    engines cannot rise with k (``DkProfile`` checks it).  When a grid fits
+    under the point cap (or the caller pins a resolution), each lower side
+    is the largest certified grid lower over the candidates: a
     candidate's m = 1 lower is never below its m >= 2 one, which is the same
     for every m >= 2, so the grid oracle's lower side (``_grid_lower``)
     runs once per candidate for k = 1 and once for all k >= 2.  Those calls
@@ -225,13 +226,12 @@ def estimate_dk(
     cands = _adversaries(space, n, budget, seed)
     engines = _build_engines(space, n, [v for _, v in cands], seed, budget)
 
-    raw = []
+    entries = []
     lows: Dict[int, Tuple[float, str]] = {}  # the grid lower side of m = 1 and of m >= 2
     for k in ks:
         p = base.with_m(k)
         i, b = _best_upper(engines, p)
-        up, up_id, up_wit, up_support = b.upper, cands[i][0], b.witness, b.meta["support"]
-        if not validate_decomposition(space, p, up_wit):
+        if not validate_decomposition(space, p, b.witness):
             raise InternalInconsistencyError(f"sweep witness failed validation at k={k}")
         if members is not None and min(k, 2) not in lows:
             low, low_id = 0.0, ""
@@ -241,40 +241,19 @@ def estimate_dk(
                     low, low_id = g, cid
             lows[min(k, 2)] = (low, low_id)
         low, low_id = lows.get(min(k, 2), (0.0, ""))
-        raw.append((k, up, up_id, up_wit, up_support, low, low_id))
-
-    entries = []
-    run_up = math.inf
-    run_src = None
-    for k, up, up_id, up_wit, up_support, low, low_id in raw:
-        clipped = up > run_up
-        if not clipped:
-            run_up = up
-            run_src = (k, up_id, up_wit, up_support)
         meta = {
-            "witness_id": run_src[1],
-            "support": run_src[3],
+            "witness_id": cands[i][0],
+            "support": b.meta["support"],
             "method": ("grid+sweep" if h is not None else "heuristic-only"),
         }
         if h is not None:
             meta["resolution"] = h
             if low_id:
                 meta["lower_witness_id"] = low_id
-        if clipped:
-            meta["monotonized_from_k"] = run_src[0]
-        entries.append(
-            (
-                k,
-                DistanceBracket(
-                    low,
-                    run_up,
-                    lower_method=("grid-covering" if h is not None else "none"),
-                    upper_method=("candidate-sweep" if not clipped else "candidate-sweep-monotone"),
-                    witness=run_src[2],
-                    meta=meta,
-                ),
-            )
-        )
+        entries.append((k, DistanceBracket(
+            low, b.upper, lower_method=("grid-covering" if h is not None else "none"),
+            upper_method="candidate-sweep", witness=b.witness, meta=meta,
+        )))
     return DkProfile(
         n=n, epsilon=epsilon, alpha=alpha, seed=seed, budget=max(1, int(budget)),
         entries=tuple(entries),

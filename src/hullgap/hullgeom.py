@@ -13,7 +13,8 @@ module answers "how far is z from that set" three ways:
   for every p) takes one LP, whose marginals are the functional; a curved
   norm takes the exact Euclidean nearest point (one NNLS), a descent in
   the true norm from there, norming functionals at the residual, and one
-  SLSQP refinement on each side;
+  SLSQP refinement on each side.  The LP and the SLSQP stages share one
+  epigraph model per norm plan (``_epigraph``);
 * ``dist_to_cm_upper`` -- a deterministic feasible-decomposition search whose
   reported value is monotone in m, eps and alpha by construction; its hull
   weights are polished by one segment line search on every norm, tangent
@@ -29,8 +30,8 @@ evaluators of ambient tuples (block-mean norm, and block-mean and sup norm
 in one call) and the rescaling of a functional into the dual unit ball.
 
 Strictness: the "> 1 - eps" constraint is checked as "> 1 - eps - tol" with
-a declared tolerance (default 1e-9), i.e. all distances are reported about
-the closure of the constraint set; the infimum is the same.
+the declared tolerance ``STRICTNESS_TOL`` = 1e-9, i.e. all distances are
+reported about the closure of the constraint set; the infimum is the same.
 """
 
 from __future__ import annotations
@@ -118,23 +119,21 @@ class MemberReport:
     mean_norm: float
     sup_ok: bool
     mean_ok: bool
-    tol: float
 
     @property
     def passed(self) -> bool:
         return self.sup_ok and self.mean_ok
 
 
-def cm_member_check(space: Space, params: CmParams, g, tol: float = STRICTNESS_TOL) -> MemberReport:
+def cm_member_check(space: Space, params: CmParams, g) -> MemberReport:
     """Check the two membership constraints, reporting both computed values."""
     x = as_coords(ambient_space(space, params.n), g)
     mean, sup = (float(v[0]) for v in _mean_sup_evaluator(space, params.n)(x[None, :]))
     return MemberReport(
         sup_norm=sup,
         mean_norm=mean,
-        sup_ok=sup <= params.alpha + tol,
-        mean_ok=mean > 1.0 - params.epsilon - tol,
-        tol=tol,
+        sup_ok=sup <= params.alpha + STRICTNESS_TOL,
+        mean_ok=mean > 1.0 - params.epsilon - STRICTNESS_TOL,
     )
 
 
@@ -162,14 +161,12 @@ class ConvexDecomposition:
         }
 
 
-def validate_decomposition(
-    space: Space, params: CmParams, dec: ConvexDecomposition, tol: float = STRICTNESS_TOL
-) -> bool:
+def validate_decomposition(space: Space, params: CmParams, dec: ConvexDecomposition) -> bool:
     if len(dec.generators) > params.m:
         return False
     if np.any(dec.weights < -1e-12) or abs(float(dec.weights.sum()) - 1.0) > 1e-12:
         return False
-    return all(cm_member_check(space, params, g, tol).passed for g in dec.generators)
+    return all(cm_member_check(space, params, g).passed for g in dec.generators)
 
 
 @dataclass(frozen=True, eq=False)
@@ -336,11 +333,9 @@ def _best_dual_combination(P: np.ndarray, vals_z: np.ndarray, vals_G: np.ndarray
 @dataclass(frozen=True, eq=False)
 class MinNormResult:
     distance: float
-    point: np.ndarray
     weights: np.ndarray
     gap: float
     lower: float
-    converged: bool
     # the step that produced ``lower``: "vertex" (z is a generator), "lp"
     # (the polyhedral route), or, on curved norms, "norming" (norming
     # functionals at the residual of the polished Euclidean nearest point),
@@ -511,185 +506,167 @@ def _polish_true_norm(
     return lam, settled
 
 
-class _NormEpigraph:
-    """Smooth inequality model of a plan's norm over affine coordinate expressions.
+@dataclass(frozen=True, eq=False)
+class _Epigraph:
+    """Inequality model of a plan's norm over y = [x; aux], compiled once (``_epigraph``).
 
-    One plan node gives one set of rows over its own coordinates and its
-    children's models: a max node one bound variable a with a >= +-x_c and
-    a >= each child; a sum node one variable u_c >= +-x_c per own
-    coordinate, added to its children's expressions; any other p one
-    variable a and one power row |a|^p >= sum |x_c|^p + sum |child|^p.  The
-    plan's flattening carries over, so ``sup(n, lp(inf,d))`` is one max
-    over all its coordinates.  On a polyhedral plan there are no power rows
-    and the linear rows alone are an exact LP model; on a curved one the
-    model is one a smooth NLP solver can drive to machine precision.
+    A max node bounds one variable a >= +-x_c and a >= each kid; a sum node
+    one u_c >= +-x_c per own coordinate, added to its kids' expressions; any
+    other p one variable a by one power row |a|^p >= sum |x_c|^p + sum
+    |kid|^p.  The plan's flattening carries over, so ``sup(n, lp(inf,d))``
+    is one max.  ``root @ y`` is the norm at the optimum.  A polyhedral plan
+    has no power rows, and its linear rows ``A @ y >= 0`` are an exact LP
+    model; a curved one is a model a smooth NLP solver can drive to machine
+    precision.
 
-    Affine expressions are (coef dict, const) pairs over the variable vector;
-    rows in ``lin`` assert expr >= 0.
+    The power rows (p, a, M), |y_a|^p >= sum |M @ y|^p, are stacked: row r
+    is ``S[r] @ |P @ y|^p >= 0``, where ``P`` holds each row's e_a and then
+    its M, ``p`` each term's exponent, and S[r] is +1 on e_a, -1 on M.
     """
 
-    def __init__(self, n_core: int):
-        self.n = n_core
-        self.init: List[float] = []
-        self.lin: List[Tuple[Dict[int, float], float]] = []
-        self.pows: List[Tuple[float, int, List[Tuple[Dict[int, float], float]]]] = []
+    A: np.ndarray
+    root: np.ndarray
+    P: np.ndarray
+    S: np.ndarray
+    p: np.ndarray
+    # per auxiliary variable: the column c of a u_c, or the node a bounds
+    sources: tuple
 
-    def new_var(self, value: float) -> int:
-        idx = self.n
-        self.n += 1
-        self.init.append(value * (1.0 + 1e-9) + 1e-12)
-        return idx
+    def __post_init__(self):
+        for arr in (self.A, self.root, self.P, self.S, self.p):
+            arr.setflags(write=False)  # one model serves every solve on the plan
 
-    def _ge(self, hi, lo) -> None:
-        coef = dict(hi[0])
-        for k, c in lo[0].items():
-            coef[k] = coef.get(k, 0.0) - c
-        self.lin.append((coef, hi[1] - lo[1]))
+    def start(self, x: np.ndarray) -> np.ndarray:
+        """The auxiliary values at x, where every row is tight: |x_c| or the node's norm."""
+        return np.array([
+            abs(x[s]) if isinstance(s, int) else float(s.evaluate(x[None, :])[0])
+            for s in self.sources
+        ])
 
-    def _bound_abs(self, var: int, e) -> None:
-        """var >= |e|, as two linear rows."""
-        self._ge(({var: 1.0}, 0.0), e)
-        self._ge(({var: 1.0}, 0.0), ({k: -c for k, c in e[0].items()}, -e[1]))
 
-    def build(self, plan: NormPlan, exprs, vals: np.ndarray):
-        """Model the plan's norm of the coordinate expressions; returns (expr, value)."""
-        own = [] if plan.cols is None else np.arange(len(exprs))[plan.cols].tolist()
-        mags = [abs(float(vals[c])) for c in own]
-        kids = [self.build(kid, exprs, vals) for kid in plan.kids]
-        if plan.p == 1.0:
-            coef: Dict[int, float] = {}
-            for c, m in zip(own, mags):
-                u = self.new_var(m)
-                self._bound_abs(u, exprs[c])
-                coef[u] = 1.0
-            for ke, _ in kids:
-                for k, w in ke[0].items():
-                    coef[k] = coef.get(k, 0.0) + w
-            return (coef, sum(ke[1] for ke, _ in kids)), sum(mags) + sum(kv for _, kv in kids)
-        if plan.p == INF:
-            val = max(mags + [kv for _, kv in kids])
-            a = self.new_var(val)
-            for c in own:
-                self._bound_abs(a, exprs[c])
-            for ke, _ in kids:
-                self._ge(({a: 1.0}, 0.0), ke)
-            return ({a: 1.0}, 0.0), val
-        p = plan.p
-        val = float(sum(m ** p for m in mags) + sum(kv ** p for _, kv in kids)) ** (1.0 / p)
-        a = self.new_var(val)
-        self.pows.append((p, a, [exprs[c] for c in own] + [ke for ke, _ in kids]))
-        return ({a: 1.0}, 0.0), val
+def _aux_count(plan: NormPlan, D: int) -> int:
+    own = 0 if plan.cols is None else len(np.arange(D)[plan.cols])
+    return (own if plan.p == 1.0 else 1) + sum(_aux_count(k, D) for k in plan.kids)
 
-    def linear_rows(self) -> Tuple[np.ndarray, np.ndarray]:
-        """The rows of ``lin`` as a dense system A y + b >= 0."""
-        A = np.zeros((len(self.lin), self.n))
-        b = np.empty(len(self.lin))
-        for r, (coef, const) in enumerate(self.lin):
-            for k, c in coef.items():
-                A[r, k] = c
-            b[r] = const
-        return A, b
 
-    def compiled_constraints(self):
-        n = self.n
-        cons = []
-        if self.lin:
-            A, b = self.linear_rows()
-            cons.append({
-                "type": "ineq",
-                "fun": lambda y, A=A, b=b: A @ y + b,
-                "jac": lambda y, A=A: A,
-            })
-        if self.pows:
-            rows = []
-            for p, a, kids in self.pows:
-                pre = [
-                    (np.array(sorted(e[0])), np.array(
-                        [e[0][k] for k in sorted(e[0])]), e[1])
-                    for e in kids
-                ]
-                rows.append((p, a, pre))
+@functools.lru_cache(maxsize=None)
+def _epigraph(plan: NormPlan, D: int) -> _Epigraph:
+    """The plan's epigraph model on D coordinates, compiled once per plan."""
+    from scipy.linalg import block_diag
 
-            def pow_fun(y, rows=rows):
-                out = np.empty(len(rows))
-                for r, (p, a, pre) in enumerate(rows):
-                    s = abs(y[a]) ** p
-                    for idxs, cs, const in pre:
-                        s -= abs(float(y[idxs] @ cs) + const) ** p
-                    out[r] = s
-                return out
+    I = np.eye(D + _aux_count(plan, D))
+    lin: List[np.ndarray] = []
+    pows: List[Tuple[float, List[np.ndarray]]] = []
+    sources: list = []
 
-            def pow_jac(y, rows=rows, n=n):
-                J = np.zeros((len(rows), n))
-                for r, (p, a, pre) in enumerate(rows):
-                    J[r, a] = p * abs(y[a]) ** (p - 1.0) * np.sign(y[a])
-                    for idxs, cs, const in pre:
-                        v = float(y[idxs] @ cs) + const
-                        g = -p * abs(v) ** (p - 1.0) * np.sign(v)
-                        J[r, idxs] += g * cs
-                return J
+    def new_var(source) -> np.ndarray:
+        sources.append(source)
+        return I[D + len(sources) - 1]
 
-            cons.append({"type": "ineq", "fun": pow_fun, "jac": pow_jac})
-        return cons
+    def build(node: NormPlan) -> np.ndarray:
+        """The node's rows; returns its expression, a row over y."""
+        own = [] if node.cols is None else np.arange(D)[node.cols].tolist()
+        kids = [build(kid) for kid in node.kids]
+        if node.p == 1.0:
+            us = [new_var(c) for c in own]
+            lin.extend(r for u, c in zip(us, own) for r in (u - I[c], u + I[c]))
+            return sum(us + kids)
+        a = new_var(node)
+        if node.p == INF:
+            lin.extend(r for c in own for r in (a - I[c], a + I[c]))
+            lin.extend(a - k for k in kids)
+        else:
+            pows.append((node.p, [a] + [I[c] for c in own] + kids))
+        return a
+
+    root, W = build(plan), I.shape[0]
+    return _Epigraph(
+        A=np.array(lin).reshape(-1, W), root=root,
+        P=np.array([t for _, terms in pows for t in terms]).reshape(-1, W),
+        S=block_diag(*[np.r_[1.0, -np.ones(len(t) - 1)] for _, t in pows]) if pows else np.zeros((0, 0)),
+        p=np.array([p for p, terms in pows for _ in terms]), sources=tuple(sources),
+    )
+
+
+def _nlp_constraints(epi: _Epigraph, A: np.ndarray, b: np.ndarray,
+                     P: np.ndarray, q: np.ndarray) -> List[dict]:
+    """SLSQP constraints: the linear rows A @ w + b >= 0 and the model's power
+    rows on the terms P @ w + q, which the caller mapped to its variables w."""
+    cons = []
+    if A.shape[0]:
+        cons.append({"type": "ineq", "fun": lambda w: A @ w + b, "jac": lambda w: A})
+    if P.shape[0]:
+        S, p = epi.S, epi.p
+
+        def jac(w):
+            v = P @ w + q
+            return S @ ((p * np.abs(v) ** (p - 1.0) * np.sign(v))[:, None] * P)
+
+        cons.append({"type": "ineq", "fun": lambda w: S @ np.abs(P @ w + q) ** p, "jac": jac})
+    return cons
+
+
+def _slsqp(c: np.ndarray, x0: np.ndarray, bounds: list, cons: List[dict],
+           tries: int) -> Optional[np.ndarray]:
+    """min c @ w by SLSQP from x0; None if the solver raises.
+
+    The line search can stall on rounding short of the optimum (status 8,
+    or the iteration limit); each further try restarts from where it stopped.
+    """
+    from scipy.optimize import minimize
+
+    try:
+        for _ in range(tries):
+            res = minimize(lambda w: float(c @ w), x0, jac=lambda w: c, method="SLSQP",
+                           bounds=bounds, constraints=cons,
+                           options={"maxiter": 250, "ftol": 1e-14})
+            if res.status == 0:
+                break
+            x0 = res.x
+    except Exception:
+        return None
+    return res.x
 
 
 def _slsqp_primal(space, nrm, G: np.ndarray, z: np.ndarray,
-                  lam0: np.ndarray, cap: int = 60) -> Optional[np.ndarray]:
-    """Refine hull weights with a smooth NLP over the norm's epigraph model."""
-    from scipy.optimize import minimize
+                  lam0: np.ndarray) -> Optional[np.ndarray]:
+    """Refine hull weights with a smooth NLP over the norm's epigraph model.
 
+    Above 60 generators it runs on the support of lam0 and the generators
+    nearest z, up to 60 of them.
+    """
     K, D = G.shape
-    if K > cap:
-        support = set(np.nonzero(lam0 > 1e-14)[0].tolist())
-        for j in np.argsort(nrm(z[None, :] - G)):
-            if len(support) >= cap:
-                break
-            support.add(int(j))
-        idx = np.array(sorted(support))
-        sub = _slsqp_primal(space, nrm, G[idx], z, lam0[idx] / max(lam0[idx].sum(), 1e-300), cap)
-        if sub is None:
-            return None
-        out = np.zeros(K)
-        out[idx] = sub
-        return out
-    lam0 = np.clip(lam0, 0.0, None)
-    lam0 = lam0 / lam0.sum()
-    v0 = z - lam0 @ G
-    eb = _NormEpigraph(K)
-    exprs = [
-        ({j: -float(G[j, i]) for j in range(K) if G[j, i] != 0.0}, float(z[i]))
-        for i in range(D)
-    ]
-    root, _ = eb.build(norm_plan(space), exprs, v0)
-    n = eb.n
-    c_obj = np.zeros(n)
-    for k, c in root[0].items():
-        c_obj[k] = c
-    x0 = np.concatenate([lam0, np.array(eb.init)])
-    cons = eb.compiled_constraints()
+    keep = np.ones(K, dtype=bool)
+    if K > 60:
+        keep = lam0 > 1e-14
+        order = np.argsort(nrm(z[None, :] - G))
+        keep[order[~keep[order]][: max(0, 60 - int(keep.sum()))]] = True
+    Gs, lam0 = G[keep], np.clip(lam0[keep], 0.0, None)
+    k, lam0 = Gs.shape[0], lam0 / lam0.sum()
+    epi = _epigraph(norm_plan(space), D)
+    # substitute x = z - G'lam: the rows over [lam; aux], with their constants
+    E = np.vstack([epi.A, epi.P])
+    Ew, e0 = np.hstack([-E[:, :D] @ Gs.T, E[:, D:]]), E[:, :D] @ z
+    L, n = epi.A.shape[0], Ew.shape[1]
+    cons = _nlp_constraints(epi, Ew[:L], e0[:L], Ew[L:], e0[L:])
     cons.append({
         "type": "eq",
-        "fun": lambda y: np.array([y[:K].sum() - 1.0]),
-        "jac": lambda y: np.concatenate([np.ones(K), np.zeros(n - K)])[None, :],
+        "fun": lambda y: np.array([y[:k].sum() - 1.0]),
+        "jac": lambda y: np.concatenate([np.ones(k), np.zeros(n - k)])[None, :],
     })
-    bounds = [(0.0, 1.0)] * K + [(0.0, None)] * (n - K)
-    try:
-        res = minimize(
-            lambda y: float(c_obj @ y) + root[1],
-            x0,
-            jac=lambda y: c_obj,
-            method="SLSQP",
-            bounds=bounds,
-            constraints=cons,
-            options={"maxiter": 250, "ftol": 1e-14},
-        )
-    except Exception:
+    # the root reads auxiliary variables only
+    x = _slsqp(np.concatenate([np.zeros(k), epi.root[D:]]),
+               np.concatenate([lam0, epi.start(z - lam0 @ Gs) * (1.0 + 1e-9) + 1e-12]),
+               [(0.0, 1.0)] * k + [(0.0, None)] * (n - k), cons, tries=1)
+    if x is None:
         return None
-    lam = np.clip(res.x[:K], 0.0, None)
+    lam = np.clip(x[:k], 0.0, None)
     s = lam.sum()
     if not np.isfinite(s) or s <= 0.0:
         return None
-    return lam / s
+    out = np.zeros(K)
+    out[keep] = lam / s
+    return out
 
 
 def _slsqp_dual(space, G: np.ndarray, z: np.ndarray,
@@ -700,8 +677,6 @@ def _slsqp_dual(space, G: np.ndarray, z: np.ndarray,
     caller must renormalize the result by the exactly computed dual norm
     before trusting any bound derived from it.
     """
-    from scipy.optimize import minimize
-
     phi0 = None if phi0 is None else _dual_unit(space, phi0)
     if phi0 is None:
         return None
@@ -711,72 +686,49 @@ def _slsqp_dual(space, G: np.ndarray, z: np.ndarray,
     if K > 150:
         keep = np.argsort(rows @ phi0)[:150]
         rows = rows[keep]
-    eb = _NormEpigraph(D + 1)
-    exprs = [({i: 1.0}, 0.0) for i in range(D)]
-    root, _ = eb.build(dual_plan(space), exprs, phi0)
-    n = eb.n
-    s_idx = D
-    ball = ({k: -c for k, c in root[0].items()}, 1.0 - root[1])
-    eb.lin.append(ball)
-    for r in rows:
-        coef = {i: float(r[i]) for i in range(D) if r[i] != 0.0}
-        coef[s_idx] = -1.0
-        eb.lin.append((coef, 0.0))
-    cons = eb.compiled_constraints()
-    s0 = float(np.min(rows @ phi0))
-    x0 = np.concatenate([phi0, [s0], np.array(eb.init)])
+    epi = _epigraph(dual_plan(space), D)
+    # the variables [phi; s; aux]: the model with an s column at D, the
+    # ball row 1 - root >= 0, and s <= phi(z - g_j) for every row
+    E = np.insert(np.vstack([epi.A, -epi.root, epi.P]), D, 0.0, axis=1)
+    L, n = epi.A.shape[0], E.shape[1]
+    A = np.vstack([E[: L + 1], np.hstack([rows, -np.ones((len(rows), 1)),
+                                          np.zeros((len(rows), n - D - 1))])])
+    b = np.zeros(A.shape[0])
+    b[L] = 1.0
+    cons = _nlp_constraints(epi, A, b, E[L + 1 :], np.zeros(E.shape[0] - L - 1))
     c_obj = np.zeros(n)
-    c_obj[s_idx] = -1.0
-    bounds = [(None, None)] * (D + 1) + [(0.0, None)] * (n - D - 1)
-    try:
-        # the line search can stall on rounding short of the optimum (status
-        # 8, or the iteration limit); one restart from where it stopped goes on
-        for _ in range(2):
-            res = minimize(
-                lambda y: float(c_obj @ y),
-                x0,
-                jac=lambda y: c_obj,
-                method="SLSQP",
-                bounds=bounds,
-                constraints=cons,
-                options={"maxiter": 250, "ftol": 1e-14},
-            )
-            if res.status == 0:
-                break
-            x0 = res.x
-    except Exception:
+    c_obj[D] = -1.0
+    x = _slsqp(c_obj, np.concatenate([phi0, [np.min(rows @ phi0)], epi.start(phi0) * (1.0 + 1e-9) + 1e-12]),
+               [(None, None)] * (D + 1) + [(0.0, None)] * (n - D - 1), cons, tries=2)
+    if x is None or not np.all(np.isfinite(x[:D])):
         return None
-    phi = res.x[:D]
-    if not np.all(np.isfinite(phi)):
-        return None
-    return phi
+    return x[:D]
 
 
 def _hull_lp(space: Space, z: np.ndarray, G: np.ndarray):
     """min ||v|| s.t. v + G'lam = z, lam on the simplex, as one HiGHS LP.
 
-    The norm is modelled by the linear rows of its epigraph, so the space
-    must be polyhedral (``norm_plan(space).polyhedral``).  Returns (weights, phi) or None if the LP fails;
-    phi holds the marginals of the D coupling rows: the derivative of the
-    distance in z, which is the optimal separating functional.
+    The norm is modelled by the linear rows of its epigraph, padded with the
+    lam columns, so the space must be polyhedral
+    (``norm_plan(space).polyhedral``).  Returns (weights, phi) or None if
+    the LP fails; phi holds the marginals of the D coupling rows: the
+    derivative of the distance in z, which is the optimal separating
+    functional.
     """
     from scipy import optimize
 
     K, D = G.shape
-    eb = _NormEpigraph(K + D)
-    root, _ = eb.build(norm_plan(space), [({K + i: 1.0}, 0.0) for i in range(D)], np.zeros(D))
-    A, b = eb.linear_rows()
-    c = np.zeros(eb.n)
-    for k, w in root[0].items():
-        c[k] = w
-    A_eq = np.zeros((D + 1, eb.n))
+    epi = _epigraph(norm_plan(space), D)
+    L, W = epi.A.shape
+    A_eq = np.zeros((D + 1, K + W))
     A_eq[:D, :K] = G.T
     A_eq[:D, K : K + D] = np.eye(D)
     A_eq[D, :K] = 1.0
-    bounds = [(0.0, None)] * K + [(None, None)] * D + [(0.0, None)] * (eb.n - K - D)
+    bounds = [(0.0, None)] * K + [(None, None)] * D + [(0.0, None)] * (W - D)
     res = optimize.linprog(
-        c, A_ub=-A, b_ub=b, A_eq=A_eq, b_eq=np.append(z, 1.0), bounds=bounds,
-        method="highs",
+        np.concatenate([np.zeros(K), epi.root]),
+        A_ub=-np.hstack([np.zeros((L, K)), epi.A]), b_ub=np.zeros(L),
+        A_eq=A_eq, b_eq=np.append(z, 1.0), bounds=bounds, method="highs",
     )
     if res.status != 0:
         return None
@@ -820,7 +772,7 @@ def min_norm_point(
     lam = np.zeros(K)
     lam[j] = 1.0
     if vertex_dists[j] == 0.0:
-        return MinNormResult(0.0, G[j].copy(), lam, 0.0, 0.0, True, "vertex")
+        return MinNormResult(0.0, lam, 0.0, 0.0, "vertex")
 
     if norm_plan(space).polyhedral:
         sol = _hull_lp(space, zz, G)
@@ -848,17 +800,8 @@ def min_norm_point(
             lower_d, phi_d = _dual_lower(space, zz, G, _slsqp_dual(space, G, zz, phi))
             if lower_d > lower:
                 lower, phi, stage = lower_d, phi_d, "slsqp-dual"
-    gap = max(0.0, best_val - lower)
-    return MinNormResult(
-        distance=best_val,
-        point=lam @ G,
-        weights=lam,
-        gap=gap,
-        lower=lower,
-        converged=gap <= target_gap,
-        stage=stage,
-        functional=phi,
-    )
+    return MinNormResult(distance=best_val, weights=lam, gap=max(0.0, best_val - lower),
+                         lower=lower, stage=stage, functional=phi)
 
 
 # ---------------------------------------------------------------------------

@@ -245,8 +245,3 @@ def parse_metric(text: str) -> FiniteMetricSpace:
 def load_metric(path) -> FiniteMetricSpace:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_metric(fh.read())
-
-
-def save_metric(M: FiniteMetricSpace, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dump_metric(M))

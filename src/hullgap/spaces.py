@@ -179,9 +179,9 @@ class NormPlan:
     conjugate exponent at each node, since the dual of an l_p combination
     is the l_q combination of the parts' duals.  Everything the hull solver
     needs of a space comes from these nodes: the norm and the dual norm
-    (``evaluate``), the one-sided slopes (``probe``), the norming
-    functionals (``norming``) and the LP/NLP rows of hullgeom's
-    ``_NormEpigraph``.
+    (``evaluate``), the one-sided slopes (``probe``) and the norming
+    functionals (``norming``); hullgeom compiles its LP/NLP epigraph model
+    from the nodes once per plan (``_epigraph``).
 
     ``evaluate`` and ``probe`` run the kids by ``groups``: sibling kids
     that are one node at different column offsets (the n blocks of
@@ -190,7 +190,7 @@ class NormPlan:
     coordinates first and then its kids in kid order, fill one C-ordered
     (K, T) stack, as the kids alone would, so each term gets the
     operations it gets alone and grouping moves no value.  ``norming`` and
-    ``_NormEpigraph`` walk ``kids``.
+    hullgeom's ``_epigraph`` walk ``kids``.
 
     ``polyhedral`` holds when every node has p in {1, inf}: the norm is then
     a max of finitely many linear functionals, the hull problem is one LP,

@@ -15,7 +15,9 @@ from hullgap.cli import (
     _build_parser,
     main,
 )
-from hullgap.lipmetric import geometric_chain, line_metric, save_metric
+from hullgap import cli
+from hullgap.errors import InternalInconsistencyError, VerificationError
+from hullgap.lipmetric import dump_metric, geometric_chain, line_metric
 
 
 def run(capsys, *argv):
@@ -42,7 +44,7 @@ class TestLip:
     def test_distance_to_base_point_has_seminorm_one(self, capsys, tmp_path):
         M = line_metric([0.0, 1.0, 2.5, 7.0])
         path = tmp_path / "line.metric"
-        save_metric(M, path)
+        path.write_text(dump_metric(M))
         vals = ",".join(repr(M.d(i, 0)) for i in range(M.size))
         code, doc = run_json(capsys, "lip", "--metric", str(path), "--values", vals)
         assert code == EXIT_OK
@@ -131,7 +133,7 @@ class TestRings:
 
     def test_two_point_space_not_found(self, capsys, tmp_path):
         path = tmp_path / "two.metric"
-        save_metric(line_metric([0.0, 1.0]), path)
+        path.write_text(dump_metric(line_metric([0.0, 1.0])))
         code, doc = run_json(
             capsys, "rings", "--metric", str(path), "--eps", "0.5", "--k", "2"
         )
@@ -378,6 +380,15 @@ class TestDk:
         assert code == EXIT_INPUT
         assert out == "" and "empty" in err
 
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_ceiling_route_checks_alpha_like_the_sweep(self, capsys, value):
+        code, out, err = run(
+            capsys,
+            "dk", "--space", "fmod(4, lp(2,1))", "--n", "2", "--eps", "0.2",
+            "--k", "1..2", "--seed", "0", "--alpha", value, "--format", "json",
+        )
+        assert code == EXIT_INPUT
+        assert out == "" and "alpha" in err
     def test_bad_space_grammar(self, capsys):
         code, out, err = run(
             capsys,
@@ -404,6 +415,28 @@ class TestDk:
 
 
 class TestPlumbing:
+    @pytest.mark.parametrize("argv", [
+        ["lip", "--metric", "chain(0.5,4)", "--values", "1,2,3,4"],
+        # a refusal document goes to --out too
+        ["dk", "--space", "lp(inf,4)", "--n", "4", "--eps", "0.2",
+         "--k", "1..2", "--resolution", "0.05", "--seed", "0"],
+    ])
+    def test_unwritable_out_is_input_error(self, capsys, tmp_path, argv):
+        path = str(tmp_path / "missing_dir" / "x.json")
+        code, out, err = run(capsys, *argv, "--out", path)
+        assert code == EXIT_INPUT
+        assert out == "" and path in err
+
+    @pytest.mark.parametrize("error", [VerificationError, InternalInconsistencyError])
+    def test_failed_check_exits_one(self, capsys, monkeypatch, error):
+        def failing(cfg):
+            raise error("a check failed")
+
+        monkeypatch.setitem(cli._COMMANDS, "lip", failing)
+        code, out, err = run(capsys, "lip", "--metric", "chain(0.5,4)", "--values", "1,2,3,4")
+        assert code == EXIT_FAIL
+        assert out == "" and err == "hullgap lip: a check failed\n"
+
     def test_no_arguments_is_input_error(self, capsys):
         assert main([]) == EXIT_INPUT
         capsys.readouterr()

@@ -524,7 +524,7 @@ class TestMinNormPoint:
         res = min_norm_point(PLANE, [1.0, -1.0], [[0.5, 0.5]])
         assert res.distance == pytest.approx(1.5, abs=1e-12)
         assert res.gap <= 1e-9
-        assert np.allclose(res.point, [0.5, 0.5])
+        assert np.allclose(res.weights @ np.array([[0.5, 0.5]]), [0.5, 0.5])
 
     def test_vertex_hit(self):
         res = min_norm_point(PLANE, [0.3, 0.7], [[0.3, 0.7], [1.0, 1.0]])
@@ -537,11 +537,11 @@ class TestMinNormPoint:
         assert res.distance <= 1e-10
 
     def test_plane_segment_value(self):
-        res = min_norm_point(PLANE, [1.0, -1.0], [[1.0, 0.8], [-0.8, -1.0]])
+        G = np.array([[1.0, 0.8], [-0.8, -1.0]])
+        res = min_norm_point(PLANE, [1.0, -1.0], G)
         assert res.distance == pytest.approx(0.9, abs=1e-9)
-        assert np.allclose(res.point, [0.1, -0.1], atol=1e-9)
-        assert res.gap <= 1e-9
-        assert res.converged
+        assert np.allclose(res.weights @ G, [0.1, -0.1], atol=1e-9)
+        assert res.gap <= 1e-10  # the default target
 
     def test_matches_segment_scan(self):
         rng = np.random.default_rng(11)
@@ -581,10 +581,9 @@ class TestMinNormPoint:
             # the witness must be a genuine convex combination
             assert np.all(res.weights >= -1e-12)
             assert float(res.weights.sum()) == pytest.approx(1.0, abs=1e-12)
-            assert np.allclose(res.point, res.weights @ G, atol=1e-12)
             ev = norm_evaluator(sp)
             assert res.distance == pytest.approx(
-                float(ev((np.asarray(z) - res.point)[None, :])[0]), abs=1e-12
+                float(ev((np.asarray(z) - res.weights @ G)[None, :])[0]), abs=1e-12
             )
 
     def test_polyhedral_norms_take_one_lp(self, monkeypatch):
@@ -656,6 +655,25 @@ class TestMinNormPoint:
             n_vars, n_rows = models[-1]
             assert (n_vars - K - D, n_rows) == (bound_vars, rows), text
 
+    def test_primal_refinement_above_sixty_generators(self):
+        # above 60 generators the refinement runs on the support of its
+        # start and the nearest generators, up to 60 of them; a support of
+        # more than 60 runs whole
+        sp = LpFinite(3.0, 3)
+        nrm = norm_evaluator(sp)
+        rng = np.random.default_rng(31)
+        G = rng.uniform(-1.0, 1.0, (80, 3))
+        z = rng.uniform(-1.5, 1.5, 3)
+        near = np.argsort(nrm(z[None, :] - G))
+        sparse = np.zeros(80)
+        sparse[[0, 1, 2]] = 1.0 / 3.0
+        kept = set(near[~np.isin(near, [0, 1, 2])][:57].tolist()) | {0, 1, 2}
+        for lam0, allowed in [(sparse, kept), (np.full(80, 1.0 / 80), set(range(80)))]:
+            lam = hullgeom._slsqp_primal(sp, nrm, G, z, lam0)
+            assert set(np.flatnonzero(lam).tolist()) <= allowed
+            assert float(lam.sum()) == pytest.approx(1.0, abs=1e-12)
+            assert nrm((z - lam @ G)[None, :])[0] <= nrm((z - lam0 @ G)[None, :])[0]
+
     def test_generator_array_taken_whole(self):
         sp = LpFinite(2.0, 3)
         rng = np.random.default_rng(29)
@@ -684,7 +702,7 @@ class TestMinNormPoint:
         sp, z, G = certificate_bench_instance(42, 25)
         assert format_space(sp) == "dsum(inf, lp(1,3), lp(2,2))" and G.shape[0] == 17
         res = min_norm_point(sp, z, G)
-        assert res.converged, res.gap
+        assert res.gap <= 1e-10, res.gap
         assert res.lower <= res.distance + 1e-12
 
     @pytest.mark.parametrize("s", sorted({39, *range(30)}))
@@ -740,6 +758,31 @@ class TestMinNormPoint:
         sp = LpFinite(3.0, 2)
         res = min_norm_point(sp, [1.5, -1.0], G)
         assert res.gap <= 1e-10, res.gap
+
+
+class TestEpigraph:
+    """The epigraph model the LP and the SLSQP stages read, one per plan."""
+
+    @pytest.mark.parametrize("plan_of", [norm_plan, dual_plan])
+    @pytest.mark.parametrize("text", [
+        "lp(inf,4)", "lp(3,3)", "sup(2, lp(2,3))", "dsum(1, lp(2,2), lp(inf,3))",
+        "sup(2, dsum(2, lp(1,2), lp(inf,2)))",
+    ])
+    def test_rows_hold_and_are_tight_at_the_start(self, text, plan_of):
+        sp = parse_space(text)
+        D, plan = dim(sp), plan_of(sp)
+        epi = hullgeom._epigraph(plan, D)
+        assert hullgeom._epigraph(plan, D) is epi
+        assert (epi.P.shape[0] == 0) == plan.polyhedral
+        rng = np.random.default_rng(D)
+        for x in rng.standard_normal((12, D)) * rng.choice([1e-3, 1.0, 1e3], (12, 1)):
+            y = np.concatenate([x, epi.start(x)])
+            f = float(plan.evaluate(x[None, :])[0])
+            assert float(epi.root @ y) == pytest.approx(f, rel=1e-13), text
+            assert np.all(epi.A @ y >= -1e-14 * f), text
+            # each power row |y_a|^p >= sum |M y|^p holds with equality
+            terms = np.abs(epi.P @ y) ** epi.p
+            assert np.all(np.abs(epi.S @ terms) <= 1e-13 * (np.abs(epi.S) @ terms)), text
 
 
 class TestDescentUpper:
