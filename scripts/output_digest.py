@@ -34,7 +34,7 @@ UPPER_SPACES = (
     "sup(2, lp(inf,2))",
 )
 # the digest and result count of the roster below
-EXPECTED = ("4195ba054da30a86f405e156185a4a34bd114a567c5c17430015227beea1b777", 764)
+EXPECTED = ("8aa1a48bd132ae4463b7a0e715ce0d668326fb0d4bca34d2eaa411b8af94aae1", 764)
 N, TUPLES, BUDGET = 2, 5, 1
 LATTICE = [(m, eps, alpha) for m in (1, 2, 3) for eps in (0.15, 0.3) for alpha in (0.95, 1.0, 1.3)]
 # (space, n, eps, alpha, seed): the sweep workload's spaces and two curved ones,

@@ -361,16 +361,24 @@ def _batch_segment_min(
 
     Kelley's cutting-plane method in one dimension, on all rows at once,
     driven by the plan's ``probe``.  A row keeps a tangent line at a (slope
-    sa < 0) and one at b (slope sb > 0), steps to where they meet, and there
-    replaces one of them by the line of the one-sided slope pointing
-    downhill.  A row is done when the slopes at t bracket 0, when f(t) meets
-    the model up to the rounding floor 4 eps (fa + fb) of the row's ends,
-    when t reaches an end, or when rounding makes a cut repeat the one it
-    replaces (a tie resolved the other way).  On a polyhedral plan every
-    step cuts with a new linear piece, so the search is exact and done
-    within ``plan.pieces`` steps; on a curved plan the model closes in
-    until rounding stops it, within ``_CURVED_STEPS`` steps.  Either bound
-    left open raises.  The best point seen is returned, with the value the
+    sa < 0) and one at b (slope sb > 0) and probes t, where they meet.  On
+    a curved plan the same ``probe`` call also takes s = a - sa (b - a) /
+    (sb - sa), the zero of the chord through the two end slopes, which is
+    exact at a quadratic's minimizer: Kelley's t alone closes a smooth
+    bracket only at the rate of bisection.  A probe strictly inside the
+    bracket replaces the end whose slope it strictly improves (its
+    one-sided slope pointing downhill), t first, and every probe feeds the
+    best point.  A row is done when the slopes at a probe bracket 0, when
+    no probe moves an end (a probe at an end, or a cut that repeats by
+    rounding), or when its best value meets the model up to the rounding
+    floor 4 eps (fa + fb) of the row's ends: f(t) against the model at t
+    on a polyhedral plan, the best value against the minimum of the
+    two-tangent model left by both cuts on a curved one.  On a polyhedral
+    plan every step cuts with a new linear piece, so Kelley's probe alone
+    is exact within ``plan.pieces`` steps (2-3 in practice), and a second
+    probe would only add rows; on a curved plan the model closes in until
+    rounding stops it, within ``_CURVED_STEPS`` steps.  Either bound left
+    open raises.  The best point seen is returned, with the value the
     evaluator gives there.
     """
     plan = norm_plan(space)
@@ -384,33 +392,43 @@ def _batch_segment_min(
     # the state of the open rows only, compacted whenever rows close
     rows = np.flatnonzero((sa < 0.0) & (sb > 0.0) & (b > 0.0))
     a, fa, sa, b, fb, sb, V, W = (x[rows] for x in (a, fa, sa, b, fb, sb, V, W))
-    for _ in range(steps):
-        if rows.shape[0] == 0:
-            break
+    done = np.zeros(rows.shape[0], dtype=bool)
+    for step in range(steps):
         t = np.clip((fb - fa + sa * a - sb * b) / (sa - sb), a, b)
         model = np.maximum(fa + sa * (t - a), fb + sb * (t - b))
-        f, left, right = plan.probe(V - t[:, None] * W, W)
-        better = f < f_best[rows]
-        t_best[rows[better]] = t[better]
-        f_best[rows[better]] = f[better]
-        up = right < 0.0  # still descending at t: t becomes the left end
-        down = left > 0.0
         # ||hi W|| <= fa + fb, so no row resolves f finer than eps (fa + fb)
         floor = 4.0 * np.finfo(float).eps * (fa + fb)
-        done = ~(up | down) | (f <= model + floor) | (t <= a) | (t >= b)
-        done |= (up & (right <= sa)) | (down & (left >= sb))
-        up &= ~done
-        down &= ~done
-        a, fa, sa = np.where(up, t, a), np.where(up, f, fa), np.where(up, right, sa)
-        b, fb, sb = np.where(down, t, b), np.where(down, f, fb), np.where(down, left, sb)
+        if step and not plan.polyhedral:  # the certificate after the last step's cuts
+            done |= f_best[rows] <= model + floor
         if done.any():
             keep = ~done
-            rows, a, fa, sa, b, fb, sb, V, W = (
-                x[keep] for x in (rows, a, fa, sa, b, fb, sb, V, W))
-    if rows.shape[0]:
+            rows, a, fa, sa, b, fb, sb, V, W, t, model, floor, done = (
+                x[keep] for x in (rows, a, fa, sa, b, fb, sb, V, W, t, model, floor, done))
+        if rows.shape[0] == 0:
+            break
+        P = [t] if plan.polyhedral else [t, a - sa * (b - a) / (sb - sa)]
+        F, L, R = (x.reshape(len(P), -1) for x in plan.probe(
+            np.concatenate([V - p[:, None] * W for p in P]), np.concatenate([W] * len(P))))
+        moved = np.zeros(rows.shape[0], dtype=bool)
+        for p, f, left, right in zip(P, F, L, R):
+            better = f < f_best[rows]
+            t_best[rows[better]] = p[better]
+            f_best[rows[better]] = f[better]
+            inside = (a < p) & (p < b)
+            done |= inside & (right >= 0.0) & (left <= 0.0)
+            # still descending at p, less steeply than at a: p becomes the left end
+            up = inside & (right < 0.0) & (right > sa)
+            down = inside & (left > 0.0) & (left < sb)
+            moved |= up | down
+            a, fa, sa = np.where(up, p, a), np.where(up, f, fa), np.where(up, right, sa)
+            b, fb, sb = np.where(down, p, b), np.where(down, f, fb), np.where(down, left, sb)
+        done |= ~moved
+        if plan.polyhedral:
+            done |= F[0] <= model + floor
+    open_rows = np.count_nonzero(~done)
+    if open_rows:
         raise InternalInconsistencyError(
-            f"segment search still open after {steps} steps on "
-            f"{rows.shape[0]} of {T} rows"
+            f"segment search still open after {steps} steps on {open_rows} of {T} rows"
         )
     return t_best, f_best
 

@@ -514,6 +514,57 @@ class TestSegmentSearch:
         assert np.array_equal(f, norm_evaluator(sp)(V - t[:, None] * W))
         assert f[0] <= 1e-15
 
+    @pytest.mark.parametrize(
+        "sp", [sp for sp in SEGMENT_POOL if not norm_plan(sp).polyhedral], ids=format_space)
+    def test_curved_rows_close_at_the_rounding_floor(self, sp):
+        # the two-probe step's certificate: the returned value is the
+        # evaluator's at the returned t, and no point of [0, hi] beats it
+        # by more than the floor 4 eps (fa + fb) of the row's ends
+        plan, D = norm_plan(sp), dim(sp)
+        rng = np.random.default_rng([7, D])
+        ts = np.linspace(0.0, 1.0, 2001)
+        for _ in range(3):
+            V, W, hi = segment_rows(rng, D, T=16)
+            t, f = _batch_segment_min(sp, V, W, hi)
+            assert np.array_equal(f, plan.evaluate(V - t[:, None] * W))
+            floor = 4.0 * np.finfo(float).eps * (plan.evaluate(V) + plan.evaluate(V - hi[:, None] * W))
+            for i in range(V.shape[0]):
+                scan = plan.evaluate(V[i][None, :] - (ts * hi[i])[:, None] * W[i][None, :])
+                assert f[i] <= float(np.min(scan)) + floor[i], (i, f[i], float(np.min(scan)))
+
+    # root probe calls of the one-probe Kelley step on the stack below, per
+    # queries-workload ambient: the chord probe must at least halve them
+    KELLEY_PROBES = {"lp(4,2)": 26, "lp(1.5,2)": 27, "dsum(2, lp(1,2), lp(inf,1))": 26}
+
+    @pytest.mark.parametrize("text", list(KELLEY_PROBES))
+    def test_chord_probe_halves_the_curved_probe_calls(self, text, monkeypatch):
+        sp = SupTuple(2, parse_space(text))
+        root, probe, calls = norm_plan(sp), spaces.NormPlan.probe, []
+
+        def counting(plan, R, W):
+            if plan is root:
+                calls.append(R.shape[0])
+            return probe(plan, R, W)
+
+        monkeypatch.setattr(spaces.NormPlan, "probe", counting)
+        rng = np.random.default_rng(0)
+        D = dim(sp)
+        V, W = rng.uniform(-1.0, 1.0, (300, D)), rng.uniform(-1.0, 1.0, (300, D))
+        _batch_segment_min(sp, V, W, rng.uniform(0.0, 2.0, 300))
+        assert 2 * len(calls) <= self.KELLEY_PROBES[text], calls
+
+    def test_polyhedral_outputs_are_pinned(self):
+        # the one-probe step on every polyhedral plan of SEGMENT_POOL: the
+        # sha256 of its outputs, as the search gave them before the chord probe
+        total = hashlib.sha256()
+        for sp in SEGMENT_POOL:
+            if norm_plan(sp).polyhedral:
+                rng = np.random.default_rng([11, dim(sp)])
+                for _ in range(4):
+                    t, f = _batch_segment_min(sp, *segment_rows(rng, dim(sp), T=40))
+                    total.update(t.tobytes() + f.tobytes())
+        assert total.hexdigest() == "22a54cbc5ecb788c47ba1bb03bedb388733be1d3dac05e4c4dae886492437997"
+
 
 class TestMinNormPoint:
     def test_rejects_empty_generators(self):
@@ -1381,13 +1432,13 @@ class TestKidGroups:
     QUERY_LATTICE = [(1, 0.2, 1.0), (2, 0.2, 1.0), (1, 0.35, 1.0), (1, 0.2, 1.3)]
     QUERY_PINNED = {
         ("lp(4,2)", (0.9, -0.2, -0.7, 0.5)): [
-            (1.0234812035424676, "57fc86f5e1cf2613"), (0.7560834139166477, "e40905dde2503f94"),
+            (1.0234812035424676, "57fc86f5e1cf2613"), (0.756083413491658, "605f47acb239ca1a"),
             (0.7847537427179886, "10f9d2b410a08282"), (1.0234812035424676, "57fc86f5e1cf2613")],
         ("lp(1.5,2)", (0.3, 0.8, -0.6, 0.1)): [
-            (0.5417207166789122, "5a9aab97748d2f86"), (0.41386215304935264, "af4bd92ae7f141a3"),
+            (0.5417207166789122, "5a9aab97748d2f86"), (0.4138621530493524, "c8bbd7fe86c9caf4"),
             (0.26530834586854235, "59b2d5913dbaab79"), (0.5417207166789122, "5a9aab97748d2f86")],
         ("dsum(2, lp(1,2), lp(inf,1))", (0.5, -0.3, 0.2, -0.4, 0.1, 0.6)): [
-            (0.5956245596303726, "1ddf841196c71f9c"), (0.5630859326274954, "50117afaf08db8d6"),
+            (0.5956245596303726, "1ddf841196c71f9c"), (0.563085932714401, "4826d8e1648c35d0"),
             (0.35596863467347145, "2e41bca490bfa313"), (0.5956245596303726, "1ddf841196c71f9c")],
     }
 
