@@ -27,7 +27,8 @@ module answers "how far is z from that set" three ways:
 Every norm and dual norm here is a plan that ``spaces`` compiles
 (``norm_plan``, ``dual_plan``, ``norm_evaluator``); this module adds the
 evaluators of ambient tuples (block-mean norm, and block-mean and sup norm
-in one call) and the rescaling of a functional into the dual unit ball.
+in one call).  A certified lower's functional is scaled into the dual ball
+once, by the dual plan's ``into_ball`` (``_dual_lower``).
 
 Strictness: the "> 1 - eps" constraint is checked as "> 1 - eps - tol" with
 the declared tolerance ``STRICTNESS_TOL`` = 1e-9, i.e. all distances are
@@ -236,49 +237,21 @@ def _mean_sup_evaluator(space: Space, n: int) -> Callable[[np.ndarray], Tuple[np
     return ev
 
 
-def _dual_unit(space: Space, phi: np.ndarray) -> Optional[np.ndarray]:
-    """phi divided by its exactly computed dual norm, so that norm is at most 1.
-
-    The dual norm is evaluated here, never taken from a solver, so every
-    bound built on the result holds whatever the solver's tolerances.
-    Returns None for a zero or non-finite functional.
-    """
-    dual = dual_plan(space).evaluate
-    dn = float(dual(phi[None, :])[0])
-    if not (np.isfinite(dn) and dn > 0.0):
-        return None
-    phi = phi / dn
-    dn = float(dual(phi[None, :])[0])
-    return phi / dn if dn > 1.0 else phi
-
-
 def _dual_lower(
     space: Space, z: np.ndarray, G: np.ndarray, phi: Optional[np.ndarray]
 ) -> Tuple[float, Optional[np.ndarray]]:
-    """The bound phi(z) - max_j phi(g_j) on d(z, co(rows of G)), phi rescaled first."""
-    phi = None if phi is None else _dual_unit(space, phi)
-    if phi is None:
-        return 0.0, None
-    return max(0.0, float(phi @ z - np.max(G @ phi))), phi
+    """The bound phi(z) - max_j phi(g_j) on d(z, co(rows of G)), phi scaled into the dual ball first.
 
-
-def _norming_functionals(space: Space, v: np.ndarray) -> List[Tuple[float, np.ndarray]]:
-    """The norm plan's norming candidates at v, rescaled into the dual ball.
-
-    Pairs (psi @ v, psi) without repeats, in the plan's order: best-attaining
-    first, so the near ties come after every functional that attains the norm.
+    The dual norm is evaluated here (``dual_plan(space).into_ball``), never
+    taken from a solver, and the scaled phi reads at most 1 under it, so
+    the bound holds whatever the solver's tolerances.  Returns (0, None)
+    for a missing, zero or non-finite functional.
     """
-    out: List[Tuple[float, np.ndarray]] = []
-    seen = set()
-    for _, psi in norm_plan(space).norming(v):
-        psi = _dual_unit(space, psi)
-        if psi is None:
-            continue
-        key = tuple(np.round(psi, 10))
-        if key not in seen:
-            seen.add(key)
-            out.append((float(psi @ v), psi))
-    return out
+    U = [] if phi is None else dual_plan(space).into_ball(phi[None, :])[0]
+    if len(U) == 0:
+        return 0.0, None
+    phi = U[0]
+    return max(0.0, float(phi @ z - np.max(G @ phi))), phi
 
 
 _CUT_CAP = 160
@@ -290,12 +263,17 @@ def certified_hull_lower(
     """Rigorous lower bound on d(z, co(rows of G)) from a dual functional.
 
     Any phi with dual norm <= 1 gives the bound phi(z) - max_j phi(g_j).  The
-    best convex combination of the norming functionals at the residual
-    v_hat, near ties included and the best-attaining ``_CUT_CAP`` of them
-    kept, is selected by a small LP and then rescaled by its exactly
-    computed dual norm, so the bound stays valid however the LP was solved.
+    norm plan's norming candidates at the residual v_hat, near ties
+    included, are taken in the plan's order (best-attaining first) without
+    repeats to 10 digits, and the first ``_CUT_CAP`` kept.  Their best convex
+    combination is selected by a small LP and then scaled into the dual
+    ball, once, by ``_dual_lower``, so the bound stays valid however the LP
+    was solved.
     """
-    cands = [psi for _, psi in _norming_functionals(space, v_hat)[:_CUT_CAP]]
+    first: Dict[tuple, np.ndarray] = {}
+    for _, psi in norm_plan(space).norming(v_hat):
+        first.setdefault(tuple(np.round(psi, 10)), psi)
+    cands = list(first.values())[:_CUT_CAP]
     if not cands:
         return 0.0, None
     P = np.stack(cands)  # C x D
@@ -691,14 +669,14 @@ def _slsqp_dual(space, G: np.ndarray, z: np.ndarray,
                 phi0: Optional[np.ndarray]) -> Optional[np.ndarray]:
     """Refine a separating functional over the dual unit ball's epigraph model.
 
-    Maximizes phi(z) - max_j phi(g_j) subject to the dual-ball model; the
-    caller must renormalize the result by the exactly computed dual norm
-    before trusting any bound derived from it.
+    Maximizes phi(z) - max_j phi(g_j) subject to the dual-ball model, from
+    phi0 scaled into the dual ball; the caller must scale the result into
+    the dual ball (``_dual_lower``) before trusting any bound derived from it.
     """
-    phi0 = None if phi0 is None else _dual_unit(space, phi0)
-    if phi0 is None:
+    start = [] if phi0 is None else dual_plan(space).into_ball(phi0[None, :])[0]
+    if len(start) == 0:
         return None
-    phi0 = phi0 * (1.0 - 1e-9)
+    phi0 = start[0] * (1.0 - 1e-9)
     K, D = G.shape
     rows = z[None, :] - G
     if K > 150:
@@ -768,7 +746,10 @@ def min_norm_point(
     is rigorous whatever the solvers' tolerances.  One of two routes runs:
 
     * polyhedral norms (``norm_plan(space).polyhedral``): one LP,
-      whose equality marginals are the functional (stage "lp");
+      whose equality marginals are the functional (stage "lp"); should
+      its gap exceed the target, the LP's weights get the curved route's
+      pairwise polish, which is exact on these norms, and the functional
+      stands;
     * curved norms: the exact Euclidean nearest point (one NNLS, which
       finds the hull point itself when z lies in the hull) and a pairwise
       polish in the true norm, certified by the norming functionals at the
@@ -800,6 +781,10 @@ def min_norm_point(
         best_val = dist(lam)
         lower, phi = _dual_lower(space, zz, G, sol[1])
         stage = "lp"
+        if best_val - lower > target_gap:  # the LP's weights stopped short of its functional
+            lam = _polish_true_norm(space, G[None], zz[None], lam[None], sweeps=25,
+                                    dists=vertex_dists[None])[0][0]
+            best_val = dist(lam)
     else:
         lam = _euclid_surrogate(G[None], zz[None])[0]
         lam = _polish_true_norm(space, G[None], zz[None], lam[None], sweeps=25,
@@ -850,9 +835,8 @@ class _UpperEngine:
     promise raises ``InternalInconsistencyError``.
 
     So one engine answers every (m, eps, alpha) for its tuple: the pulls
-    are computed once per (eps, alpha), the closed forms of the supports of
-    one size once per (eps, alpha, size), when an m first needs them, and
-    m only filters the supports by size.  ``dist_to_cm_upper``
+    and the closed forms of all its supports are computed once per (eps,
+    alpha), and m only filters the supports by size.  ``dist_to_cm_upper``
     reuses the engine of a repeated (space, n, z, seed, budget), and
     ``estimate_dk`` holds one per candidate for a whole profile and asks
     ``_best_upper`` for the largest upper over all of them.  The engine
@@ -866,7 +850,6 @@ class _UpperEngine:
 
     def __init__(self, space: Space, n: int, z: np.ndarray, budget: int, protos: np.ndarray,
                  n_units: int, z_sup: float, z_mean: float):
-        self.space = space
         self.n = n
         self.amb = ambient_space(space, n)
         self.z = z.copy()
@@ -876,7 +859,6 @@ class _UpperEngine:
         self.z_sup, self.z_mean = z_sup, z_mean
         self._pull_cache: Dict[Tuple[float, float], np.ndarray] = {}
         self._closed: Dict[Tuple[float, float], np.ndarray] = {}
-        self._closed_sizes: set = set()  # the (eps, alpha, size) filled in _closed
         # one prototype per row distinct to 12 digits (+ 0.0 makes -0.0 equal
         # 0.0): the n_units tiled units, then the partition overwrites, which
         # hold `parts` rows for each parts = 1, 2, ...
@@ -1005,8 +987,8 @@ def _build_engines(
     * pools: the z-free units (canonical unit, norming section, their
       negatives, the seeded directions) are made once, each engine adds its
       block mean and its blocks with both signs, and every unit of the
-      batch is scaled just inside the unit ball by one norm evaluation (and
-      one more for the rows that rounding left outside).  On a
+      batch is scaled just inside the unit ball by one call of the norm
+      plan's ``into_ball``, shrunk by 1 - 1e-13.  On a
       sup-decomposable space the partition overwrites of every engine are
       one array, from one norm evaluation of all blocks.  ``__init__``
       makes each engine's prototypes from these rows; the norms of every z
@@ -1030,14 +1012,9 @@ def _build_engines(
     for z in Z:
         zb = z.reshape(n, di)
         raw += shared + [zb.mean(axis=0)] + [b for x in zb for b in (x, -x)] + seeded
-    nrm = norm_evaluator(space)
-    U = np.stack(raw)
-    nu = nrm(U)
-    keep = ~(nu <= 0.0)  # a zero block of z gives no unit
-    # strictly inside the ball, and rescaled where rounding left a unit outside
-    U = (U / np.where(keep, nu, 1.0)[:, None]) * (1.0 - 1e-13)
-    n2 = nrm(U)
-    U[n2 > 1.0] /= n2[n2 > 1.0, None]
+    # strictly inside the ball; a zero block of z gives no unit
+    U, keep = norm_plan(space).into_ball(np.stack(raw), shrink=1.0 - 1e-13)
+    units = np.split(U, np.cumsum(keep.reshape(len(Z), -1).sum(axis=1))[:-1])
     # centralizer-style partition overwrites: every block of z clipped into
     # the ball, and for parts = 1, 2, ..., 16 each group of sup slots set to
     # its canonical units
@@ -1052,15 +1029,14 @@ def _build_engines(
             fill[r, 0, off : off + dim(sub)] = canonical_unit(sub)
     blocks = Z.reshape(-1, di)
     if slots:
-        blocks = blocks / np.maximum(nrm(blocks), 1.0)[:, None]
+        blocks = blocks / np.maximum(norm_evaluator(space)(blocks), 1.0)[:, None]
     overwrites = np.where(masks, fill, blocks.reshape(len(Z), 1, n, di))
     overwrites = overwrites.reshape(len(Z), len(masks), n * di)
     z_mean, z_sup = _mean_sup_evaluator(space, n)(Z)
-    rows = zip(Z, np.split(np.tile(U, (1, n)), len(Z)), np.split(keep, len(Z)), overwrites)
     engines = [
-        _UpperEngine(space, n, z, budget, np.concatenate([t[k], o]), int(k.sum()),
+        _UpperEngine(space, n, z, budget, np.concatenate([np.tile(u, (1, n)), o]), len(u),
                      float(sup), float(mean))
-        for (z, t, k, o), sup, mean in zip(rows, z_sup, z_mean)
+        for z, u, o, sup, mean in zip(Z, units, overwrites, z_sup, z_mean)
     ]
     # the pulls start every prototype inside the feasible set
     pools = np.concatenate([e.pool for e in engines])
@@ -1180,38 +1156,31 @@ def _pull_rows(nrm_mean_sup, pool: np.ndarray, Z: np.ndarray, eps: float,
 
 
 def _prime_pulls(engines: Sequence[_UpperEngine], params: CmParams) -> None:
-    """Fill the pull and closed-form caches of engines of one (space, n) for params.
+    """Fill the pull and closed-form caches of engines of one (space, n), once per (eps, alpha).
 
     The rows of every non-member engine without pulls at (eps, alpha) are
     stacked with their own z and pulled by one bisection.  Below alpha = 1
     the engines' supports at the scaled pool are solved first, as one stack
-    per support size across them (``_solve_scale``).  Then the closed forms
-    d_C / Z of the support sizes up to m not yet computed at (eps, alpha)
-    are computed, in one stack per size; a larger m later adds its sizes.
+    per support size across them (``_solve_scale``).  The closed forms
+    d_C / Z of all their supports follow, one stack per size, whatever m.
     """
     require_nonempty(params)
     key = (params.epsilon, params.alpha)
-    live = [e for e in engines if not e._is_member(params)]
     c = _pool_scale(params.alpha)
-    todo = [e for e in live if key not in e._pull_cache]
-    if todo:
-        _solve_scale(todo, c)
-        pools = [e._scaled[c][0] for e in todo]
-        Z = np.concatenate([np.broadcast_to(e.z, pool.shape) for e, pool in zip(todo, pools)])
-        s = _pull_rows(todo[0].nrm_mean_sup, np.concatenate(pools), Z, *key)
-        for e, pulls in zip(todo, np.split(s, np.cumsum([len(pool) for pool in pools])[:-1])):
-            e._pull_cache[key], e._closed[key] = pulls, np.full(len(e.supports), np.nan)
+    todo = [e for e in engines if not e._is_member(params) and key not in e._pull_cache]
+    if not todo:
+        return
+    _solve_scale(todo, c)
+    pools = [e._scaled[c][0] for e in todo]
+    Z = np.concatenate([np.broadcast_to(e.z, pool.shape) for e, pool in zip(todo, pools)])
+    s = _pull_rows(todo[0].nrm_mean_sup, np.concatenate(pools), Z, *key)
     by_size: Dict[int, list] = {}
-    for e in live:
-        new = {K for K in e._sizes.tolist() if K <= params.m and key + (K,) not in e._closed_sizes}
-        if not new:
-            continue
-        e._closed_sizes.update(key + (K,) for K in new)
-        pulls, solutions = e._pull_cache[key], e._scaled[c][1]
+    for e, pulls in zip(todo, np.split(s, np.cumsum([len(pool) for pool in pools])[:-1])):
+        e._pull_cache[key], e._closed[key] = pulls, np.empty(len(e.supports))
+        solutions = e._scaled[c][1]
         for j, (_, idxs) in enumerate(e.supports):
-            if len(idxs) in new:
-                mu, d = solutions[idxs]
-                by_size.setdefault(len(idxs), []).append((e._closed[key], j, mu, d, pulls[list(idxs)]))
+            mu, d = solutions[idxs]
+            by_size.setdefault(len(idxs), []).append((e._closed[key], j, mu, d, pulls[list(idxs)]))
     for group in by_size.values():
         closed, js, mu, d, sc = zip(*group)
         vals = np.array(d) / (np.array(mu) / (1.0 - np.array(sc))).sum(axis=1)
@@ -1276,9 +1245,9 @@ def grid_guard_report(space: Space, params: CmParams, h: float) -> dict:
     }
 
 
-def _grid_points(alpha: float, h: float, D: int) -> np.ndarray:
-    K = math.ceil(alpha / h - 1e-12)
-    axis = np.arange(-K, K + 1) * h
+def _grid_points(per_axis: int, h: float, D: int) -> np.ndarray:
+    """The D-dimensional grid of step h, ``per_axis`` (``_axis_count``) points per axis."""
+    axis = (np.arange(per_axis) - per_axis // 2) * h
     grids = np.meshgrid(*([axis] * D), indexing="ij")
     return np.stack([g.reshape(-1) for g in grids], axis=1)
 
@@ -1349,7 +1318,7 @@ def _grid_members(space: Space, params: CmParams, resolution: float) -> _GridMem
 
     D, alpha, eps = report["dimension"], params.alpha, params.epsilon
     mean_sup = _mean_sup_evaluator(space, params.n)
-    pts = _grid_points(alpha, resolution, D)
+    pts = _grid_points(report["per_axis"], resolution, D)
     mean_vals, sup_vals = mean_sup(pts)
     r_cov = float(np.nextafter((resolution / 2.0) * float(mean_sup(np.ones((1, D)))[1][0]), INF))
     strict = pts[(sup_vals <= alpha) & (mean_vals > 1.0 - eps)]

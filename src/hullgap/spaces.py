@@ -20,9 +20,10 @@ Every norm of the package is computed here, by one compiler: ``norm_plan``
 turns a space into a ``NormPlan`` once, and its batch evaluator on (T, dim)
 rows serves ``norm`` (one row), ``sample_unit_ball`` and every hull
 computation in ``hullgeom``; ``dual_plan`` is the same plan with conjugate
-exponents.  An l_p sum of p-th powers that leaves the float range is redone
-scaled by its largest term, so a norm underflows to 0 or overflows to inf
-only where its value does.
+exponents.  A plan also scales rows into its unit ball (``into_ball``).  An
+l_p sum of p-th powers that leaves the float range is redone scaled by its
+largest term, so a norm underflows to 0 or overflows to inf only where its
+value does.
 
 Vectors are flat coordinate arrays; the space descriptor drives the block
 interpretation.  ``p = inf`` is the ``math.inf`` marker and infinity norms
@@ -183,6 +184,10 @@ class NormPlan:
     functionals (``norming``); hullgeom compiles its LP/NLP epigraph model
     from the nodes once per plan (``_epigraph``).
 
+    The plan owns its unit ball: ``into_ball`` scales the unit samples,
+    the engine's prototypes and, on the dual plan, every certified
+    functional into it.
+
     ``evaluate`` and ``probe`` run the kids by ``groups``: sibling kids
     that are one node at different column offsets (the n blocks of
     ``sup(n, X)``, the fibers of a module) are one call of that node on
@@ -252,6 +257,26 @@ class NormPlan:
             return functools.reduce(np.add, fs), lefts.sum(axis=0), rights.sum(axis=0)
         f = _lp_combine(self.p, fs)
         return (f,) + _lp_slopes(self.p, f, fs, lefts, rights)
+
+    def into_ball(self, X: np.ndarray, shrink: float = 1.0) -> Tuple[np.ndarray, np.ndarray]:
+        """The rows of X with a finite nonzero norm, scaled into the unit ball, and their mask.
+
+        Each row is divided by its norm and multiplied by ``shrink``.  A row
+        that then reads above 1 is divided by that norm once more, and then
+        by the next float above it, until none does (dividing by a norm of
+        1 + ulp can round a row back to itself): every row reads <= 1.
+        """
+        n = self.evaluate(X)
+        ok = (n > 0.0) & (n < INF)
+        U = X[ok] / n[ok, None] * shrink
+        if not ok.any():  # a grouped plan cannot evaluate zero rows
+            return U, ok
+        n, first = self.evaluate(U), True
+        while np.any(over := n > 1.0):
+            div = n[over] if first else np.nextafter(n[over], INF)
+            U[over] = U[over] / div[:, None]
+            n[over], first = self.evaluate(U[over]), False
+        return U, ok
 
     def norming(self, v: np.ndarray) -> List[Tuple[float, np.ndarray]]:
         """Norming candidates at v: pairs (x @ v, x), best-attaining first.
@@ -606,26 +631,6 @@ def norming_section(space: Space) -> np.ndarray:
     return x
 
 
-def _units(space: Space, X: np.ndarray) -> np.ndarray:
-    """The rows of X with a finite nonzero norm, each divided by its norm.
-
-    A quotient whose norm rounds above 1 is divided by that norm once more,
-    and one that still reads above 1 by the next float above its norm,
-    until none does: dividing by a norm of 1 + ulp can round a row back to
-    itself.
-    """
-    ev = norm_plan(space).evaluate
-    n = ev(X)
-    ok = (n > 0.0) & (n < INF)
-    U = X[ok] / n[ok, None]
-    n, first = ev(U), True
-    while np.any(over := n > 1.0):
-        div = n[over] if first else np.nextafter(n[over], INF)
-        U[over] = U[over] / div[:, None]
-        n[over], first = ev(U[over]), False
-    return U
-
-
 def sample_unit_ball(space: Space, count: int, seed: int) -> np.ndarray:
     """Deterministic sample of `count` vectors with norm <= 1, as (count, dim) rows.
 
@@ -642,7 +647,8 @@ def sample_unit_ball(space: Space, count: int, seed: int) -> np.ndarray:
     signs = np.ones((codes.shape[0], D))
     signs[:, :12] = np.where((codes[:, None] >> np.arange(min(D, 12))) & 1, -1.0, 1.0)
     eye = np.eye(D)
-    U = _units(space, np.concatenate([signs, np.stack([eye, -eye], axis=1).reshape(2 * D, D)]))
+    ball = norm_plan(space).into_ball
+    U, _ = ball(np.concatenate([signs, np.stack([eye, -eye], axis=1).reshape(2 * D, D)]))
     out: List[np.ndarray] = []
     seen = set()
     for u, key in zip(U, map(tuple, np.round(U, 12))):
@@ -652,7 +658,7 @@ def sample_unit_ball(space: Space, count: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     while len(out) < count:
         # k draws of D as one (k, D) block: the same stream as k draws one by one
-        out.extend(_units(space, rng.standard_normal((count - len(out), D))))
+        out.extend(ball(rng.standard_normal((count - len(out), D)))[0])
     return np.stack(out[:count])
 
 

@@ -347,10 +347,37 @@ class TestNormMachinery:
         rng = np.random.default_rng(seed)
         v = rng.uniform(-2.0, 2.0, dim(sp))
         nv = norm(sp, v)
-        cuts = [psi for val, psi in hullgeom._norming_functionals(sp, v) if val >= (1.0 - 1e-12) * nv]
+        cuts = [psi for val, psi in norm_plan(sp).norming(v) if val >= (1.0 - 1e-12) * nv]
         for psi in cuts:
             assert dual_norm_of(sp, psi) <= 1.0 + 1e-9
             assert psi @ v == pytest.approx(nv, abs=1e-9)
+
+    @pytest.mark.parametrize("sp", PLAN_POOL, ids=format_space)
+    def test_into_ball_rows_read_at_most_one(self, sp):
+        D = dim(sp)
+        rng = np.random.default_rng(21)
+        X = np.concatenate([scale * rng.standard_normal((40, D)) for scale in (1e-200, 1.0, 1e200)]
+                           + [np.zeros((1, D)), np.full((1, D), 1.0)])
+        X[-1, -1] = INF
+        want = np.ones(X.shape[0], dtype=bool)
+        want[-2:] = False  # the zero row and the non-finite row
+        for plan in (norm_plan(sp), dual_plan(sp)):
+            for shrink in (1.0, 1.0 - 1e-13):
+                U, ok = plan.into_ball(X, shrink)
+                assert np.array_equal(ok, want)
+                assert U.shape == (want.sum(), D)
+                assert np.all(plan.evaluate(U) <= 1.0)
+                assert all(plan.evaluate(u[None, :])[0] <= 1.0 for u in U)
+                U, ok = plan.into_ball(X[-2:], shrink)  # no row left
+                assert U.shape == (0, D) and not ok.any()
+
+    def test_dual_lower_functional_reads_at_most_one(self):
+        # divided twice by its computed dual norm, this functional still
+        # reads 1 + ulp; the next float above that norm brings it in
+        sp = LpFinite(3.0, 3)
+        phi = np.array([-1.4200694881000024, 0.03229538393163682, 1.2400181153090652])
+        _, psi = hullgeom._dual_lower(sp, np.zeros(3), np.zeros((1, 3)), phi)
+        assert dual_norm_of(sp, psi) <= 1.0
 
     @pytest.mark.parametrize("p, row", [
         (100.0, [4e-4, 1e-4, 0.0, 0.0]),  # every p-th power underflows to 0
@@ -738,6 +765,35 @@ class TestMinNormPoint:
             with pytest.raises(DimensionMismatch, match=message):
                 min_norm_point(sp, z, bad)
 
+    def test_lp_route_meets_its_gap_on_a_brackets_round(self, monkeypatch):
+        # round 245 of the benchmark's brackets workload at seed 20106: the
+        # LP's weights leave a gap of 1.38e-9 on the eighth hull instance,
+        # and the polish closes it; no other LP solve of the round runs it
+        rng = np.random.default_rng([20106, 245])
+        draws = []
+        for _ in range(2):
+            for text in ("lp(inf,6)", "lp(1,5)", "lp(2,12)", "sup(3, lp(inf,4))"):
+                sp = parse_space(text)
+                K = int(rng.integers(1, 21))
+                draws.append((sp, rng.standard_normal(dim(sp)) * 1.5,
+                              rng.standard_normal((K, dim(sp)))))
+        polishes = []
+        polish = hullgeom._polish_true_norm
+
+        def counting(*args, **kwargs):
+            polishes.append(1)
+            return polish(*args, **kwargs)
+
+        monkeypatch.setattr(hullgeom, "_polish_true_norm", counting)
+        for i, (sp, z, G) in enumerate(draws):
+            if not norm_plan(sp).polyhedral:
+                continue
+            before = len(polishes)
+            res = min_norm_point(sp, z, G)
+            assert res.stage == "lp" and res.gap <= 1e-10, (i, res.gap)
+            assert len(polishes) - before == (i == 7), i
+        assert format_space(draws[7][0]) == "sup(3, lp(inf,4))" and draws[7][2].shape == (14, 12)
+
     def test_curved_gap_on_criterion_7_seed_5(self):
         # z lies in the hull here: the gap closes only once the primal side
         # reaches a residual near zero
@@ -1089,7 +1145,7 @@ class TestBatchedRows:
         assert open_after_2.any() and not open_after_2.all()
 
     @pytest.mark.parametrize("alpha", [1.0, 1.2, 0.95])
-    def test_primed_pulls_equal_each_engines_own(self, alpha):
+    def test_primed_pulls_equal_each_engines_own(self, alpha, monkeypatch):
         sp, n = LpFinite(INF, 3), 2
         zs = np.random.default_rng(4).uniform(-1.2, 1.2, (5, 6))
         params = CmParams(n, 0.2, alpha)
@@ -1105,6 +1161,24 @@ class TestBatchedRows:
             pool = at_scale(own, hullgeom._pool_scale(alpha))[0]
             own_pulls = hullgeom._pull_rows(own.nrm_mean_sup, pool, own.z[None, :], 0.2, alpha)
             assert np.array_equal(eng._pull_cache[0.2, alpha], own_pulls)
+            # the closed forms of every support size come with the pulls
+            assert not np.isnan(eng._closed[0.2, alpha]).any() and eng._sizes.max() >= 3
+
+        # a larger m at the same (eps, alpha) only filters the supports
+        def bracket(pick):
+            w, b = pick
+            return (w, b.upper, b.upper_method, b.meta, b.witness.weights.tobytes(),
+                    [g.tobytes() for g in b.witness.generators])
+
+        hullgeom._best_upper(primed, params)
+        work = []
+        monkeypatch.setattr(hullgeom, "_pull_rows", lambda *a: work.append("pull"))
+        monkeypatch.setattr(hullgeom._UpperEngine, "_solve_support", lambda *a, **k: work.append("solve"))
+        later = hullgeom._best_upper(primed, params.with_m(3))
+        assert work == []
+        monkeypatch.undo()
+        fresh = hullgeom._build_engines(sp, n, zs, 1, 1)
+        assert bracket(later) == bracket(hullgeom._best_upper(fresh, params.with_m(3)))
 
     @pytest.mark.parametrize("sp, z", [case[:2] for case in CASES[::2]])
     def test_a_surrogate_stack_solves_each_row_as_alone(self, sp, z):
