@@ -3,9 +3,12 @@
 Four file-based subcommands tie the modules together: ``lip`` evaluates
 seminorms and extensions on a metric file, ``rings`` searches for an
 annulus family, ``cert`` runs one construct-and-verify pipeline, and
-``dk`` sweeps a deficiency profile.  Every output embeds the full run
-configuration, rendering is deterministic byte for byte under a fixed
-seed, and exit codes follow a stable contract:
+``dk`` sweeps a deficiency profile.  ``_COMMANDS`` names the flags each
+command reads; its subparser takes those and ``--out`` only, so any other
+flag is an input error.  The parsed namespace is the run config, and every
+output echoes it over the flags of all commands, the unread ones at their
+defaults.  Rendering is deterministic byte for byte under a fixed seed, and
+exit codes follow a stable contract:
 
     0  success / all checks passed
     1  a verification or consistency check failed
@@ -21,7 +24,6 @@ import functools
 import json
 import re
 import sys
-from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import List, Optional, Tuple
 
@@ -66,29 +68,24 @@ EXIT_NOT_FOUND = 3
 EXIT_REFUSED = 4
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Complete flag set of one invocation, echoed into every output."""
-
-    command: str
-    space: Optional[str] = None
-    metric: Optional[str] = None
-    family: Optional[str] = None
-    values: Optional[str] = None
-    mask: Optional[str] = None
-    n: Optional[int] = None
-    eps: Optional[float] = None
-    alpha: float = 1.0
-    k: Optional[str] = None
-    m: Optional[int] = None
-    budget: int = 8
-    seed: Optional[int] = None
-    resolution: Optional[float] = None
-    out: Optional[str] = None
-    format: Optional[str] = None
-
-    def to_jsonable(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+# every flag of every command, with its argparse keywords
+_FLAGS = {
+    "space": dict(help="space grammar, e.g. lp(inf,8) or fmod(8, lp(2,1))"),
+    "metric": dict(help="metric file path, or chain(q,L) / ray(a,L)"),
+    "family": dict(help="ring family file (output of 'rings')"),
+    "values": dict(help="function values: inline floats or @file"),
+    "mask": dict(help="restriction mask indices, e.g. 0,2,5"),
+    "n": dict(type=int, help="tuple length"),
+    "eps": dict(type=float, help="mean-norm slack"),
+    "alpha": dict(type=float, default=1.0, help="sup-norm cap (default 1)"),
+    "k": dict(help="generator budget: '3', '1,2,5', or '1..4'"),
+    "m": dict(type=int, help="partition set count"),
+    "budget": dict(type=int, default=8, help="search width (default 8)"),
+    "seed": dict(type=int, help="rng seed"),
+    "resolution": dict(type=float, help="grid step for certified bounds"),
+    "out": dict(help="output file (default stdout)"),
+    "format": dict(choices=("json", "csv"), help="output format (default csv)"),
+}
 
 
 class _InputError(ValueError):
@@ -158,27 +155,31 @@ def _single_k(text: str) -> int:
     return ks[0]
 
 
-def _require(cfg: RunConfig, *names: str) -> None:
+def _require(cfg: argparse.Namespace, *names: str) -> None:
     for name in names:
         if getattr(cfg, name) is None:
             raise _InputError(f"--{name} is required for '{cfg.command}'")
 
 
-def _require_format(cfg: RunConfig, allowed: Tuple[str, ...]) -> str:
-    fmt = cfg.format or allowed[0]
-    if fmt not in allowed:
-        raise _InputError(
-            f"'{cfg.command}' supports format {'/'.join(allowed)}, got {fmt!r}"
-        )
-    return fmt
+def _refuse(cfg: argparse.Namespace, route: str, *names: str) -> None:
+    """Flags of the route this command did not take are input errors."""
+    for name in names:
+        if getattr(cfg, name) is not None:
+            raise _InputError(f"'{cfg.command}' {route} does not read --{name}")
+
+
+def _config(cfg: argparse.Namespace) -> dict:
+    """The echoed config: every command's flags, this command's values, the others' defaults."""
+    return {"command": cfg.command,
+            **{name: getattr(cfg, name, kw.get("default")) for name, kw in _FLAGS.items()}}
 
 
 def _render_json(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def _config_preamble(cfg: RunConfig) -> str:
-    doc = cfg.to_jsonable()
+def _config_preamble(cfg: argparse.Namespace) -> str:
+    doc = _config(cfg)
     return "".join(f"# {key}={json.dumps(doc[key])}\n" for key in sorted(doc))
 
 
@@ -186,9 +187,7 @@ def _config_preamble(cfg: RunConfig) -> str:
 # subcommands (each returns rendered output text + exit code)
 
 
-def cmd_lip(cfg: RunConfig) -> Tuple[str, int]:
-    _require(cfg, "metric", "values")
-    _require_format(cfg, ("json",))
+def cmd_lip(cfg: argparse.Namespace) -> Tuple[str, int]:
     M = _metric_from_arg(cfg.metric)
     vals = _floats_from_arg(cfg.values)
     if len(vals) != M.size:
@@ -200,7 +199,7 @@ def cmd_lip(cfg: RunConfig) -> Tuple[str, int]:
     restricted = restricted_seminorm(M, f)
     ext = mcshane_extend(M, f, restricted)
     doc = {
-        "config": cfg.to_jsonable(),
+        "config": _config(cfg),
         "points": M.size,
         "seminorm": restricted,
         "extension": {
@@ -216,14 +215,12 @@ def cmd_lip(cfg: RunConfig) -> Tuple[str, int]:
     return _render_json(doc), EXIT_OK
 
 
-def cmd_rings(cfg: RunConfig) -> Tuple[str, int]:
-    _require(cfg, "metric", "eps", "k")
-    _require_format(cfg, ("json",))
+def cmd_rings(cfg: argparse.Namespace) -> Tuple[str, int]:
     M = _metric_from_arg(cfg.metric)
     got = find_ring_family(M, cfg.eps, _single_k(cfg.k))
     if isinstance(got, RingSearchExhausted):
         doc = {
-            "config": cfg.to_jsonable(),
+            "config": _config(cfg),
             "not_found": {
                 "pairs_examined": got.pairs_examined,
                 "accepted": got.accepted,
@@ -231,7 +228,7 @@ def cmd_rings(cfg: RunConfig) -> Tuple[str, int]:
         }
         return _render_json(doc), EXIT_NOT_FOUND
     doc = {
-        "config": cfg.to_jsonable(),
+        "config": _config(cfg),
         "family": got.to_jsonable(),
         "size": len(got.entries),
         "validation": validate_ring_family(M, got).to_jsonable(),
@@ -248,14 +245,13 @@ def _load_family(path: str) -> RingFamily:
         raise _InputError(f"family file {path!r} is malformed: {exc}")
 
 
-def cmd_cert(cfg: RunConfig) -> Tuple[str, int]:
-    _require(cfg, "eps", "n", "seed")
-    _require_format(cfg, ("json",))
+def cmd_cert(cfg: argparse.Namespace) -> Tuple[str, int]:
     if (cfg.space is None) == (cfg.metric is None):
         raise _InputError("'cert' takes exactly one of --space or --metric")
     rng = np.random.default_rng(cfg.seed)
 
     if cfg.space is not None:
+        _refuse(cfg, "with --space", "family", "k")
         _require(cfg, "m")
         module = _as_module(parse_space(cfg.space))
         fd = dim(module.fiber)
@@ -269,12 +265,13 @@ def cmd_cert(cfg: RunConfig) -> Tuple[str, int]:
         constructed = centralizer_construct(module, z, e, sets)
         rep = centralizer_verify(module, z, constructed, cfg.m, cfg.eps)
         doc = {
-            "config": cfg.to_jsonable(),
+            "config": _config(cfg),
             "route": "partition",
             "report": rep.to_jsonable(),
         }
         return _render_json(doc), EXIT_OK if rep.passed else EXIT_FAIL
 
+    _refuse(cfg, "with --metric", "m")
     _require(cfg, "k")
     k = _single_k(cfg.k)
     M = _metric_from_arg(cfg.metric)
@@ -284,7 +281,7 @@ def cmd_cert(cfg: RunConfig) -> Tuple[str, int]:
         got = find_ring_family(M, cfg.eps, k)
         if isinstance(got, RingSearchExhausted):
             doc = {
-                "config": cfg.to_jsonable(),
+                "config": _config(cfg),
                 "route": "annulus",
                 "not_found": {
                     "pairs_examined": got.pairs_examined,
@@ -297,7 +294,7 @@ def cmd_cert(cfg: RunConfig) -> Tuple[str, int]:
         raise _InputError(f"k={k} exceeds the family size {len(family.entries)}")
     validation = validate_ring_family(M, family)
     doc = {
-        "config": cfg.to_jsonable(),
+        "config": _config(cfg),
         "route": "annulus",
         "family_validation": validation.to_jsonable(),
         "report": None,
@@ -315,7 +312,7 @@ def cmd_cert(cfg: RunConfig) -> Tuple[str, int]:
     return _render_json(doc), EXIT_OK if rep.passed else EXIT_FAIL
 
 
-def _ceiling_profile(cfg: RunConfig, module: FunctionModule, ks: List[int]) -> DkProfile:
+def _ceiling_profile(cfg: argparse.Namespace, module: FunctionModule, ks: List[int]) -> DkProfile:
     ceilings = constructive_dk_upper(
         module, cfg.n, cfg.eps, ks, panel=max(4, cfg.budget), seed=cfg.seed
     )
@@ -339,13 +336,12 @@ def _ceiling_profile(cfg: RunConfig, module: FunctionModule, ks: List[int]) -> D
     )
 
 
-def cmd_dk(cfg: RunConfig) -> Tuple[str, int]:
-    _require(cfg, "space", "n", "eps", "k")
-    fmt = _require_format(cfg, ("csv", "json"))
+def cmd_dk(cfg: argparse.Namespace) -> Tuple[str, int]:
     space = parse_space(cfg.space)
     ks = _k_range(cfg.k)
     CmParams(cfg.n, cfg.eps, cfg.alpha)  # both routes check n, eps and alpha alike
     if isinstance(space, FunctionModule):
+        _refuse(cfg, "on a function module", "resolution")
         if cfg.alpha < 1.0:
             # the partition panel verifies the alpha = 1 construction, and
             # its ceilings carry over to alpha >= 1 only (the hull grows)
@@ -360,23 +356,27 @@ def cmd_dk(cfg: RunConfig) -> Tuple[str, int]:
             space, cfg.n, cfg.eps, alpha=cfg.alpha, k_range=ks,
             budget=cfg.budget, seed=cfg.seed, resolution=cfg.resolution,
         )
-    if fmt == "csv":
+    if cfg.format != "json":
         return _config_preamble(cfg) + prof.to_csv(), EXIT_OK
     doc = {
-        "config": cfg.to_jsonable(),
+        "config": _config(cfg),
         "route": route,
         "profile": prof.to_jsonable(),
     }
     return _render_json(doc), EXIT_OK
 
 
+# command: (function, help, required flags, optional flags); each also takes --out
 _COMMANDS = {
-    "lip": cmd_lip,
-    "rings": cmd_rings,
-    "cert": cmd_cert,
-    "dk": cmd_dk,
+    "lip": (cmd_lip, "seminorm and extension of a function on a metric file",
+            ("metric", "values"), ("mask",)),
+    "rings": (cmd_rings, "search a metric for a family of disjoint annuli",
+              ("metric", "eps", "k"), ()),
+    "cert": (cmd_cert, "run one construct-and-verify certificate pipeline",
+             ("n", "eps", "seed"), ("space", "metric", "family", "m", "k")),
+    "dk": (cmd_dk, "sweep a deficiency profile over a range of k",
+           ("space", "n", "eps", "k", "seed"), ("alpha", "budget", "resolution", "format")),
 }
-_NEEDS_SEED = ("cert", "dk")
 
 
 # ---------------------------------------------------------------------------
@@ -391,33 +391,16 @@ def _build_parser() -> argparse.ArgumentParser:
         description="deficiency profiles, Lipschitz certificates, ring search",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    specs = {
-        "lip": "seminorm and extension of a function on a metric file",
-        "rings": "search a metric for a family of disjoint annuli",
-        "cert": "run one construct-and-verify certificate pipeline",
-        "dk": "sweep a deficiency profile over a range of k",
-    }
-    for name, help_text in specs.items():
+    for name, (_, help_text, required, optional) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--space", help="space grammar, e.g. lp(inf,8) or fmod(8, lp(2,1))")
-        p.add_argument("--metric", help="metric file path, or chain(q,L) / ray(a,L)")
-        p.add_argument("--family", help="ring family file (output of 'rings')")
-        p.add_argument("--values", help="function values: inline floats or @file")
-        p.add_argument("--mask", help="restriction mask indices, e.g. 0,2,5")
-        p.add_argument("--n", type=int, help="tuple length")
-        p.add_argument("--eps", type=float, help="mean-norm slack")
-        p.add_argument("--alpha", type=float, default=1.0, help="sup-norm cap (default 1)")
-        p.add_argument("--k", help="generator budget: '3', '1,2,5', or '1..4'")
-        p.add_argument("--m", type=int, help="partition set count")
-        p.add_argument("--budget", type=int, default=8, help="search width (default 8)")
-        p.add_argument("--seed", type=int, help="rng seed (required when sampling)")
-        p.add_argument("--resolution", type=float, help="grid step for certified bounds")
-        p.add_argument("--out", help="output file (default stdout)")
-        p.add_argument("--format", choices=("json", "csv"), help="output format")
+        for flag in required:
+            p.add_argument(f"--{flag}", required=True, **_FLAGS[flag])
+        for flag in optional + ("out",):
+            p.add_argument(f"--{flag}", **_FLAGS[flag])
     return parser
 
 
-def _emit(cfg: RunConfig, text: str, code: int) -> int:
+def _emit(cfg: argparse.Namespace, text: str, code: int) -> int:
     """Write the output to --out, or to stdout; an unwritable --out is an input error."""
     if not cfg.out:
         sys.stdout.write(text)
@@ -431,20 +414,16 @@ def _emit(cfg: RunConfig, text: str, code: int) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = _build_parser()
     try:
-        ns = parser.parse_args(argv)
+        cfg = _build_parser().parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         return int(code) if isinstance(code, int) else EXIT_INPUT
-    cfg = RunConfig(**{f.name: getattr(ns, f.name) for f in fields(RunConfig)})
     try:
-        if cfg.seed is None and cfg.command in _NEEDS_SEED:
-            raise _InputError(f"--seed is required for '{cfg.command}'")
-        text, code = _COMMANDS[cfg.command](cfg)
+        text, code = _COMMANDS[cfg.command][0](cfg)
     except CapabilityRefusal as exc:
         doc = {
-            "config": cfg.to_jsonable(),
+            "config": _config(cfg),
             "refusal": str(exc),
             "report": exc.report,
         }

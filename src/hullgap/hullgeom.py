@@ -670,13 +670,14 @@ def _slsqp_dual(space, G: np.ndarray, z: np.ndarray,
     """Refine a separating functional over the dual unit ball's epigraph model.
 
     Maximizes phi(z) - max_j phi(g_j) subject to the dual-ball model, from
-    phi0 scaled into the dual ball; the caller must scale the result into
-    the dual ball (``_dual_lower``) before trusting any bound derived from it.
+    phi0 shrunk by 1 - 1e-9.  phi0 is already in the dual ball: every caller
+    passes a functional that ``_dual_lower`` scaled there.  The caller must
+    scale the result into the dual ball (``_dual_lower``) before trusting
+    any bound derived from it.
     """
-    start = [] if phi0 is None else dual_plan(space).into_ball(phi0[None, :])[0]
-    if len(start) == 0:
+    if phi0 is None:
         return None
-    phi0 = start[0] * (1.0 - 1e-9)
+    phi0 = phi0 * (1.0 - 1e-9)
     K, D = G.shape
     rows = z[None, :] - G
     if K > 150:

@@ -269,8 +269,6 @@ class NormPlan:
         n = self.evaluate(X)
         ok = (n > 0.0) & (n < INF)
         U = X[ok] / n[ok, None] * shrink
-        if not ok.any():  # a grouped plan cannot evaluate zero rows
-            return U, ok
         n, first = self.evaluate(U), True
         while np.any(over := n > 1.0):
             div = n[over] if first else np.nextafter(n[over], INF)
@@ -331,10 +329,10 @@ class _KidGroup:
         """The (T r, w) rows of the copies: row t r + k is copy k of row t of X."""
         return X if self.idx is None else X[:, self.idx].reshape(-1, self.idx.shape[1])
 
-    @staticmethod
-    def split(v: np.ndarray, T: int) -> np.ndarray:
+    def split(self, v: np.ndarray, T: int) -> np.ndarray:
         """Values (..., T r) over ``rows`` as (..., r, T): r term rows, copy by copy."""
-        return v.reshape(v.shape[:-1] + (T, -1)).swapaxes(-1, -2)
+        r = 1 if self.idx is None else self.idx.shape[0]
+        return v.reshape(v.shape[:-1] + (T, r)).swapaxes(-1, -2)
 
 
 _NEAR_TIE = 1e-3

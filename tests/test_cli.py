@@ -101,12 +101,14 @@ class TestLip:
         assert out == "" and "non-finite" in err
 
     def test_csv_format_rejected(self, capsys):
-        code, out, err = run(
-            capsys,
-            "lip", "--metric", "chain(0.1,3)", "--values", "0,1,2",
-            "--format", "csv",
-        )
-        assert code == EXIT_INPUT
+        # lip writes JSON only, so it takes no --format at all
+        for fmt in ("csv", "json"):
+            code, out, err = run(
+                capsys,
+                "lip", "--metric", "chain(0.1,3)", "--values", "0,1,2",
+                "--format", fmt,
+            )
+            assert code == EXIT_INPUT
 
     def test_config_echoed(self, capsys):
         code, doc = run_json(
@@ -115,6 +117,13 @@ class TestLip:
         assert doc["config"]["command"] == "lip"
         assert doc["config"]["metric"] == "chain(0.1,3)"
         assert doc["config"]["values"] == "1,2,3"
+        # every flag of every command, the ones lip does not read at their defaults
+        assert set(doc["config"]) == {
+            "command", "space", "metric", "family", "values", "mask", "n", "eps", "alpha",
+            "k", "m", "budget", "seed", "resolution", "out", "format",
+        }
+        assert doc["config"]["alpha"] == 1.0 and doc["config"]["budget"] == 8
+        assert doc["config"]["seed"] is None and doc["config"]["format"] is None
 
 
 class TestRings:
@@ -231,6 +240,17 @@ class TestCert:
         )
         assert code == EXIT_INPUT
         assert "exactly one" in err
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["--space", "lp(inf,8)", "--m", "2", "--family", "f.json"], "--family"),
+        (["--space", "lp(inf,8)", "--m", "2", "--k", "2"], "--k"),
+        (["--metric", "chain(0.01,12)", "--k", "3", "--m", "3"], "--m"),
+    ])
+    def test_flags_of_the_other_route_are_refused(self, capsys, argv, flag):
+        # the family file is never opened: the refusal comes first
+        code, out, err = run(capsys, "cert", *argv, "--n", "1", "--eps", "0.5", "--seed", "0")
+        assert code == EXIT_INPUT
+        assert out == "" and flag in err
 
     def test_seed_required(self, capsys):
         code, out, err = run(
@@ -389,6 +409,17 @@ class TestDk:
         )
         assert code == EXIT_INPUT
         assert out == "" and "alpha" in err
+
+    def test_function_module_refuses_resolution(self, capsys):
+        # the partition-ceiling route runs no grid
+        code, out, err = run(
+            capsys,
+            "dk", "--space", "fmod(4, lp(2,1))", "--n", "2", "--eps", "0.2",
+            "--k", "1..2", "--seed", "0", "--resolution", "0.1",
+        )
+        assert code == EXIT_INPUT
+        assert out == "" and "--resolution" in err
+
     def test_bad_space_grammar(self, capsys):
         code, out, err = run(
             capsys,
@@ -432,10 +463,24 @@ class TestPlumbing:
         def failing(cfg):
             raise error("a check failed")
 
-        monkeypatch.setitem(cli._COMMANDS, "lip", failing)
+        monkeypatch.setitem(cli._COMMANDS, "lip", (failing,) + cli._COMMANDS["lip"][1:])
         code, out, err = run(capsys, "lip", "--metric", "chain(0.5,4)", "--values", "1,2,3,4")
         assert code == EXIT_FAIL
         assert out == "" and err == "hullgap lip: a check failed\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["lip", "--metric", "chain(0.5,4)", "--values", "1,2,3,4", "--seed", "3"],
+        ["rings", "--metric", "chain(0.01,12)", "--eps", "0.5", "--k", "3", "--budget", "99"],
+        ["cert", "--space", "lp(inf,8)", "--n", "1", "--eps", "0.2", "--m", "2",
+         "--seed", "0", "--alpha", "2"],
+        ["dk", "--space", "lp(2,1)", "--n", "1", "--eps", "0.2", "--k", "1",
+         "--seed", "0", "--m", "2"],
+    ])
+    def test_unread_flag_is_input_error(self, capsys, tmp_path, argv):
+        path = tmp_path / "x.out"
+        code, out, err = run(capsys, *argv, "--out", str(path))
+        assert code == EXIT_INPUT
+        assert out == "" and argv[-2] in err and not path.exists()
 
     def test_no_arguments_is_input_error(self, capsys):
         assert main([]) == EXIT_INPUT

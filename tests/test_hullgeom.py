@@ -371,6 +371,16 @@ class TestNormMachinery:
                 U, ok = plan.into_ball(X[-2:], shrink)  # no row left
                 assert U.shape == (0, D) and not ok.any()
 
+    @pytest.mark.parametrize("sp", PLAN_POOL, ids=format_space)
+    def test_zero_rows_give_empty_results(self, sp):
+        # a plan with grouped kids splits its values by the group's copy count
+        X = np.zeros((0, dim(sp)))
+        for plan in (norm_plan(sp), dual_plan(sp)):
+            assert plan.evaluate(X).shape == (0,)
+            assert all(v.shape == (0,) for v in plan.probe(X, X))
+            U, ok = plan.into_ball(X)
+            assert U.shape == X.shape and ok.shape == (0,)
+
     def test_dual_lower_functional_reads_at_most_one(self):
         # divided twice by its computed dual norm, this functional still
         # reads 1 + ulp; the next float above that norm brings it in
