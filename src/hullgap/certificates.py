@@ -32,7 +32,7 @@ from .lipmetric import (
     mcshane_extend,
     restricted_seminorm,
 )
-from .spaces import FunctionModule, dim, norm
+from .spaces import FunctionModule, as_coord_rows, dim, norm, norm_plan
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +110,7 @@ class RingEntry:
 
     def ring_indices(self, M: FiniteMetricSpace) -> Tuple[int, ...]:
         row = M.dist[self.t]
-        return tuple(int(s) for s in range(M.size) if self.r < row[s] <= self.R)
+        return tuple(np.flatnonzero((self.r < row) & (row <= self.R)).tolist())
 
 
 @dataclass(frozen=True, eq=False)
@@ -213,9 +213,10 @@ def find_ring_family(
     pairs.sort(key=lambda p: (-p[0], p[1], p[2]))
 
     def snap_down(x: float, keep) -> float:
-        below = realized[(realized <= x) & (realized > 0.0)]
-        if below.shape[0]:
-            cand = float(below[-1])
+        # the largest positive realized distance <= x, if it keeps the ratios
+        at = int(realized.searchsorted(x, side="right")) - 1
+        if at >= 0 and realized[at] > 0.0:
+            cand = float(realized[at])
             if keep(cand):
                 return cand
         return x
@@ -488,20 +489,37 @@ def centralizer_verify(
     sup-bound: each tuple stays in the unit ball; mean-bound: the averaged
     sum of components has norm at least 1 (the overwritten set realizes it
     exactly); mix-approx: the m-average is within 2/m of the original tuple.
+    Every section, of z and of the tuples, is shape-checked, and each
+    group of norms (the components, the m sums, the k mix differences) is
+    one batch call of the module's norm plan on its stacked,
+    dimension-checked rows; a row's norm in a batch is its norm alone, bit
+    for bit.
     """
     if not (1 <= m <= len(constructed)):
         raise ParameterError(f"m={m} outside 1..{len(constructed)}")
     k = len(z)
+    tuples = constructed[:m]
+    for i, s in enumerate(z):
+        _check_section(module, s, f"component {i}")
+    for tup in tuples:
+        for c in tup:
+            _check_section(module, c, "section")
+
+    def norms(sections) -> np.ndarray:
+        return norm_plan(module).evaluate(as_coord_rows(module, np.stack([
+            v.reshape(-1) for v in sections])))
+
+    sups = norms(c.values for tup in tuples for c in tup)
+    tots = norms(np.sum([c.values for c in tup], axis=0) for tup in tuples)
+    diffs = norms(z[i].values - np.mean([tup[i].values for tup in tuples], axis=0)
+                  for i in range(k))
     checks: List[CheckResult] = []
-    for j in range(m):
-        tup = constructed[j]
-        sup = max(module_section_norm(module, c) for c in tup)
+    at = 0
+    for j, tup in enumerate(tuples):
+        sup = max(sups[at:at + len(tup)])
+        at += len(tup)
         checks.append(_at_most(f"sup-bound[{j}]", sup, 1.0 + 1e-12))
-        tot = np.sum([c.values for c in tup], axis=0)
-        mean = norm(module, tot.reshape(-1)) / k
-        checks.append(_at_least(f"mean-bound[{j}]", mean, 1.0 - 1e-12))
+        checks.append(_at_least(f"mean-bound[{j}]", tots[j] / k, 1.0 - 1e-12))
     for i in range(k):
-        avg = np.mean([constructed[j][i].values for j in range(m)], axis=0)
-        diff = norm(module, (z[i].values - avg).reshape(-1))
-        checks.append(_at_most(f"mix-approx[{i}]", diff, 2.0 / m + 1e-12))
+        checks.append(_at_most(f"mix-approx[{i}]", diffs[i], 2.0 / m + 1e-12))
     return CertificateReport(checks)

@@ -4,8 +4,8 @@ Four file-based subcommands tie the modules together: ``lip`` evaluates
 seminorms and extensions on a metric file, ``rings`` searches for an
 annulus family, ``cert`` runs one construct-and-verify pipeline, and
 ``dk`` sweeps a deficiency profile.  ``_COMMANDS`` names the flags each
-command reads; its subparser takes those and ``--out`` only, so any other
-flag is an input error.  The parsed namespace is the run config, and every
+command reads; its subparser takes those and ``--out`` only, spelled out in
+full, so any other flag and any shortened one is an input error.  The parsed namespace is the run config, and every
 output echoes it over the flags of all commands, the unread ones at their
 defaults.  Rendering is deterministic byte for byte under a fixed seed, and
 exit codes follow a stable contract:
@@ -99,14 +99,18 @@ _GEN = re.compile(r"^(chain|ray)\(([^,()]+),([^,()]+)\)$")
 
 
 def _metric_from_arg(text: str) -> FiniteMetricSpace:
-    """A metric file path, or an inline generator chain(q,L) / ray(a,L)."""
+    """A metric file path, or an inline generator chain(q,L) / ray(a,L) with an integer L."""
     mobj = _GEN.match(text.strip())
     if mobj:
         kind, a_raw, b_raw = mobj.groups()
-        a, b = float(a_raw), float(b_raw)
+        a = float(a_raw)
+        try:
+            levels = int(b_raw)
+        except ValueError:
+            raise _InputError(f"the level count of {kind}(...) must be an integer, got {b_raw!r}")
         if kind == "chain":
-            return geometric_chain(a, int(b))
-        return integer_ray(int(b), a)
+            return geometric_chain(a, levels)
+        return integer_ray(levels, a)
     return load_metric(text)
 
 
@@ -248,6 +252,8 @@ def _load_family(path: str) -> RingFamily:
 def cmd_cert(cfg: argparse.Namespace) -> Tuple[str, int]:
     if (cfg.space is None) == (cfg.metric is None):
         raise _InputError("'cert' takes exactly one of --space or --metric")
+    if cfg.n < 1:
+        raise _InputError(f"--n must be a positive integer, got {cfg.n}")
     rng = np.random.default_rng(cfg.seed)
 
     if cfg.space is not None:
@@ -389,10 +395,12 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hullgap",
         description="deficiency profiles, Lipschitz certificates, ring search",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, help_text, required, optional) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
+        # no prefix matching: a shortened or mistyped flag is an input error
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         for flag in required:
             p.add_argument(f"--{flag}", required=True, **_FLAGS[flag])
         for flag in optional + ("out",):

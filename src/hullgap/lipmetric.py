@@ -17,6 +17,10 @@ import numpy as np
 from .errors import ParameterError, PreconditionError
 
 
+# the most elements of one (block, N, N) array of the triangle sweep
+_SWEEP_CAP = 2**16
+
+
 class MetricError(ValueError):
     """Distance matrix violates a metric axiom."""
 
@@ -42,7 +46,14 @@ class FiniteMetricSpace:
     The base point is index 0 by convention.  Construction validates all
     metric axioms including the full O(N^3) triangle sweep; a corrupted
     metric would silently invalidate every certificate built on it, so the
-    cost is paid up front.
+    cost is paid up front.  The sweep runs in blocks of middle points k:
+    one block is one (block, N, N) comparison of d[i,j] > d[i,k] + d[k,j] +
+    tol, with ``_SWEEP_CAP`` // N^2 points per block (at least one), so its
+    temporaries stay under about 2^16 elements, and N > 256 sweeps one k at
+    a time.  The first violation reported is the one of the smallest k,
+    then the first (i, j) in row-major order, as a one-k sweep finds it.
+    The stored matrix is symmetrised, (d + d^T) / 2, so both triangles hold
+    the same floats.
     """
 
     dist: np.ndarray
@@ -69,10 +80,14 @@ class FiniteMetricSpace:
         if np.any(off <= 0.0):
             i, j = map(int, np.argwhere(off <= 0.0)[0])
             raise MetricError(f"dist[{i}][{j}] = {d[i, j]} must be positive for distinct points")
-        for k in range(n):
-            viol = d > d[:, [k]] + d[[k], :] + tol
+        block = max(1, _SWEEP_CAP // (n * n))
+        for k0 in range(0, n, block):
+            ks = slice(k0, k0 + block)
+            # viol[b, i, j]: d[i, j] > d[i, k] + d[k, j] + tol for k = k0 + b
+            viol = d > d[:, ks].T[:, :, None] + d[ks, None, :] + tol
             if np.any(viol):
-                i, j = map(int, np.argwhere(viol)[0])
+                b, i, j = map(int, np.argwhere(viol)[0])
+                k = k0 + b
                 raise MetricError(
                     f"triangle inequality fails: dist[{i}][{j}]={d[i, j]} > "
                     f"dist[{i}][{k}]+dist[{k}][{j}]={d[i, k] + d[k, j]}"
@@ -124,16 +139,22 @@ class LipFunction:
 
 
 def lip_seminorm(M: FiniteMetricSpace, f: LipFunction) -> float:
-    """Exact max of |f(x)-f(y)|/d(x,y) over unordered pairs in the mask."""
+    """Exact max of |f(x)-f(y)|/d(x,y) over unordered pairs in the mask.
+
+    The quotients fill the whole masked matrix, divided only where the
+    distance is positive (off the diagonal, which stays 0).  The stored
+    distances are symmetric and |a - b| = |b - a| exactly, so each pair's
+    two entries are the same float and the max is the one over i < j.
+    """
     idx = f.mask_indices(M)
     if idx.shape[0] < 2:
         raise DegenerateDomainError(
             f"seminorm needs at least 2 points in the domain, got {idx.shape[0]}"
         )
     v = f.values[idx]
-    dd = M.dist[np.ix_(idx, idx)]
-    iu = np.triu_indices(idx.shape[0], k=1)
-    return float(np.max(np.abs(v[:, None] - v[None, :])[iu] / dd[iu]))
+    dd = M.dist[idx][:, idx]
+    q = np.divide(np.abs(v[:, None] - v[None, :]), dd, out=np.zeros(dd.shape), where=dd > 0.0)
+    return float(q.max())
 
 
 def restricted_seminorm(M: FiniteMetricSpace, f: LipFunction) -> float:
@@ -195,8 +216,12 @@ def integer_ray(levels: int, a: float) -> FiniteMetricSpace:
         raise ParameterError(f"growth must exceed 1, got {a}")
     if int(levels) != levels or levels < 2:
         raise ParameterError(f"levels must be an integer >= 2, got {levels}")
-    pts = [0.0] + [a**i for i in range(1, int(levels))]
-    if not np.isfinite(pts[-1]):
+    try:
+        pts = [0.0] + [a**i for i in range(1, int(levels))]
+        finite = bool(np.isfinite(pts[-1]))
+    except OverflowError:  # a float power past the float range raises
+        finite = False
+    if not finite:
         raise ParameterError(f"a**{levels - 1} overflows; reduce levels")
     return line_metric(pts)
 

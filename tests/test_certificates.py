@@ -12,6 +12,7 @@ from hullgap.certificates import (
     RingSearchExhausted,
     centralizer_construct,
     centralizer_verify,
+    extreme_unit_section,
     find_ring_family,
     ivakhno_construct,
     ivakhno_verify,
@@ -33,7 +34,7 @@ from hullgap.lipmetric import (
     line_metric,
     lip_seminorm,
 )
-from hullgap.spaces import INF, FunctionModule, LpFinite
+from hullgap.spaces import INF, FunctionModule, LpFinite, dim, norm, parse_space
 
 
 # --- independent existence oracle -----------------------------------------
@@ -82,6 +83,70 @@ def unit_seminorm_tuple(M, rng, n):
         f = LipFunction(v / lip_seminorm(M, LipFunction(v)))
         out.append(f)
     return out
+
+
+# --- one-at-a-time references of the array kernels ------------------------
+
+
+def ring_indices_reference(M, e):
+    row = M.dist[e.t]
+    return tuple(s for s in range(M.size) if e.r < row[s] <= e.R)
+
+
+def ring_family_reference(M, eps, k):
+    """The search over candidates built by boolean masks, first found family."""
+    realized = np.unique(M.dist)
+
+    def snap_down(x, keep):
+        below = realized[(realized <= x) & (realized > 0.0)]
+        if below.shape[0] and keep(float(below[-1])):
+            return float(below[-1])
+        return x
+
+    pairs = sorted(((M.d(i, j), i, j) for i in range(M.size) for j in range(i + 1, M.size)),
+                   key=lambda p: (-p[0], p[1], p[2]))
+    cands, seen = [], set()
+    for rho, t, tau in pairs:
+        r = snap_down(0.5 * rho * eps / (2.0 + eps),
+                      lambda c: 0.0 < c < rho and 2.0 * c / (rho - c) <= eps)
+        R = snap_down(2.0 * rho * (2.0 + eps) / eps,
+                      lambda c: c > rho and 2.0 * rho / (c - rho) <= eps)
+        entry = RingEntry(t, tau, r, rho, R)
+        ring = frozenset(ring_indices_reference(M, entry))
+        if ring not in seen:
+            seen.add(ring)
+            cands.append((entry, ring))
+    cands.sort(key=lambda c: (len(c[1]), -c[0].rho, c[0].t, c[0].tau))
+
+    def dfs(start, chosen, taken):
+        if len(chosen) == k:
+            return chosen
+        for a in range(start, len(cands)):
+            if not cands[a][1] & taken:
+                got = dfs(a + 1, chosen + [cands[a][0]], taken | cands[a][1])
+                if got:
+                    return got
+        return None
+
+    return dfs(0, [], frozenset())
+
+
+def centralizer_report_reference(module, z, constructed, m):
+    """The named checks of centralizer_verify, one spaces.norm row at a time."""
+    k = len(z)
+    checks = []
+    for j in range(m):
+        tup = constructed[j]
+        sup = max(norm(module, c.values.reshape(-1)) for c in tup)
+        checks.append((f"sup-bound[{j}]", sup, 1.0 + 1e-12))
+        tot = np.sum([c.values for c in tup], axis=0)
+        checks.append((f"mean-bound[{j}]", norm(module, tot.reshape(-1)) / k, 1.0 - 1e-12))
+    for i in range(k):
+        avg = np.mean([constructed[j][i].values for j in range(m)], axis=0)
+        checks.append((f"mix-approx[{i}]", norm(module, (z[i].values - avg).reshape(-1)),
+                       2.0 / m + 1e-12))
+    return [(name, value, bound, value >= bound if name.startswith("mean") else value <= bound)
+            for name, value, bound in checks]
 
 
 class TestRingSearch:
@@ -148,6 +213,38 @@ class TestRingSearch:
         out = find_ring_family(M, 0.4, 2)
         if isinstance(out, RingFamily):
             assert validate_ring_family(M, out).passed
+
+    def test_ring_indices_equal_the_boolean_reference(self):
+        rng = np.random.default_rng(2304)
+        for _ in range(40):
+            M = geometric_chain(float(rng.uniform(0.005, 0.6)), int(rng.integers(3, 16)))
+            t, tau = (int(x) for x in rng.choice(M.size, 2, replace=False))
+            # radii on realized distances too, where < and <= decide
+            r, R = sorted(rng.choice(np.unique(M.dist), 2, replace=False).tolist())
+            for e in (RingEntry(t, tau, r, M.d(t, tau), R),
+                      RingEntry(t, tau, r * rng.uniform(0.5, 1.5), M.d(t, tau), R * rng.uniform(0.5, 1.5))):
+                assert e.ring_indices(M) == ring_indices_reference(M, e)
+
+    def test_candidates_equal_the_boolean_reference(self):
+        # the same candidates in the same order give the same first family
+        rng = np.random.default_rng(2305)
+        for trial in range(40):
+            if trial % 4 == 3:
+                # quarter-integer points and eps = 2: the unsnapped radii
+                # rho / 4 and 4 rho are often realized distances themselves
+                pts = np.sort(rng.choice(np.arange(0.0, 64.0, 0.25), int(rng.integers(4, 12)),
+                                         replace=False))
+                M, eps = line_metric(pts.tolist()), 2.0
+            else:
+                M = geometric_chain(float(rng.uniform(0.005, 0.3)), int(rng.integers(4, 14)))
+                eps = float(rng.uniform(0.3, 1.0))
+            k = int(rng.integers(1, 4))
+            want = ring_family_reference(M, eps, k)
+            got = find_ring_family(M, eps, k)
+            if want is None:
+                assert isinstance(got, RingSearchExhausted)
+            else:
+                assert isinstance(got, RingFamily) and list(got.entries) == want
 
     def test_family_roundtrips_to_json(self):
         M = geometric_chain(0.01, 12)
@@ -328,6 +425,44 @@ class TestCentralizerPanel:
         ]
         dec = ConvexDecomposition(np.full(m, 1.0 / m), gens)
         assert validate_decomposition(mod, params, dec)
+
+    @pytest.mark.parametrize("text", [
+        "fmod(4, lp(2,2))", "fmod(6, lp(inf,1))", "fmod(3, dsum(1, lp(1,2), lp(3,1)))",
+        "fmod(5, lp(1.5,3))", "fmod(3, sup(2, lp(2,2)))",
+    ])
+    def test_report_equals_the_one_row_reference(self, text):
+        module = parse_space(text)
+        rng = np.random.default_rng([2306, module.base_size])
+        e = extreme_unit_section(module)
+        sets = [[j] for j in range(module.base_size)]
+        for n in (1, 2, 3):
+            z = []
+            for _ in range(n):
+                sec = FunctionModuleSection(rng.standard_normal((module.base_size, dim(module.fiber))))
+                s = module_section_norm(module, sec)
+                z.append(FunctionModuleSection(sec.values / s * rng.uniform(0.3, 1.0)))
+            built = centralizer_construct(module, z, e, sets)
+            # and a tampered copy, each section rescaled, whose checks may fail
+            tampered = [[FunctionModuleSection(c.values * rng.uniform(0.5, 1.5)) for c in tup]
+                        for tup in built]
+            for tuples in (built, tampered):
+                for m in range(1, module.base_size + 1):
+                    rep = centralizer_verify(module, z, tuples, m, 0.25)
+                    got = [(c.name, c.value, c.bound, c.passed) for c in rep.checks]
+                    assert got == centralizer_report_reference(module, z, tuples, m)
+
+    def test_wrong_shape_section_is_refused(self):
+        mod = scalar_module(4)
+        e = const_section(4, 1.0)
+        z = [const_section(4, 0.5)]
+        built = centralizer_construct(mod, z, e, [[0], [3]])
+        built[1] = [FunctionModuleSection(np.zeros((2, 2)))]
+        assert centralizer_verify(mod, z, built, 1, 0.5).passed
+        with pytest.raises(ParameterError, match="section has shape"):
+            centralizer_verify(mod, z, built, 2, 0.5)
+        # a (4, 2) component is refused by its shape, before any arithmetic on it
+        with pytest.raises(ParameterError, match="component 0 has shape"):
+            centralizer_verify(mod, [FunctionModuleSection(np.zeros((4, 2)))], built, 1, 0.5)
 
     def test_report_roundtrips_to_json(self):
         mod = scalar_module(4)

@@ -252,6 +252,15 @@ class TestCert:
         assert code == EXIT_INPUT
         assert out == "" and flag in err
 
+    @pytest.mark.parametrize("route", [
+        ["--space", "lp(inf,8)", "--m", "2"],
+        ["--metric", "chain(0.01,12)", "--k", "2"],
+    ])
+    def test_empty_tuple_is_input_error(self, capsys, route):
+        code, out, err = run(capsys, "cert", *route, "--n", "0", "--eps", "0.5", "--seed", "0")
+        assert code == EXIT_INPUT
+        assert out == "" and "--n must be a positive integer" in err
+
     def test_seed_required(self, capsys):
         code, out, err = run(
             capsys, "cert", "--space", "lp(inf,8)", "--n", "1", "--eps", "0.2",
@@ -508,6 +517,37 @@ class TestPlumbing:
         )
         assert code == EXIT_OK
         assert doc["points"] == 4
+
+    @pytest.mark.parametrize("metric", [
+        "chain(0.5,8.7)", "chain(0.5,8.0)", "chain(0.5,8e0)", "ray(2,1e400)", "ray(2,4.5)",
+    ])
+    def test_level_count_must_be_an_integer(self, capsys, metric):
+        code, out, err = run(capsys, "lip", "--metric", metric, "--values=0,1,2,3,4,5,6,7")
+        assert code == EXIT_INPUT
+        assert out == "" and "must be an integer" in err
+
+    def test_ray_past_the_float_range_is_input_error(self, capsys):
+        # 2.0 ** 1999 raises OverflowError in Python; the metric refuses it
+        code, out, err = run(capsys, "lip", "--metric", "ray(2,2000)", "--values", "0")
+        assert code == EXIT_INPUT
+        assert out == "" and "overflows" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["rings", "--m", "chain(0.01,12)", "--eps", "0.5", "--k", "3"],
+        ["rings", "--metric", "chain(0.01,12)", "--ep", "0.5", "--k", "3"],
+        ["lip", "--metric", "chain(0.5,4)", "--val", "1,2,3,4"],
+        ["cert", "--space", "lp(inf,8)", "--n", "1", "--eps", "0.2", "--m", "2", "--se", "0"],
+        ["dk", "--space", "lp(2,1)", "--n", "1", "--eps", "0.2", "--k", "1", "--seed", "0",
+         "--res", "0.1"],
+        ["dk", "--space", "lp(2,1)", "--n", "1", "--eps", "0.2", "--k", "1", "--seed", "0",
+         "--form", "json"],
+    ])
+    def test_abbreviated_flag_is_input_error(self, capsys, tmp_path, argv):
+        # argparse's prefix matching is off: a shortened flag names no flag
+        path = tmp_path / "x.out"
+        code, out, err = run(capsys, *argv, "--out", str(path))
+        assert code == EXIT_INPUT
+        assert out == "" and not path.exists()
 
     def test_one_parser_serves_every_call(self, capsys):
         # the parser is built once per process: a refused parse and another

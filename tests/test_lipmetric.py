@@ -41,6 +41,19 @@ def seminorm_bruteforce(M, f):
     return best
 
 
+def triangle_violation_message(m):
+    # the one-k sweep: the first violation of the smallest k, row-major (i, j)
+    d = (m + m.T) / 2.0
+    tol = 1e-12 * (1.0 + float(np.max(m)))
+    for k in range(d.shape[0]):
+        viol = d > d[:, [k]] + d[[k], :] + tol
+        if np.any(viol):
+            i, j = map(int, np.argwhere(viol)[0])
+            return (f"triangle inequality fails: dist[{i}][{j}]={d[i, j]} > "
+                    f"dist[{i}][{k}]+dist[{k}][{j}]={d[i, k] + d[k, j]}")
+    return None
+
+
 class TestMetricValidation:
     def test_accepts_valid_metric(self):
         M = line_metric([0.0, 1.0, 3.0])
@@ -66,6 +79,52 @@ class TestMetricValidation:
         m = np.array([[0.0, 1.0, 5.0], [1.0, 0.0, 1.0], [5.0, 1.0, 0.0]])
         with pytest.raises(MetricError, match="triangle"):
             FiniteMetricSpace(m)
+
+    # 64 points: blocks of 2**16 // 64**2 = 16 middle points, k from 32 on
+    # lies in the third block or later
+    N_BLOCKED = 64
+
+    def test_planted_violation_in_a_late_block_gives_the_sweep_message(self):
+        rng = np.random.default_rng(2301)
+        for trial in range(12):
+            if trial % 2:
+                # points on a line in index order, gaps >= 0.1: the pair
+                # (k - 1, k + 1) stretched by 0.05 fails through k alone
+                x = np.cumsum(rng.uniform(0.1, 2.0, self.N_BLOCKED))
+                m = np.abs(x[:, None] - x[None, :])
+                k = int(rng.integers(32, self.N_BLOCKED - 1))
+                i, j = k - 1, k + 1
+                m[i, j] = m[j, i] = m[i, j] + 0.05
+                want = triangle_violation_message(m)
+                assert f"dist[{i}][{j}]=" in want and f"+dist[{k}][{j}]=" in want
+            else:
+                # planar points with one stretched pair: the reference finds
+                # the first failing k, whatever it is
+                m = euclidean_metric(rng, self.N_BLOCKED).dist.copy()
+                i, j = sorted(int(t) for t in rng.choice(np.arange(32, self.N_BLOCKED), 2, replace=False))
+                m[i, j] = m[j, i] = m[i, j] * rng.uniform(1.5, 3.0) + 1e-3
+                want = triangle_violation_message(m)
+                assert want is not None
+            with pytest.raises(MetricError) as err:
+                FiniteMetricSpace(m)
+            assert str(err.value) == want
+
+    def test_line_violation_at_k_is_reported_at_k(self):
+        x = np.arange(float(self.N_BLOCKED))
+        m = np.abs(x[:, None] - x[None, :])
+        m[40, 42] = m[42, 40] = 2.5
+        with pytest.raises(MetricError) as err:
+            FiniteMetricSpace(m)
+        assert str(err.value) == (
+            "triangle inequality fails: dist[40][42]=2.5 > dist[40][41]+dist[41][42]=2.0"
+        )
+
+    def test_valid_metrics_of_the_blocked_size_are_accepted(self):
+        rng = np.random.default_rng(2302)
+        for n in (self.N_BLOCKED, 3 * self.N_BLOCKED // 2, 257):
+            M = euclidean_metric(rng, n, dims=3)
+            assert M.size == n and triangle_violation_message(M.dist) is None
+        assert geometric_chain(0.9, 200).size == 200
 
     def test_rejects_tiny_spaces(self):
         with pytest.raises(MetricError):
@@ -98,6 +157,19 @@ class TestSeminormExamples:
             M = euclidean_metric(rng, 6)
             f = LipFunction(rng.uniform(-3, 3, size=6), mask=tuple(rng.choice(6, size=4, replace=False)))
             assert lip_seminorm(M, f) == pytest.approx(seminorm_bruteforce(M, f), abs=ATOL)
+
+    def test_equals_the_pairwise_reference_bit_for_bit(self):
+        # the same IEEE operations per pair as the double loop, so the same float
+        rng = np.random.default_rng(2303)
+        for trial in range(200):
+            n = int(rng.integers(2, 13))
+            M = euclidean_metric(rng, n) if trial % 2 else geometric_chain(
+                float(rng.uniform(0.05, 0.9)), n)
+            vals = rng.standard_normal(n) * 10.0 ** rng.uniform(-5.0, 5.0)
+            size = 2 if trial % 3 == 0 else int(rng.integers(2, n + 1))
+            mask = None if trial % 7 == 0 else tuple(rng.choice(n, size, replace=False).tolist())
+            f = LipFunction(vals, mask=mask)
+            assert lip_seminorm(M, f) == seminorm_bruteforce(M, f)
 
 
 class TestMcShane:
