@@ -38,6 +38,7 @@ from .spaces import FunctionModule, dim, parse_space
 from .lipmetric import (
     FiniteMetricSpace,
     LipFunction,
+    check_points,
     geometric_chain,
     integer_ray,
     lip_seminorm,
@@ -99,7 +100,10 @@ _GEN = re.compile(r"^(chain|ray)\(([^,()]+),([^,()]+)\)$")
 
 
 def _metric_from_arg(text: str) -> FiniteMetricSpace:
-    """A metric file path, or an inline generator chain(q,L) / ray(a,L) with an integer L."""
+    """A metric file path, or an inline generator chain(q,L) / ray(a,L) with an integer L.
+
+    A metric of more than ``MAX_POINTS`` points is refused before it is built.
+    """
     mobj = _GEN.match(text.strip())
     if mobj:
         kind, a_raw, b_raw = mobj.groups()
@@ -108,6 +112,7 @@ def _metric_from_arg(text: str) -> FiniteMetricSpace:
             levels = int(b_raw)
         except ValueError:
             raise _InputError(f"the level count of {kind}(...) must be an integer, got {b_raw!r}")
+        check_points(levels)
         if kind == "chain":
             return geometric_chain(a, levels)
         return integer_ray(levels, a)

@@ -14,11 +14,15 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import ParameterError, PreconditionError
+from .errors import CapabilityRefusal, ParameterError, PreconditionError
 
 
 # the most elements of one (block, N, N) array of the triangle sweep
 _SWEEP_CAP = 2**16
+
+# the most points of a metric that is built or read: its triangle sweep is
+# cubic in the point count
+MAX_POINTS = 2000
 
 
 class MetricError(ValueError):
@@ -184,6 +188,15 @@ def mcshane_extend(M: FiniteMetricSpace, f: LipFunction, L: float) -> LipFunctio
     return LipFunction(ext, mask=None)
 
 
+def check_points(points: int) -> None:
+    """Refuse a metric of more than ``MAX_POINTS`` points before it is built or read."""
+    if points > MAX_POINTS:
+        raise CapabilityRefusal(
+            f"a metric of {points} points exceeds the cap of {MAX_POINTS}",
+            report={"points": points, "cap": MAX_POINTS},
+        )
+
+
 def line_metric(points: Sequence[float]) -> FiniteMetricSpace:
     """Metric space of distinct reals with |x - y|, base point = points[0]."""
     pts = np.asarray(list(points), dtype=float)
@@ -250,6 +263,7 @@ def parse_metric(text: str) -> FiniteMetricSpace:
         raise MetricFileError(f"expected the point count, got {head!r}", line=no0)
     if n < 2:
         raise MetricFileError(f"point count must be >= 2, got {n}", line=no0)
+    check_points(n)
     rows = content[1:]
     if len(rows) != n:
         raise MetricFileError(

@@ -1,20 +1,22 @@
 """Finite-dimensional normed spaces: descriptors, vectors, and their one norm.
 
-A space is described by a small recursive grammar of building blocks:
+A space is built from four constructors, each a frozen dataclass described
+once (``_constructor``) by its name in the one-line text grammar and the
+kind of each field: an exponent in [1, inf], a positive integer, or a space.
 
-* ``LpFinite(p, d)`` -- the d-dimensional l_p space, 1 <= p <= inf;
-* ``SupTuple(n, inner)`` -- n-tuples of inner-space elements with the
-  max-of-norms norm (the ambient space every hull computation lives in);
-* ``DirectSum(p, left, right)`` -- two summands combined by the l_p norm
-  of their part norms;
-* ``FunctionModule(base_size, fiber)`` -- sections over a finite discrete
-  base with the sup-over-base norm of fiber norms.
+* ``lp(p, d)``, ``LpFinite`` -- the d-dimensional l_p space;
+* ``sup(n, X)``, ``SupTuple`` -- n-tuples of X with the max-of-norms norm
+  (the ambient space every hull computation lives in);
+* ``dsum(p, X, Y)``, ``DirectSum`` -- the l_p norm of the summands' norms;
+* ``fmod(N, X)``, ``FunctionModule`` -- sections over a finite discrete
+  base of N points with the sup-over-base norm of fiber norms.
 
-Every composite is the l_p norm of its parts' norms: a sup tuple or a
-module is n copies of one part under p = inf, a direct sum is two parts
-under its own p.  ``parts()`` is the one place that knows this layout;
-every walker here handles the ``LpFinite`` atom and the composite
-``(p, parts)`` and nothing else.
+The field checks, ``format_space`` and ``parse_space``, which reads the
+grammar with the standard library's ``ast``, all follow that description,
+and so does ``parts()``: a composite is the l_p norm of its parts' norms,
+its space fields repeated by its count field under its exponent field (or
+p = inf).  Every walker here handles the ``LpFinite`` atom and the
+composite ``(p, parts)`` and nothing else.
 
 Every norm of the package is computed here, by one compiler: ``norm_plan``
 turns a space into a ``NormPlan`` once, and its batch evaluator on (T, dim)
@@ -32,6 +34,7 @@ are always computed by ``max``, never by large-exponent powers.
 
 from __future__ import annotations
 
+import ast
 import functools
 import itertools
 import math
@@ -52,55 +55,62 @@ class SpaceGrammarError(ValueError):
     """A space-grammar string failed to parse."""
 
 
-def _check_p(p: float) -> float:
-    p = float(p)
-    if not (p >= 1.0):
-        raise ValueError(f"p must lie in [1, inf], got {p}")
-    return p
+# The kinds of constructor field.  Each kind is checked, read from the grammar
+# and written back one way, and its text names it in error messages.
+_EXPONENT = "an exponent in [1, inf]"
+_COUNT = "a positive integer"
+_SPACE = "a space"
+
+_CONSTRUCTORS: Dict[str, type] = {}  # grammar name -> constructor class
 
 
-@dataclass(frozen=True)
+def _constructor(grammar: str, *kinds: str):
+    """Class decorator: a space constructor as a frozen dataclass, described once.
+
+    ``GRAMMAR`` is its grammar name and ``FIELDS`` pairs each field with its
+    kind, in order, for the field checks, ``parts`` and the text grammar.
+    """
+    def make(cls):
+        cls.GRAMMAR, cls.FIELDS = grammar, tuple(zip(cls.__annotations__, kinds))
+        cls.__post_init__ = _check_fields
+        _CONSTRUCTORS[grammar] = cls = dataclass(frozen=True)(cls)
+        return cls
+    return make
+
+
+def _check_fields(space) -> None:
+    """Store each exponent field as a float and each count field as an int, or raise."""
+    for name, kind in space.FIELDS:
+        v = getattr(space, name)
+        if kind == _EXPONENT and not float(v) >= 1.0 or kind == _COUNT and not (int(v) == v and v >= 1):
+            raise ValueError(f"{name} must be {kind}, got {v}")
+        if kind != _SPACE:
+            object.__setattr__(space, name, float(v) if kind == _EXPONENT else int(v))
+
+
+@_constructor("lp", _EXPONENT, _COUNT)
 class LpFinite:
     p: float
     d: int
 
-    def __post_init__(self):
-        object.__setattr__(self, "p", _check_p(self.p))
-        if int(self.d) != self.d or self.d < 1:
-            raise ValueError(f"dimension must be a positive integer, got {self.d}")
-        object.__setattr__(self, "d", int(self.d))
 
-
-@dataclass(frozen=True)
+@_constructor("sup", _COUNT, _SPACE)
 class SupTuple:
     n: int
     inner: "Space"
 
-    def __post_init__(self):
-        if int(self.n) != self.n or self.n < 1:
-            raise ValueError(f"arity must be a positive integer, got {self.n}")
-        object.__setattr__(self, "n", int(self.n))
 
-
-@dataclass(frozen=True)
+@_constructor("dsum", _EXPONENT, _SPACE, _SPACE)
 class DirectSum:
     p: float
     left: "Space"
     right: "Space"
 
-    def __post_init__(self):
-        object.__setattr__(self, "p", _check_p(self.p))
 
-
-@dataclass(frozen=True)
+@_constructor("fmod", _COUNT, _SPACE)
 class FunctionModule:
     base_size: int
     fiber: "Space"
-
-    def __post_init__(self):
-        if int(self.base_size) != self.base_size or self.base_size < 1:
-            raise ValueError(f"base size must be a positive integer, got {self.base_size}")
-        object.__setattr__(self, "base_size", int(self.base_size))
 
 
 Space = Union[LpFinite, SupTuple, DirectSum, FunctionModule]
@@ -111,20 +121,20 @@ def parts(space: Space) -> Tuple[float, Tuple[Tuple[int, Space], ...]]:
     """Layout of a composite space: (p, ((offset, part), ...)).
 
     The norm is the l_p norm of the parts' norms, each part reading the
-    coordinates from its offset on.  Atoms have no parts.
+    coordinates from its offset on.  The parts are the space fields,
+    repeated by the count field if there is one (the copies of a sup tuple
+    or a module), and p is the exponent field, or inf if there is none.
+    Atoms have no space field, so no parts.
     """
-    if isinstance(space, SupTuple):
-        copies, part = space.n, space.inner
-    elif isinstance(space, FunctionModule):
-        copies, part = space.base_size, space.fiber
-    elif isinstance(space, DirectSum):
-        return space.p, ((0, space.left), (dim(space.left), space.right))
-    else:
+    numbers = {kind: getattr(space, name) for name, kind in space.FIELDS if kind != _SPACE}
+    subs = [getattr(space, name) for name, kind in space.FIELDS if kind == _SPACE]
+    if not subs:
         raise TypeError(f"not a composite space: {space!r}")
-    step = dim(part)
-    return INF, tuple((k * step, part) for k in range(copies))
+    subs *= numbers.get(_COUNT, 1)
+    return numbers.get(_EXPONENT, INF), tuple(zip(itertools.accumulate(map(dim, subs), initial=0), subs))
 
 
+@functools.lru_cache(maxsize=None)
 def dim(space: Space) -> int:
     """Total coordinate dimension of a space."""
     if isinstance(space, LpFinite):
@@ -663,124 +673,76 @@ def sample_unit_ball(space: Space, count: int, seed: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # one-line text grammar:  lp(2,8) | sup(3, lp(inf,4)) | dsum(1, A, B) | fmod(8, A)
 
-_TOKEN = re.compile(r"\s*(?:(?P<name>[A-Za-z_]+)|(?P<num>-?\d+(?:\.\d+)?)|(?P<punct>[(),]))")
-
-
-def _tokenize(text: str):
-    pos = 0
-    toks = []
-    while pos < len(text):
-        if text[pos].isspace():
-            pos += 1
-            continue
-        m = _TOKEN.match(text, pos)
-        if not m:
-            raise SpaceGrammarError(f"bad character at position {pos}: {text[pos:pos+8]!r}")
-        kind = m.lastgroup
-        toks.append((kind, m.group(kind), m.start(kind)))
-        pos = m.end()
-    return toks
-
-
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.toks = _tokenize(text)
-        self.i = 0
-
-    def peek(self):
-        return self.toks[self.i] if self.i < len(self.toks) else (None, None, len(self.text))
-
-    def take(self, kind: str, want: Optional[str] = None):
-        k, v, pos = self.peek()
-        if k != kind or (want is not None and v != want):
-            expect = want or kind
-            raise SpaceGrammarError(f"expected {expect!r} at position {pos} in {self.text!r}")
-        self.i += 1
-        return v
-
-    def p_value(self) -> float:
-        k, v, pos = self.peek()
-        if k == "name" and v == "inf":
-            self.i += 1
-            return INF
-        if k == "num":
-            self.i += 1
-            return float(v)
-        raise SpaceGrammarError(f"expected a p value or 'inf' at position {pos}")
-
-    def int_value(self) -> int:
-        k, v, pos = self.peek()
-        if k != "num" or "." in v or v.startswith("-"):
-            raise SpaceGrammarError(f"expected a positive integer at position {pos}")
-        self.i += 1
-        return int(v)
-
-    def space(self) -> Space:
-        k, name, pos = self.peek()
-        if k != "name":
-            raise SpaceGrammarError(f"expected a space constructor at position {pos}")
-        self.i += 1
-        self.take("punct", "(")
-        try:
-            if name == "lp":
-                p = self.p_value()
-                self.take("punct", ",")
-                d = self.int_value()
-                result: Space = LpFinite(p, d)
-            elif name == "sup":
-                n = self.int_value()
-                self.take("punct", ",")
-                result = SupTuple(n, self.space())
-            elif name == "dsum":
-                p = self.p_value()
-                self.take("punct", ",")
-                left = self.space()
-                self.take("punct", ",")
-                result = DirectSum(p, left, self.space())
-            elif name == "fmod":
-                N = self.int_value()
-                self.take("punct", ",")
-                result = FunctionModule(N, self.space())
-            else:
-                raise SpaceGrammarError(
-                    f"unknown constructor {name!r} at position {pos} "
-                    f"(expected lp, sup, dsum or fmod)"
-                )
-        except ValueError as exc:
-            if isinstance(exc, SpaceGrammarError):
-                raise
-            raise SpaceGrammarError(f"invalid parameters for {name} at position {pos}: {exc}")
-        self.take("punct", ")")
-        return result
+# a character outside the grammar, or a letter right after a digit or a dot:
+# no text of the grammar has one, and Python's parser warns about it
+_OUTSIDE = re.compile(r"[^A-Za-z0-9_(),. ]|(?<=[0-9.])[A-Za-z_]")
+_NUMBER = re.compile(r"[0-9]+(?:\.[0-9]+)?")
 
 
 def parse_space(text: str) -> Space:
-    """Parse the one-line space grammar, e.g. ``sup(3, lp(inf,4))``."""
-    parser = _Parser(text)
-    result = parser.space()
-    k, _, pos = parser.peek()
-    if k is not None:
-        raise SpaceGrammarError(f"trailing input at position {pos} in {text!r}")
-    return result
+    """Parse the one-line space grammar, e.g. ``sup(3, lp(inf,4))``.
+
+    The grammar is a subset of Python call syntax, so ``ast`` reads it and
+    ``read`` keeps only calls of the constructors on arguments of the kinds
+    their description names.  Python also takes extra parentheses and
+    trailing commas, so the text the accepted nodes spell must be the input
+    up to whitespace.  Python refuses more than 200 nested parentheses.
+    """
+    def fail(pos: int, what: str) -> SpaceGrammarError:
+        return SpaceGrammarError(f"{what} at position {pos}: {text[pos:pos + 20]!r}")
+
+    src = "".join(" " if c.isspace() else c for c in text)
+    bad = _OUTSIDE.search(src)
+    if bad:
+        raise fail(bad.start(), "bad character")
+    body = src.lstrip()  # Python reads leading blanks as an indent
+    lead = len(src) - len(body)
+    try:
+        tree = ast.parse(body, mode="eval")
+    except SyntaxError as exc:
+        raise fail(lead + max((exc.offset or 1) - 1, 0), exc.msg) from None
+    except (MemoryError, RecursionError):  # how Python refuses a text too deep for its parser
+        raise fail(lead, "too deeply nested") from None
+
+    def read(node: ast.expr, kind: str) -> Tuple[object, str]:
+        """The value of one argument of this kind, and the text it spells."""
+        pos = lead + node.col_offset
+        if kind != _SPACE:
+            lit = body[node.col_offset:node.end_col_offset]
+            if kind == _EXPONENT and (lit == "inf" or _NUMBER.fullmatch(lit)) or lit.isdigit():
+                return (float(lit) if kind == _EXPONENT else int(lit)), lit
+            raise fail(pos, f"expected {kind}")
+        cls = isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and _CONSTRUCTORS.get(node.func.id)
+        if not cls:
+            raise fail(pos, f"expected a space constructor ({', '.join(_CONSTRUCTORS)})")
+        if len(node.args) != len(cls.FIELDS):
+            raise fail(pos, f"{cls.GRAMMAR} takes {len(cls.FIELDS)} arguments")
+        args = [read(arg, kind) for arg, (_, kind) in zip(node.args, cls.FIELDS)]
+        try:
+            space = cls(*(v for v, _ in args))
+        except ValueError as exc:
+            raise fail(pos, f"invalid parameters for {cls.GRAMMAR} ({exc})") from None
+        return space, f"{cls.GRAMMAR}({','.join(t for _, t in args)})"
+
+    space, spelled = read(tree.body, _SPACE)
+    given = "".join(src.split())
+    if spelled != given:
+        k = next((i for i, (a, b) in enumerate(zip(spelled, given)) if a != b), len(spelled))
+        raise fail([i for i, c in enumerate(src) if c != " "][k], "not in the grammar")
+    return space
 
 
-def _fmt_p(p: float) -> str:
-    if p == INF:
-        return "inf"
-    if p == int(p):
-        return str(int(p))
-    return repr(p)
+def _format_field(kind: str, v) -> str:
+    if kind == _SPACE:
+        return format_space(v)
+    return "inf" if v == INF else str(int(v)) if v == int(v) else repr(v)
 
 
 def format_space(space: Space) -> str:
-    """Inverse of parse_space (used in reports and error messages)."""
-    if isinstance(space, LpFinite):
-        return f"lp({_fmt_p(space.p)},{space.d})"
-    if isinstance(space, SupTuple):
-        return f"sup({space.n}, {format_space(space.inner)})"
-    if isinstance(space, DirectSum):
-        return f"dsum({_fmt_p(space.p)}, {format_space(space.left)}, {format_space(space.right)})"
-    if isinstance(space, FunctionModule):
-        return f"fmod({space.base_size}, {format_space(space.fiber)})"
-    raise TypeError(f"not a space: {space!r}")
+    """Inverse of parse_space (used in reports and error messages).
+
+    An atom's arguments are joined by "," and a composite's by ", ".
+    """
+    sep = ", " if any(kind == _SPACE for _, kind in space.FIELDS) else ","
+    args = [_format_field(kind, getattr(space, name)) for name, kind in space.FIELDS]
+    return f"{space.GRAMMAR}({sep.join(args)})"

@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from hullgap.cli import (
 )
 from hullgap import cli
 from hullgap.errors import InternalInconsistencyError, VerificationError
-from hullgap.lipmetric import dump_metric, geometric_chain, line_metric
+from hullgap.lipmetric import MAX_POINTS, dump_metric, geometric_chain, line_metric
 
 
 def run(capsys, *argv):
@@ -438,6 +439,20 @@ class TestDk:
         assert code == EXIT_INPUT
         assert "constructor" in err
 
+    @pytest.mark.parametrize("depth, code", [(190, EXIT_OK), (450, EXIT_INPUT), (1200, EXIT_INPUT)])
+    def test_deep_nesting(self, capsys, depth, code):
+        # past 200 nested parentheses the grammar refuses the space; below,
+        # every walker of the space runs within the recursion limit
+        space = "sup(1, " * depth + "lp(2,1)" + ")" * depth
+        got, out, err = run(
+            capsys,
+            "dk", "--space", space, "--n", "2", "--eps", "0.2",
+            "--k", "1..2", "--budget", "1", "--seed", "0",
+        )
+        assert got == code
+        assert (out != "") == (code == EXIT_OK)
+        assert "Traceback" not in err
+
     def test_empty_k_range(self, capsys):
         code, out, err = run(
             capsys,
@@ -525,6 +540,28 @@ class TestPlumbing:
         code, out, err = run(capsys, "lip", "--metric", metric, "--values=0,1,2,3,4,5,6,7")
         assert code == EXIT_INPUT
         assert out == "" and "must be an integer" in err
+
+    def test_inline_metric_above_the_point_cap_is_refused(self, capsys, tmp_path):
+        # refused before the chain is built: its triangle sweep would run for hours
+        path = tmp_path / "refusal.json"
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "lip", "--metric", "chain(0.999,100000)", "--values", "0", "--out", str(path)
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == EXIT_REFUSED and out == ""
+        doc = json.loads(path.read_text())
+        assert doc["report"] == {"points": 100000, "cap": MAX_POINTS}
+
+    def test_metric_file_above_the_point_cap_is_refused(self, capsys, tmp_path):
+        # the header alone decides: no row is read
+        path = tmp_path / "big.metric"
+        path.write_text("100000\n0 1\n1 0\n")
+        start = time.perf_counter()
+        code, doc = run_json(capsys, "lip", "--metric", str(path), "--values", "0,1")
+        assert time.perf_counter() - start < 1.0
+        assert code == EXIT_REFUSED
+        assert doc["report"] == {"points": 100000, "cap": MAX_POINTS}
 
     def test_ray_past_the_float_range_is_input_error(self, capsys):
         # 2.0 ** 1999 raises OverflowError in Python; the metric refuses it

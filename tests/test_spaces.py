@@ -337,6 +337,9 @@ class TestGrammar:
             ("fmod(8, lp(2,1))", FunctionModule(8, LpFinite(2, 1))),
             ("lp(1.5, 3)", LpFinite(1.5, 3)),
             ("  sup( 2 ,  fmod(2, lp(2,2)) ) ", SupTuple(2, FunctionModule(2, LpFinite(2, 2)))),
+            # any whitespace anywhere, and any decimal spelling of an exponent
+            ("lp\n(2,\t3)\xa0", LpFinite(2, 3)),
+            ("dsum(2.50, lp(01.5,1), lp(inf,1))", DirectSum(2.5, LpFinite(1.5, 1), LpFinite(INF, 1))),
         ],
     )
     def test_parse(self, text, expect):
@@ -344,15 +347,38 @@ class TestGrammar:
 
     @pytest.mark.parametrize(
         "bad",
-        ["", "lp(0.5, 2)", "lp(2)", "sup(2 lp(2,2))", "blob(1,2)", "lp(2,2) extra", "lp(2,-1)", "lp(inf,2))"],
+        ["", "lp(0.5, 2)", "lp(2)", "sup(2 lp(2,2))", "blob(1,2)", "lp(2,2) extra", "lp(2,-1)", "lp(inf,2))",
+         # Python call syntax that is not the grammar
+         "lp(2,3,)", "lp(2,3) # c", "(lp(2,3))", "lp((2),3)", "lp(p=2,d=3)", "lp(2,1e3)", "lp(True,2)",
+         "sup(2, 3)", "fmod(0, lp(2,1))", "lp(2,3 if 1else 2)",
+         # accepted before the grammar was read by ast: a leading zero, a non-ASCII
+         # digit, an exponent past Python's 4,300 digits (it read as inf)
+         "lp(2,08)", "lp(02,8)", "lp(2,\u0663)", pytest.param("lp(" + "1" * 5000 + ",2)", id="long-exponent")],
     )
     def test_parse_errors(self, bad):
         with pytest.raises(SpaceGrammarError):
             parse_space(bad)
 
-    def test_roundtrip(self):
-        for sp in some_spaces():
-            assert parse_space(format_space(sp)) == sp
+    def test_nesting_is_bounded(self):
+        # 199 sup(1, ...) around an atom are 200 nested parentheses, Python's
+        # limit; 200 to 449 of them parsed before the grammar was read by ast
+        nest = lambda k: "sup(1, " * k + "lp(2,3)" + ")" * k
+        assert dim(parse_space(nest(199))) == 3
+        for k in (200, 449, 1200):
+            with pytest.raises(SpaceGrammarError, match="nested parentheses"):
+                parse_space(nest(k))
+        # texts too deep for Python's parser without parentheses
+        for text in ("lp(" + "not " * 10**5 + "1,2)", "lp" + "(1)" * 10**5):
+            with pytest.raises(SpaceGrammarError, match="too deeply nested"):
+                parse_space(text)
+
+    @settings(max_examples=100, deadline=None)
+    @given(space_strategy())
+    def test_roundtrip(self, drawn):
+        for sp in some_spaces() + [drawn]:
+            text = format_space(sp)
+            assert parse_space(text) == sp
+            assert format_space(parse_space(text)) == text
 
     def test_infinity_is_marker_not_big_float(self):
         sp = parse_space("lp(inf,3)")
