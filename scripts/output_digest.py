@@ -151,7 +151,7 @@ def certificate_results():
                 z.append(FunctionModuleSection(sec.values / s) if s > 1.0 else sec)
             built = centralizer_construct(module, z, e, sets)
             for m in range(1, module.base_size + 1):
-                yield centralizer_verify(module, z, built, m, 0.25).to_jsonable()
+                yield centralizer_verify(module, z, built, m).to_jsonable()
     for text, n, seed in CEILINGS:
         got = constructive_dk_upper(parse_space(text), n, 0.25, range(1, 8), panel=4, seed=seed)
         yield {"target": text, "ceilings": sorted(got.items())}

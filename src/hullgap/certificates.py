@@ -132,6 +132,11 @@ class RingFamily:
             ],
         }
 
+    def check_epsilon(self, epsilon: float) -> None:
+        """Refuse a run at another epsilon: the annulus ratios are sized for the family's."""
+        if self.epsilon != epsilon:
+            raise ParameterError(f"family was built for epsilon={self.epsilon}, asked {epsilon}")
+
     @classmethod
     def from_jsonable(cls, data: dict) -> "RingFamily":
         entries = [
@@ -482,13 +487,13 @@ def centralizer_verify(
     z: Sequence[FunctionModuleSection],
     constructed: Sequence[Sequence[FunctionModuleSection]],
     m: int,
-    epsilon: float,
 ) -> CertificateReport:
     """Recompute the membership and averaging bounds for m constructed tuples.
 
     sup-bound: each tuple stays in the unit ball; mean-bound: the averaged
     sum of components has norm at least 1 (the overwritten set realizes it
     exactly); mix-approx: the m-average is within 2/m of the original tuple.
+    No bound reads epsilon: these tuples are members for every eps in (0, 1).
     Every section, of z and of the tuples, is shape-checked, and each
     group of norms (the components, the m sums, the k mix differences) is
     one batch call of the module's norm plan on its stacked,

@@ -69,6 +69,13 @@ EXIT_NOT_FOUND = 3
 EXIT_REFUSED = 4
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 # every flag of every command, with its argparse keywords
 _FLAGS = {
     "space": dict(help="space grammar, e.g. lp(inf,8) or fmod(8, lp(2,1))"),
@@ -81,7 +88,7 @@ _FLAGS = {
     "alpha": dict(type=float, default=1.0, help="sup-norm cap (default 1)"),
     "k": dict(help="generator budget: '3', '1,2,5', or '1..4'"),
     "m": dict(type=int, help="partition set count"),
-    "budget": dict(type=int, default=8, help="search width (default 8)"),
+    "budget": dict(type=positive_int, default=8, help="search width, at least 1 (default 8)"),
     "seed": dict(type=int, help="rng seed"),
     "resolution": dict(type=float, help="grid step for certified bounds"),
     "out": dict(help="output file (default stdout)"),
@@ -224,18 +231,17 @@ def cmd_lip(cfg: argparse.Namespace) -> Tuple[str, int]:
     return _render_json(doc), EXIT_OK
 
 
+def _not_found(cfg: argparse.Namespace, got: RingSearchExhausted, **route: str) -> Tuple[str, int]:
+    """The document of a ring search that ran out of candidate pairs."""
+    not_found = {"pairs_examined": got.pairs_examined, "accepted": got.accepted}
+    return _render_json({"config": _config(cfg), **route, "not_found": not_found}), EXIT_NOT_FOUND
+
+
 def cmd_rings(cfg: argparse.Namespace) -> Tuple[str, int]:
     M = _metric_from_arg(cfg.metric)
     got = find_ring_family(M, cfg.eps, _single_k(cfg.k))
     if isinstance(got, RingSearchExhausted):
-        doc = {
-            "config": _config(cfg),
-            "not_found": {
-                "pairs_examined": got.pairs_examined,
-                "accepted": got.accepted,
-            },
-        }
-        return _render_json(doc), EXIT_NOT_FOUND
+        return _not_found(cfg, got)
     doc = {
         "config": _config(cfg),
         "family": got.to_jsonable(),
@@ -257,13 +263,17 @@ def _load_family(path: str) -> RingFamily:
 def cmd_cert(cfg: argparse.Namespace) -> Tuple[str, int]:
     if (cfg.space is None) == (cfg.metric is None):
         raise _InputError("'cert' takes exactly one of --space or --metric")
-    if cfg.n < 1:
-        raise _InputError(f"--n must be a positive integer, got {cfg.n}")
-    rng = np.random.default_rng(cfg.seed)
-
     if cfg.space is not None:
         _refuse(cfg, "with --space", "family", "k")
         _require(cfg, "m")
+    else:
+        _refuse(cfg, "with --metric", "m")
+        _require(cfg, "k")
+    # m is --k on the metric route; all are checked before any input is read
+    m = CmParams(cfg.n, cfg.eps, m=cfg.m if cfg.space is not None else _single_k(cfg.k)).m
+    rng = np.random.default_rng(cfg.seed)
+
+    if cfg.space is not None:
         module = _as_module(parse_space(cfg.space))
         fd = dim(module.fiber)
         e = extreme_unit_section(module)
@@ -272,9 +282,9 @@ def cmd_cert(cfg: argparse.Namespace) -> Tuple[str, int]:
             sec = FunctionModuleSection(rng.standard_normal((module.base_size, fd)))
             s = module_section_norm(module, sec)
             z.append(FunctionModuleSection(sec.values / s) if s > 1.0 else sec)
-        sets = [[j] for j in range(cfg.m)]
+        sets = [[j] for j in range(m)]
         constructed = centralizer_construct(module, z, e, sets)
-        rep = centralizer_verify(module, z, constructed, cfg.m, cfg.eps)
+        rep = centralizer_verify(module, z, constructed, m)
         doc = {
             "config": _config(cfg),
             "route": "partition",
@@ -282,27 +292,17 @@ def cmd_cert(cfg: argparse.Namespace) -> Tuple[str, int]:
         }
         return _render_json(doc), EXIT_OK if rep.passed else EXIT_FAIL
 
-    _refuse(cfg, "with --metric", "m")
-    _require(cfg, "k")
-    k = _single_k(cfg.k)
     M = _metric_from_arg(cfg.metric)
     if cfg.family is not None:
         family = _load_family(cfg.family)
+        family.check_epsilon(cfg.eps)
     else:
-        got = find_ring_family(M, cfg.eps, k)
+        got = find_ring_family(M, cfg.eps, m)
         if isinstance(got, RingSearchExhausted):
-            doc = {
-                "config": _config(cfg),
-                "route": "annulus",
-                "not_found": {
-                    "pairs_examined": got.pairs_examined,
-                    "accepted": got.accepted,
-                },
-            }
-            return _render_json(doc), EXIT_NOT_FOUND
+            return _not_found(cfg, got, route="annulus")
         family = got
-    if k > len(family.entries):
-        raise _InputError(f"k={k} exceeds the family size {len(family.entries)}")
+    if m > len(family.entries):
+        raise _InputError(f"k={m} exceeds the family size {len(family.entries)}")
     validation = validate_ring_family(M, family)
     doc = {
         "config": _config(cfg),
@@ -318,7 +318,7 @@ def cmd_cert(cfg: argparse.Namespace) -> Tuple[str, int]:
         s = lip_seminorm(M, LipFunction(v))
         z.append(LipFunction(v / s if s > 0 else v))
     constructed = ivakhno_construct(M, z, family, cfg.eps)
-    rep = ivakhno_verify(M, z, constructed, k, cfg.eps, family)
+    rep = ivakhno_verify(M, z, constructed, m, cfg.eps, family)
     doc["report"] = rep.to_jsonable()
     return _render_json(doc), EXIT_OK if rep.passed else EXIT_FAIL
 

@@ -288,7 +288,7 @@ def _unit_sections(module: FunctionModule, n: int, panel: int, seed: int):
 
 
 def _partition_ceilings(
-    module: FunctionModule, n: int, epsilon: float, ks: Sequence[int], panel: int, seed: int
+    module: FunctionModule, n: int, ks: Sequence[int], panel: int, seed: int
 ) -> Dict[int, float]:
     cap = module.base_size
     usable = [k for k in ks if k <= cap]
@@ -302,7 +302,7 @@ def _partition_ceilings(
     for z in tuples:
         constructed = centralizer_construct(module, z, e, sets)
         for k in usable:
-            rep = centralizer_verify(module, z, constructed, k, epsilon)
+            rep = centralizer_verify(module, z, constructed, k)
             if not rep.passed:
                 raise VerificationError(
                     f"partition panel failed at k={k}: "
@@ -344,10 +344,7 @@ def _annulus_ceilings(
                 return {}
         family = got
     else:
-        if family.epsilon != epsilon:
-            raise ParameterError(
-                f"family was built for epsilon={family.epsilon}, asked {epsilon}"
-            )
+        family.check_epsilon(epsilon)
         rep = validate_ring_family(M, family)
         if not rep.passed:
             raise PreconditionError(
@@ -388,15 +385,13 @@ def constructive_dk_upper(
     size.  Both ceilings hold for every unit tuple, so they bound the
     supremum; the panel of sampled tuples must verify in full or the call
     raises, and k beyond a construction's capacity is simply absent from
-    the result, never extrapolated.
+    the result, never extrapolated.  ``CmParams`` checks n and epsilon, and
+    a supplied family must be built for this epsilon, whatever the k range.
     """
     ks = _budgets(k_range)
-    if not (epsilon > 0.0):
-        raise ParameterError(f"epsilon must be positive, got {epsilon}")
-    if int(n) != n or n < 1:
-        raise ParameterError(f"n must be a positive integer, got {n}")
+    params = CmParams(n, epsilon)
     if isinstance(target, FiniteMetricSpace):
-        return _annulus_ceilings(target, int(n), epsilon, ks, family, panel, seed)
+        return _annulus_ceilings(target, params.n, params.epsilon, ks, family, panel, seed)
     if family is not None:
         raise ParameterError("a ring family only applies to a finite metric space")
-    return _partition_ceilings(_as_module(target), int(n), epsilon, ks, panel, seed)
+    return _partition_ceilings(_as_module(target), params.n, ks, panel, seed)

@@ -75,7 +75,8 @@ class CmParams:
 
     Conventions: alpha = 1 is the plain set, alpha = 1 + epsilon is the
     widened variant that the constructions hit naturally; m = 1 means single
-    tuples, no combination.
+    tuples, no combination.  Every route of a run builds one, so this is
+    the one check of n, m >= 1, epsilon in (0, 1) and alpha in (1 - eps, inf).
     """
 
     n: int
@@ -92,6 +93,10 @@ class CmParams:
             raise ParameterError(f"alpha must be positive and finite, got {self.alpha}")
         if int(self.m) != self.m or self.m < 1:
             raise ParameterError(f"m must be a positive integer, got {self.m}")
+        if self.alpha <= 1.0 - self.epsilon:
+            # every member's mean norm is at most its sup norm, hence at most alpha
+            raise ParameterError(f"constraint set is empty: alpha={self.alpha} <= 1 - epsilon="
+                                 f"{1.0 - self.epsilon}")
         object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "m", int(self.m))
         object.__setattr__(self, "epsilon", float(self.epsilon))
@@ -99,15 +104,6 @@ class CmParams:
 
     def with_m(self, m: int) -> "CmParams":
         return CmParams(self.n, self.epsilon, self.alpha, m)
-
-
-def require_nonempty(params: CmParams) -> None:
-    # every member's mean norm is at most its sup norm, hence at most alpha
-    if params.alpha <= 1.0 - params.epsilon:
-        raise ParameterError(
-            f"constraint set is empty: alpha={params.alpha} <= 1 - epsilon="
-            f"{1.0 - params.epsilon}"
-        )
 
 
 def ambient_space(space: Space, n: int) -> SupTuple:
@@ -1165,7 +1161,6 @@ def _prime_pulls(engines: Sequence[_UpperEngine], params: CmParams) -> None:
     per support size across them (``_solve_scale``).  The closed forms
     d_C / Z of all their supports follow, one stack per size, whatever m.
     """
-    require_nonempty(params)
     key = (params.epsilon, params.alpha)
     c = _pool_scale(params.alpha)
     todo = [e for e in engines if not e._is_member(params) and key not in e._pull_cache]
@@ -1202,7 +1197,6 @@ def dist_to_cm_upper(
     every call still evaluates the engine (``_best_upper`` on a batch of
     one) with its drift check and validates the witness.
     """
-    require_nonempty(params)
     z = as_coords(ambient_space(space, params.n), z)
     engine = _engine(space, params.n, z.tobytes(), seed, max(1, int(budget)))
     bracket = engine.value(params)
@@ -1299,13 +1293,12 @@ class _GridMembers:
 def _grid_members(space: Space, params: CmParams, resolution: float) -> _GridMembers:
     """The grid members at params, normed once, with their planar hulls.
 
-    Checks in order: a non-empty constraint set, a resolution in (0, inf),
-    and the grid guard; then refuses a grid too coarse to have members.
+    Checks a resolution in (0, inf) and the grid guard, then refuses a grid
+    too coarse to have members.
     The covering radius r_cov is rounded up, so the relaxed set can only
     grow and the lower side only shrink.  Callers build one record and
     pass it to every ``_grid_lower`` (and ``_grid_upper``) they run.
     """
-    require_nonempty(params)
     if not 0.0 < resolution < INF:
         raise ParameterError(f"resolution must be positive and finite, got {resolution}")
     report = grid_guard_report(space, params, resolution)

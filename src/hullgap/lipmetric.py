@@ -10,7 +10,7 @@ inputs had.  The base point (index 0) only anchors the generated spaces.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -250,13 +250,12 @@ def dump_metric(M: FiniteMetricSpace) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_metric(text: str) -> FiniteMetricSpace:
-    lines = text.splitlines()
-    stripped = [(i + 1, ln.strip()) for i, ln in enumerate(lines)]
-    content = [(no, ln) for no, ln in stripped if ln]
-    if not content:
+def _read_metric(lines: Iterable[str]) -> FiniteMetricSpace:
+    """A metric from its lines, taken one at a time: the header is checked before any row is read."""
+    content = ((no, ln.strip()) for no, ln in enumerate(lines, 1) if ln.strip())
+    no0, head = next(content, (1, ""))
+    if not head:
         raise MetricFileError("empty metric file", line=1)
-    no0, head = content[0]
     try:
         n = int(head)
     except ValueError:
@@ -264,10 +263,10 @@ def parse_metric(text: str) -> FiniteMetricSpace:
     if n < 2:
         raise MetricFileError(f"point count must be >= 2, got {n}", line=no0)
     check_points(n)
-    rows = content[1:]
+    rows = list(content)
     if len(rows) != n:
         raise MetricFileError(
-            f"expected {n} matrix rows, found {len(rows)}", line=content[-1][0]
+            f"expected {n} matrix rows, found {len(rows)}", line=rows[-1][0] if rows else no0
         )
     mat = np.zeros((n, n))
     for r, (no, ln) in enumerate(rows):
@@ -281,6 +280,12 @@ def parse_metric(text: str) -> FiniteMetricSpace:
     return FiniteMetricSpace(mat)
 
 
+def parse_metric(text: str) -> FiniteMetricSpace:
+    return _read_metric(text.splitlines())
+
+
 def load_metric(path) -> FiniteMetricSpace:
+    """Read a metric file line by line, so an oversized one is refused from its header."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_metric(fh.read())
+        # splitting each line again breaks it where parse_metric's splitlines does
+        return _read_metric(part for line in fh for part in line.splitlines())

@@ -101,7 +101,7 @@ def test_criterion_3_partition_certificates(gate):
             ]
             constructed = centralizer_construct(module, z, e, sets)
             for m in (1, 2, 4, 8):
-                rep = centralizer_verify(module, z, constructed, m, 0.2)
+                rep = centralizer_verify(module, z, constructed, m)
                 assert rep.passed, (trial, m, [c.name for c in rep.failing()])
                 for c in rep.checks:
                     if c.name.startswith("mix-approx"):
@@ -110,7 +110,7 @@ def test_criterion_3_partition_certificates(gate):
             z = [FunctionModuleSection(-np.ones((8, 1))) for _ in range(k)]
             constructed = centralizer_construct(module, z, e, sets)
             for m in (1, 2, 4, 8):
-                rep = centralizer_verify(module, z, constructed, m, 0.2)
+                rep = centralizer_verify(module, z, constructed, m)
                 mix = [c for c in rep.checks if c.name.startswith("mix-approx")]
                 assert mix
                 for c in mix:

@@ -388,7 +388,7 @@ class TestCentralizerPanel:
         zs = [FunctionModuleSection(rng.uniform(-1.0, 1.0, (base, 1))) for _ in range(k)]
         sets = [[j] for j in range(m)]
         built = centralizer_construct(mod, zs, e, sets)
-        rep = centralizer_verify(mod, zs, built, m, 0.25)
+        rep = centralizer_verify(mod, zs, built, m)
         assert rep.passed
         mix = [c for c in rep.checks if c.name.startswith("mix-approx")]
         assert mix and all(c.value <= 2.0 / m + 1e-12 for c in mix)
@@ -400,7 +400,7 @@ class TestCentralizerPanel:
         e = const_section(base, 1.0)
         z = [const_section(base, -1.0)] * 2
         built = centralizer_construct(mod, z, e, [[j] for j in range(m)])
-        rep = centralizer_verify(mod, z, built, m, 0.5)
+        rep = centralizer_verify(mod, z, built, m)
         mix = [c for c in rep.checks if c.name.startswith("mix-approx")]
         assert all(c.value == pytest.approx(2.0 / m, abs=1e-12) for c in mix)
 
@@ -447,7 +447,7 @@ class TestCentralizerPanel:
                         for tup in built]
             for tuples in (built, tampered):
                 for m in range(1, module.base_size + 1):
-                    rep = centralizer_verify(module, z, tuples, m, 0.25)
+                    rep = centralizer_verify(module, z, tuples, m)
                     got = [(c.name, c.value, c.bound, c.passed) for c in rep.checks]
                     assert got == centralizer_report_reference(module, z, tuples, m)
 
@@ -457,19 +457,19 @@ class TestCentralizerPanel:
         z = [const_section(4, 0.5)]
         built = centralizer_construct(mod, z, e, [[0], [3]])
         built[1] = [FunctionModuleSection(np.zeros((2, 2)))]
-        assert centralizer_verify(mod, z, built, 1, 0.5).passed
+        assert centralizer_verify(mod, z, built, 1).passed
         with pytest.raises(ParameterError, match="section has shape"):
-            centralizer_verify(mod, z, built, 2, 0.5)
+            centralizer_verify(mod, z, built, 2)
         # a (4, 2) component is refused by its shape, before any arithmetic on it
         with pytest.raises(ParameterError, match="component 0 has shape"):
-            centralizer_verify(mod, [FunctionModuleSection(np.zeros((4, 2)))], built, 1, 0.5)
+            centralizer_verify(mod, [FunctionModuleSection(np.zeros((4, 2)))], built, 1)
 
     def test_report_roundtrips_to_json(self):
         mod = scalar_module(4)
         e = const_section(4, 1.0)
         z = [const_section(4, 0.5)]
         built = centralizer_construct(mod, z, e, [[0], [3]])
-        rep = centralizer_verify(mod, z, built, 2, 0.5)
+        rep = centralizer_verify(mod, z, built, 2)
         data = rep.to_jsonable()
         assert data["passed"] is True
         assert all({"name", "value", "bound", "slack", "passed"} <= set(c) for c in data["checks"])

@@ -3,6 +3,7 @@
 import json
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -260,7 +261,7 @@ class TestCert:
     def test_empty_tuple_is_input_error(self, capsys, route):
         code, out, err = run(capsys, "cert", *route, "--n", "0", "--eps", "0.5", "--seed", "0")
         assert code == EXIT_INPUT
-        assert out == "" and "--n must be a positive integer" in err
+        assert out == "" and "n must be a positive integer" in err
 
     def test_seed_required(self, capsys):
         code, out, err = run(
@@ -269,6 +270,38 @@ class TestCert:
         )
         assert code == EXIT_INPUT
         assert "--seed" in err
+
+
+FAMILY = "<a family built by rings --eps 0.5 --k 3>"
+EPS_OUTSIDE = ("0", "-0.5", "nan", "inf", "2")
+CERT_SPACE = ["cert", "--space", "lp(inf,4)", "--n", "2", "--seed", "5"]
+CERT_METRIC = ["cert", "--metric", "chain(0.01,12)", "--n", "2", "--k", "3", "--seed", "7"]
+
+
+@pytest.mark.parametrize("argv, says", [
+    *[pytest.param(CERT_SPACE + ["--m", "4", f"--eps={e}"], "epsilon must lie in (0, 1)",
+                   id=f"cert-space-eps={e}") for e in EPS_OUTSIDE],
+    *[pytest.param(CERT_METRIC + [f"--eps={e}"], "epsilon must lie in (0, 1)",
+                   id=f"cert-metric-eps={e}") for e in EPS_OUTSIDE],
+    pytest.param(CERT_SPACE + ["--m", "0", "--eps", "0.2"], "m must be a positive integer",
+                 id="cert-space-m=0"),
+    *[pytest.param(CERT_METRIC + ["--family", FAMILY, "--eps", e], "family was built for epsilon=0.5",
+                   id=f"cert-family-eps={e}") for e in ("0.1", "0.01")],
+    *[pytest.param(["dk", "--space", "lp(inf,2)", "--n", "2", "--eps", "0.2", "--k", "1..2",
+                    "--seed", "0", f"--budget={b}"], "--budget: must be at least 1",
+                   id=f"dk-budget={b}") for b in ("0", "-3")],
+])
+def test_parameters_outside_their_domain_exit_two(capsys, tmp_path, argv, says):
+    # cert on both routes and dk accept the same n, eps and m (CmParams), a
+    # supplied family only at the eps it was built for, and a budget of at least 1
+    fam_path, out_path = tmp_path / "family.json", tmp_path / "x.out"
+    if FAMILY in argv:
+        assert main(["rings", "--metric", "chain(0.01,12)", "--eps", "0.5", "--k", "3",
+                     "--out", str(fam_path)]) == EXIT_OK
+        argv = [str(fam_path) if a == FAMILY else a for a in argv]
+    code, out, err = run(capsys, *argv, "--out", str(out_path))
+    assert code == EXIT_INPUT
+    assert out == "" and says in err and not out_path.exists()
 
 
 class TestDk:
@@ -562,6 +595,25 @@ class TestPlumbing:
         assert time.perf_counter() - start < 1.0
         assert code == EXIT_REFUSED
         assert doc["report"] == {"points": 100000, "cap": MAX_POINTS}
+
+    def test_oversized_metric_file_is_refused_before_its_rows_are_read(self, capsys, tmp_path):
+        # 3,000 rows of 3,000 entries (36 MB) under a header of 100000 points
+        path = tmp_path / "huge.metric"
+        with open(path, "w") as fh:
+            fh.write("\n100000\n")
+            row = "0.0 " * 3000 + "\n"
+            for _ in range(3000):
+                fh.write(row)
+        _build_parser()
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "lip", "--metric", str(path), "--values", "0",
+                                 "--out", str(tmp_path / "refusal.json"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_REFUSED and out == ""
+        assert peak < 1_000_000, peak
 
     def test_ray_past_the_float_range_is_input_error(self, capsys):
         # 2.0 ** 1999 raises OverflowError in Python; the metric refuses it

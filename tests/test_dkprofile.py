@@ -266,10 +266,16 @@ class TestConstructiveCeilings:
         with pytest.raises(PreconditionError, match="validation"):
             constructive_dk_upper(M, 1, 0.5, (1,), family=bad)
 
+    def test_epsilon_above_one_is_refused(self):
+        # the ceilings 2/k and (4 + 2 eps)/k are proved for eps in (0, 1) only
+        for target in (LpFinite(INF, 4), geometric_chain(0.01, 12)):
+            with pytest.raises(ParameterError, match=r"\(0, 1\)"):
+                constructive_dk_upper(target, 1, 1.5, (1,))
+
     def test_bad_params(self):
         with pytest.raises(ParameterError, match="empty"):
             constructive_dk_upper(LpFinite(INF, 4), 1, 0.2, ())
-        with pytest.raises(ParameterError, match="positive"):
+        with pytest.raises(ParameterError, match=r"epsilon must lie in \(0, 1\)"):
             constructive_dk_upper(LpFinite(INF, 4), 1, -0.2, (1,))
         with pytest.raises(ParameterError, match="n must"):
             constructive_dk_upper(LpFinite(INF, 4), 0, 0.2, (1,))

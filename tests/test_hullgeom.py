@@ -32,7 +32,6 @@ from hullgap.hullgeom import (
     grid_guard_report,
     mean_norm_evaluator,
     min_norm_point,
-    require_nonempty,
     validate_decomposition,
 )
 from hullgap.spaces import (
@@ -227,9 +226,9 @@ class TestParams:
         assert p.with_m(5).epsilon == 0.2 and p.with_m(5).alpha == 1.0
 
     def test_empty_set_detection(self):
-        require_nonempty(CmParams(n=2, epsilon=0.1, alpha=0.95))
+        CmParams(2, 0.1, 0.95)
         with pytest.raises(ParameterError, match="empty"):
-            require_nonempty(CmParams(n=2, epsilon=0.1, alpha=0.85))
+            CmParams(2, 0.1, 0.85)
 
 
 class TestMemberCheck:
