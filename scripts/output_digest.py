@@ -133,9 +133,9 @@ def certificate_results():
                 for _ in range(n):
                     v = rng.standard_normal(M.size)
                     z.append(LipFunction(v / lip_seminorm(M, LipFunction(v))))
-                built = ivakhno_construct(M, z, got, eps)
+                built = ivakhno_construct(M, z, got)
                 for kk in range(1, len(built) + 1):
-                    yield ivakhno_verify(M, z, built, kk, eps, got).to_jsonable()
+                    yield ivakhno_verify(M, z, built, kk, got).to_jsonable()
         else:
             yield {"pairs_examined": got.pairs_examined, "accepted": got.accepted}
     for mi, text in enumerate(MODULES):

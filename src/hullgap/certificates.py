@@ -309,9 +309,8 @@ def ivakhno_construct(
     M: FiniteMetricSpace,
     z: Sequence[LipFunction],
     family: RingFamily,
-    epsilon: float,
 ) -> List[List[LipFunction]]:
-    """One constructed tuple per family entry.
+    """One constructed tuple per family entry, at the family's epsilon.
 
     For entry (t, tau, r, rho, R): restrict each component to the complement
     of the open annulus plus {tau}, overwrite the value at tau with
@@ -320,6 +319,7 @@ def ivakhno_construct(
     here means the family was corrupted, not that the input was unlucky.
     """
     _check_unit_tuple(M, z)
+    epsilon = family.epsilon
     out: List[List[LipFunction]] = []
     for e in family.entries:
         row = M.dist[e.t]
@@ -348,10 +348,9 @@ def ivakhno_verify(
     z: Sequence[LipFunction],
     constructed: Sequence[Sequence[LipFunction]],
     k: int,
-    epsilon: float,
     family: RingFamily,
 ) -> CertificateReport:
-    """Recompute the three bound families for the first k constructed tuples.
+    """Recompute the three bound families for the first k constructed tuples, at the family's epsilon.
 
     sup-bound: every component seminorm at most 1 + epsilon; mean-bound: the
     averaged sum has seminorm at least 1, evaluated explicitly on the entry's
@@ -360,7 +359,7 @@ def ivakhno_verify(
     """
     if not (1 <= k <= len(constructed)):
         raise ParameterError(f"k={k} outside 1..{len(constructed)}")
-    n = len(z)
+    n, epsilon = len(z), family.epsilon
     checks: List[CheckResult] = []
     for m in range(k):
         tup = constructed[m]

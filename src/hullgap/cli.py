@@ -317,8 +317,8 @@ def cmd_cert(cfg: argparse.Namespace) -> Tuple[str, int]:
         v = rng.standard_normal(M.size)
         s = lip_seminorm(M, LipFunction(v))
         z.append(LipFunction(v / s if s > 0 else v))
-    constructed = ivakhno_construct(M, z, family, cfg.eps)
-    rep = ivakhno_verify(M, z, constructed, m, cfg.eps, family)
+    constructed = ivakhno_construct(M, z, family)
+    rep = ivakhno_verify(M, z, constructed, m, family)
     doc["report"] = rep.to_jsonable()
     return _render_json(doc), EXIT_OK if rep.passed else EXIT_FAIL
 
@@ -348,9 +348,10 @@ def _ceiling_profile(cfg: argparse.Namespace, module: FunctionModule, ks: List[i
 
 
 def cmd_dk(cfg: argparse.Namespace) -> Tuple[str, int]:
+    # both routes check n, eps and alpha alike, before any input is read
+    CmParams(cfg.n, cfg.eps, cfg.alpha)
     space = parse_space(cfg.space)
     ks = _k_range(cfg.k)
-    CmParams(cfg.n, cfg.eps, cfg.alpha)  # both routes check n, eps and alpha alike
     if isinstance(space, FunctionModule):
         _refuse(cfg, "on a function module", "resolution")
         if cfg.alpha < 1.0:

@@ -39,6 +39,7 @@ from .hullgeom import (
     DistanceBracket,
     _best_upper,
     _build_engines,
+    _first_rows,
     _grid_lower,
     _grid_members,
     ambient_space,
@@ -142,24 +143,18 @@ class DkProfile:
 def _adversaries(space: Space, n: int, budget: int, seed: int) -> List[Tuple[str, np.ndarray]]:
     """Deterministic candidate tuples: sign-alternating block pairs first
     (the scalar analysis shows they dominate), then ambient ball vertices
-    and seeded directions."""
+    and seeded directions.  A candidate equal to an earlier one to 12
+    digits (up to the sign of a zero) is dropped, all in one array call."""
     amb = ambient_space(space, n)
-    out: List[Tuple[str, np.ndarray]] = []
-    seen = set()
-
-    def push(tag: str, arr: np.ndarray) -> None:
-        key = tuple(np.round(arr, 12))
-        if key not in seen:
-            seen.add(key)
-            out.append((tag, arr))
-
     blocks = sample_unit_ball(space, min(max(4, 2 * dim(space)), 8), seed + 1)
-    for j, u in enumerate(blocks):
-        push(f"pair[{j}]", np.concatenate([u if i % 2 == 0 else -u for i in range(n)]))
+    signs = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+    pairs = (signs[None, :, None] * blocks[:, None, :]).reshape(len(blocks), -1)
     count = max(1, budget) + min(2 ** min(dim(amb), 4), 16)
-    for j, v in enumerate(sample_unit_ball(amb, count, seed)):
-        push(f"ball[{j}]", v)
-    return out
+    ball = sample_unit_ball(amb, count, seed)
+    tags = [f"pair[{j}]" for j in range(len(pairs))] + [f"ball[{j}]" for j in range(len(ball))]
+    cands = np.concatenate([pairs, ball])
+    kept = _first_rows(np.round(cands, 12) + 0.0)[1]
+    return [(tags[r], cands[r]) for r in kept]
 
 
 def _budgets(k_range: Iterable[int]) -> List[int]:
@@ -356,9 +351,9 @@ def _annulus_ceilings(
     if not usable:
         return {}
     for z in _unit_lip_tuples(M, n, panel, seed):
-        constructed = ivakhno_construct(M, z, family, epsilon)
+        constructed = ivakhno_construct(M, z, family)
         for k in usable:
-            rep = ivakhno_verify(M, z, constructed, k, epsilon, family)
+            rep = ivakhno_verify(M, z, constructed, k, family)
             if not rep.passed:
                 raise VerificationError(
                     f"annulus panel failed at k={k}: "

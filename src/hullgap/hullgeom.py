@@ -159,11 +159,16 @@ class ConvexDecomposition:
 
 
 def validate_decomposition(space: Space, params: CmParams, dec: ConvexDecomposition) -> bool:
+    """Whether dec is a point of the m-fold hull: at most m generators, weights on the simplex
+    (to 1e-12), and every generator passing ``cm_member_check``, all from one evaluator call."""
     if len(dec.generators) > params.m:
         return False
     if np.any(dec.weights < -1e-12) or abs(float(dec.weights.sum()) - 1.0) > 1e-12:
         return False
-    return all(cm_member_check(space, params, g).passed for g in dec.generators)
+    G = as_coord_rows(ambient_space(space, params.n), dec.generators)
+    mean, sup = _mean_sup_evaluator(space, params.n)(G)
+    return bool(np.all(sup <= params.alpha + STRICTNESS_TOL)
+                and np.all(mean > 1.0 - params.epsilon - STRICTNESS_TOL))
 
 
 @dataclass(frozen=True, eq=False)
@@ -809,7 +814,7 @@ def min_norm_point(
 
 
 class _UpperEngine:
-    """Deterministic feasible-decomposition search for one (space, n, z, seed).
+    """Deterministic feasible-decomposition search for one (space, n, z, seed): row i of its batch.
 
     Everything that could break monotonicity is parameter-free: the prototype
     pool, the nested greedy supports, and the hull weights mu_C are computed
@@ -823,64 +828,44 @@ class _UpperEngine:
 
     One pull rule serves every alpha: below alpha = 1 the pool is first
     scaled by c = alpha (1 - 1e-12) into the alpha ball, and the supports
-    are solved once per c and kept in ``_scaled``; monotonicity in alpha is
-    stated for alpha >= 1 only.  At c = 1, with the engine, each support is
-    solved once: the greedy stage's solve of a chain support stands when
-    its polish settled within the greedy cap, since an accurate solve gives
-    the same bits, and only the rest are solved again.  The prototypes
-    promise mean norm >= 1 - 1e-9 and sup norm <= 1 + 1e-12; a broken
-    promise raises ``InternalInconsistencyError``.
+    are solved once per c; monotonicity in alpha is stated for alpha >= 1
+    only.  At c = 1, with the engine, each support is solved once: the
+    greedy stage's solve of a chain support stands when its polish settled
+    within the greedy cap, since an accurate solve gives the same bits, and
+    only the rest are solved again.  The prototypes promise mean norm >=
+    1 - 1e-9 and sup norm <= 1 + 1e-12; a broken promise raises
+    ``InternalInconsistencyError``.
 
     So one engine answers every (m, eps, alpha) for its tuple: the pulls
     and the closed forms of all its supports are computed once per (eps,
-    alpha), and m only filters the supports by size.  ``dist_to_cm_upper``
-    reuses the engine of a repeated (space, n, z, seed, budget), and
-    ``estimate_dk`` holds one per candidate for a whole profile and asks
-    ``_best_upper`` for the largest upper over all of them.  The engine
-    keeps its own copy of z, and the norms of z, so a caller that edits its
-    array in place does not change a stored engine.
+    alpha), and m only filters the supports by size.
 
-    Engines are built by ``_build_engines`` only, in batches of one (space,
-    n, seed, budget), and come out the same bit for bit in any batch;
-    ``__init__`` makes one engine's pool from its prototype rows.
+    An engine holds no arrays of its own: it is a view of row i of the
+    ``_EngineBatch`` whose flat arrays hold every engine's pool, supports,
+    solutions, pulls and closed forms.  ``_build_engines`` makes the batch
+    and one view per tuple; ``dist_to_cm_upper`` keeps a batch of one per
+    (space, n, z, seed, budget), and ``estimate_dk`` one batch of all its
+    candidates for a whole profile, whose ``_best_upper`` is the largest
+    upper over them.  Engines come out the same bit for bit in any batch.
+    The batch holds no views, so a view keeps its batch alive and nothing
+    keeps a view but its caller.
     """
 
-    def __init__(self, space: Space, n: int, z: np.ndarray, budget: int, protos: np.ndarray,
-                 n_units: int, z_sup: float, z_mean: float):
-        self.n = n
-        self.amb = ambient_space(space, n)
-        self.z = z.copy()
-        self.budget = budget
-        self.nrm_sup = norm_evaluator(self.amb)
-        self.nrm_mean_sup = _mean_sup_evaluator(space, n)
-        self.z_sup, self.z_mean = z_sup, z_mean
-        self._pull_cache: Dict[Tuple[float, float], np.ndarray] = {}
-        self._closed: Dict[Tuple[float, float], np.ndarray] = {}
-        # one prototype per row distinct to 12 digits (+ 0.0 makes -0.0 equal
-        # 0.0): the n_units tiled units, then the partition overwrites, which
-        # hold `parts` rows for each parts = 1, 2, ...
-        index_of: Dict[bytes, int] = {}
-        idx = np.array([index_of.setdefault(key.tobytes(), len(index_of))
-                        for key in np.round(protos, 12) + 0.0])
-        self.pool = protos[np.unique(idx, return_index=True)[1]]
-        # scale c -> (pool scaled by c, {support: (mu_C, d_C)}); c = 1 is
-        # the pool itself, and _grow_chains fills in its settled chain supports
-        self._scaled: Dict[float, tuple] = {1.0: (self.pool, {})}
-        self._n_const = int(idx[:n_units].max()) + 1
-        self.partition_supports: Dict[int, List[int]] = {}
-        while n_units < len(idx):
-            parts = len(self.partition_supports) + 1
-            self.partition_supports[parts] = idx[n_units : n_units + parts].tolist()
-            n_units += parts
+    def __init__(self, batch: "_EngineBatch", i: int):
+        self.batch, self.i = batch, i
+
+    @property
+    def z(self) -> np.ndarray:
+        return self.batch.Z[self.i]
 
     def _solve_support(
         self, gens: np.ndarray, Z: np.ndarray, accurate: bool
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Hull weights (C, K), distances (C,) and settled rows (C,) for a stack (C, K, D) of supports.
+        """Hull weights (C, K), distances (C,) and settled rows (C,) of a stack (C, K, D) of supports.
 
         Row c is the support gens[c] with its own point Z[c] (Z is (C, D)),
-        so one stack may hold the supports of every engine of self's
-        (space, n); self only supplies the norm.  No certificate machinery.
+        so one stack may hold the supports of every engine of the batch;
+        self only supplies the norm.  No certificate machinery.
         Each support gets the exact Euclidean nearest point of its hull,
         and one polish in the true norm takes every support as a row, with
         60 sweeps when ``accurate`` and 8 otherwise.  The Euclidean
@@ -893,18 +878,19 @@ class _UpperEngine:
         cap, bit for bit, so an 8-sweep solve of a settled row stands for an
         ``accurate`` one.
         """
+        nrm_sup = self.batch.nrm_sup
         C, K, D = gens.shape
-        vd = self.nrm_sup((Z[:, None, :] - gens).reshape(C * K, D)).reshape(C, K)
+        vd = nrm_sup((Z[:, None, :] - gens).reshape(C * K, D)).reshape(C, K)
         best_lam = np.zeros((C, K))
         best_lam[np.arange(C), np.argmin(vd, axis=1)] = 1.0
         best_val = np.min(vd, axis=1)
         if K == 1:
             return best_lam, best_val, np.ones(C, dtype=bool)
         uniform = np.full(K, 1.0 / K)
-        u_val = self.nrm_sup(Z - np.matmul(uniform, gens))
-        lams, settled = _polish_true_norm(self.amb, gens, Z, _euclid_surrogate(gens, Z),
+        u_val = nrm_sup(Z - np.matmul(uniform, gens))
+        lams, settled = _polish_true_norm(self.batch.amb, gens, Z, _euclid_surrogate(gens, Z),
                                           sweeps=60 if accurate else 8, dists=vd)
-        p_val = self.nrm_sup(Z - (lams[:, None, :] @ gens)[:, 0])
+        p_val = nrm_sup(Z - (lams[:, None, :] @ gens)[:, 0])
         # after the vertex, the polished and then the uniform weights, each
         # kept only where strictly nearer
         nearer = p_val < best_val
@@ -916,102 +902,265 @@ class _UpperEngine:
     # -- parameter-dependent stage --------------------------------------
 
     def _is_member(self, params: CmParams) -> bool:
-        return self.z_sup <= params.alpha and self.z_mean >= 1.0 - params.epsilon
+        return bool(self.batch.members(params)[self.i])
 
     def _witness(self, c: float, key: Tuple[float, float], j: int):
-        """Weights, generators and pulls of support j, pulled at key = (eps, alpha) on scale c."""
-        pool, solutions = self._scaled[c]
-        idxs = self.supports[j][1]
-        sc = self._pull_cache[key][list(idxs)]
-        lam_raw = solutions[idxs][0] / (1.0 - sc)
+        """Weights, generators and pulls of support column j, pulled at key = (eps, alpha) on scale c.
+
+        The winner's witness only: a stack of exactly its support's size.
+        """
+        b, i = self.batch, self.i
+        K = b.sizes[j]
+        rows = b.start[i] + b.idx[i, j, :K]
+        scale = b.scales[c]
+        sc = b.pulls[key].pulls[rows]
+        lam_raw = scale.mu[i, j, :K] / (1.0 - sc)
         lam = lam_raw / lam_raw.sum()
-        gens = (1.0 - sc)[:, None] * pool[list(idxs)] + sc[:, None] * self.z
+        gens = (1.0 - sc)[:, None] * scale.pool[rows] + sc[:, None] * b.Z[i]
         keep = lam > 1e-15
         return lam[keep] / lam[keep].sum(), gens[keep], sc
 
     def value(self, params: CmParams) -> DistanceBracket:
-        """The upper bound on d(z, C) at params: ``_best_upper`` on a batch of one."""
+        """The upper bound on d(z, C) at params: ``_best_upper`` on this engine alone."""
         return _best_upper([self], params)[1]
 
 
+@dataclass(eq=False)
+class _Scale:
+    """The pool scaled by c, and each support's hull weights mu (E, S, K) and distance d (E, S).
+
+    ``solved`` (E, S) marks the supports done at c, and those an engine lacks.
+    """
+
+    pool: np.ndarray
+    mu: np.ndarray
+    d: np.ndarray
+    solved: np.ndarray
+
+
+@dataclass(eq=False)
+class _Pulls:
+    """Per (eps, alpha): which tuples are members (E,), the pull of every prototype (P,), the
+    closed form of every support (E, S), and which non-member engines still lack them (E,)."""
+
+    member: np.ndarray
+    pulls: np.ndarray
+    closed: np.ndarray
+    pending: np.ndarray
+
+
+class _EngineBatch:
+    """The upper engines of one (space, n, seed, budget), as flat arrays (E engines, P prototypes).
+
+    * ``Z`` (E, D), ``z_mean`` and ``z_sup`` (E,): the tuples and their norms;
+    * ``pool`` (P, D): the prototypes, engine after engine; engine i owns
+      rows ``start[i]:start[i + 1]`` (``owner`` and ``local`` map a row to
+      its engine and its index there), and its first ``n_const[i]`` rows
+      are its constant prototypes;
+    * the support table, S columns: column k - 1 is chain-k for k up to
+      the longest chain L, then column L + k - 1 is partition-k;
+      ``sizes`` (S,), ``names`` (S,), ``idx`` (E, S, K) the pool rows of
+      each support, local to its engine and padded with 0, ``valid``
+      (E, S) where an engine has the support, and ``repeat`` (E, S) where
+      partition-k is the same support as chain-k (L is ``n_chain``);
+    * ``groups``: per support size k, the (engine, column) pairs of that
+      size and their global pool rows (N, k), made once per batch;
+    * ``scales``: per scale c a ``_Scale``; ``pulls``: per (eps, alpha) a
+      ``_Pulls``: NaN pulls and infinite closed forms where an engine has
+      none (a member, an engine not primed, a support it lacks).
+    """
+
+    def __init__(self, space: Space, n: int, budget: int, Z: np.ndarray):
+        self.n, self.budget, self.Z = n, budget, Z
+        self.amb = ambient_space(space, n)
+        self.nrm_sup = norm_evaluator(self.amb)
+        self.nrm_mean_sup = _mean_sup_evaluator(space, n)
+        self.z_mean, self.z_sup = self.nrm_mean_sup(Z)
+        self.scales: Dict[float, _Scale] = {}
+        self.pulls: Dict[Tuple[float, float], _Pulls] = {}
+
+    def scale(self, c: float) -> _Scale:
+        """The supports' solutions on the pool scaled by c (the pool itself at c = 1), made once."""
+        if c not in self.scales:
+            self.scales[c] = _Scale(self.pool if c == 1.0 else c * self.pool, np.zeros(self.idx.shape),
+                                    np.zeros(self.valid.shape), ~self.valid)
+        return self.scales[c]
+
+    def members(self, params: CmParams) -> np.ndarray:
+        """Which tuples lie in the set at params: their upper is 0 without pulls."""
+        return (self.z_sup <= params.alpha) & (self.z_mean >= 1.0 - params.epsilon)
+
+    def set_pool(self, tiled: np.ndarray, n_units: np.ndarray,
+                 overwrites: np.ndarray) -> np.ndarray:
+        """Set the flat pool from each engine's units and overwrites; return the overwrites' rows.
+
+        Engine i's prototype rows are its n_units[i] rows of tiled (the units
+        of every engine, engine after engine), then its overwrites[i]
+        (E, R, D).  Rows equal to 12 digits within one engine (+ 0.0 makes
+        -0.0 equal 0.0) are one prototype: one ``np.unique`` over (engine,
+        rounded row) keys numbers them by first occurrence, as a dict of the
+        keys' bytes would, and the pool keeps each number's first row.  Sets
+        ``pool``, ``owner``, ``local`` (each pool row's index in its engine's
+        pool), ``start`` and ``n_const`` (the distinct units of each engine,
+        which come first); returns the local pool index of each overwrite,
+        (E, R).
+        """
+        E, R = overwrites.shape[:2]
+        counts = n_units + R
+        owner = np.repeat(np.arange(E), counts)
+        first = np.cumsum(counts) - counts
+        is_unit = np.arange(len(owner)) - first[owner] < n_units[owner]
+        protos = np.empty((len(owner), tiled.shape[1]))
+        protos[is_unit], protos[~is_unit] = tiled, overwrites.reshape(E * R, tiled.shape[1])
+        keys = np.concatenate([owner[:, None] + 0.0, np.round(protos, 12) + 0.0], axis=1)
+        number, kept = _first_rows(keys)
+        self.pool, self.owner = protos[kept], owner[kept]
+        self.start = np.append(number[first], len(kept))
+        local = number - self.start[owner]
+        self.local = local[kept]
+        self.n_const = np.maximum.reduceat(np.where(is_unit, local, -1), first) + 1
+        return local[~is_unit].reshape(E, R)
+
+    def tabulate(self, chain: np.ndarray, length: np.ndarray, over: np.ndarray, parts: int) -> None:
+        """The support table, from the chains (E, L) of lengths ``length`` and the overwrites.
+
+        The overwrites' pool rows (E, R) hold the family of each parts = 1,
+        ..., ``parts`` in turn, parts rows each.
+        """
+        E, L = chain.shape
+        self.length, self.n_chain = length, L
+        self.sizes = np.concatenate([np.arange(1, L + 1), np.arange(1, parts + 1)])
+        self.names = ([f"chain-{k}" for k in range(1, L + 1)]
+                      + [f"partition-{k}" for k in range(1, parts + 1)])
+        self.idx = np.zeros((E, L + parts, max(L, parts)), dtype=np.intp)
+        self.idx[:, :L, :L] = chain[:, None, :] * np.tri(L, dtype=np.intp)
+        self.valid = np.ones((E, L + parts), dtype=bool)
+        self.valid[:, :L] = np.arange(L) < length[:, None]
+        self.repeat = np.zeros_like(self.valid)
+        if parts:
+            for k in range(1, parts + 1):
+                self.idx[:, L + k - 1, :k] = over[:, k * (k - 1) // 2 : k * (k + 1) // 2]
+            # partition-k repeats chain-k where their (zero padded) index rows agree
+            k = min(L, parts)
+            same = (self.idx[:, :k] == self.idx[:, L : L + k]).all(axis=2)
+            self.repeat[:, L : L + k] = self.valid[:, :k] & same
+        # the supports grouped by size: slices of one stable sort by size
+        e, j = np.nonzero(self.valid)
+        order = np.argsort(self.sizes[j], kind="stable")
+        e, j = e[order], j[order]
+        g = self.start[e][:, None] + self.idx[e, j]
+        ends = np.cumsum(np.bincount(self.sizes[j]))
+        self.groups = [(k, e[a:b], j[a:b], g[a:b, :k])
+                       for k, a, b in zip(range(1, len(ends)), ends[:-1], ends[1:]) if b > a]
+
+
+def _first_rows(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Number the distinct rows of keys (compared as bytes) by first occurrence.
+
+    Returns each row's number and each number's first row.
+    """
+    keys = np.ascontiguousarray(keys)
+    rows = keys.view(np.dtype((np.void, keys.dtype.itemsize * keys.shape[1]))).ravel()
+    _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    number = np.empty_like(order)
+    number[order] = np.arange(len(order))
+    return number[inverse], first[order]
+
+
 def _best_upper(engines: Sequence[_UpperEngine], params: CmParams) -> Tuple[int, DistanceBracket]:
-    """The largest upper bound over engines of one (space, n): its engine's index and bracket.
+    """The largest upper bound over engines of one batch: its engine's index and bracket.
 
     An engine's upper is 0 for a member z, else its first strictly smallest
-    closed form over the supports of size at most m; the winner is the
-    first strictly largest.  Every non-member engine's witness distance is
-    checked against its closed form, all in one norm evaluation; only the
-    winner's decomposition and bracket are built.
+    closed form over the supports of size at most m, one masked argmin over
+    the engines' rows of the (E, S) closed-form table; the winner is the
+    first strictly largest.  Every non-member engine's chosen support is
+    checked against its closed form: one gather of its weights and pulled
+    generators, padded to the widest support with zero weights, and one
+    norm evaluation for all of them, within 1e-9.  Only the winner's
+    decomposition and bracket are built, by its ``_witness``.
     """
-    _prime_pulls(engines, params)
+    batch, rows = _rows(engines)
+    primed = _prime_pulls(engines, params)
     key, c = (params.epsilon, params.alpha), _pool_scale(params.alpha)
-    vals = np.zeros(len(engines))
-    picks = {}  # engine index -> (support index, weights, generators, pulls)
-    for i, e in enumerate(engines):
-        if not e._is_member(params):
-            closed = np.where(e._sizes <= params.m, e._closed[key], np.inf)
-            j = int(np.argmin(closed))
-            vals[i] = closed[j]
-            picks[i] = (j,) + e._witness(c, key, j)
-    if picks:
-        actual = engines[0].nrm_sup(np.array(
-            [engines[i].z - np.einsum("j,jd->d", w, g) for i, (_, w, g, _) in picks.items()]))
-        for a, val in zip(actual, vals[list(picks)]):
-            if abs(a - val) > 1e-9 * (1.0 + val):
-                raise InternalInconsistencyError(
-                    f"witness distance {a} drifted from closed form {val}")
+    member = primed.member[rows]
+    closed = np.where(batch.sizes <= params.m, primed.closed[rows], np.inf)
+    pick = closed.argmin(axis=1)
+    vals = np.where(member, 0.0, closed[np.arange(len(rows)), pick])
+    live = ~member
+    if live.any():
+        e, j, val = (rows, pick, vals) if live.all() else (rows[live], pick[live], vals[live])
+        scale = batch.scales[c]
+        g = batch.start[e][:, None] + batch.idx[e, j]
+        sc = primed.pulls[g]
+        lam = scale.mu[e, j] / (1.0 - sc)
+        gens = (1.0 - sc)[:, :, None] * scale.pool[g] + sc[:, :, None] * batch.Z[e][:, None, :]
+        point = np.einsum("ck,ckd->cd", lam, gens) / lam.sum(axis=1)[:, None]
+        actual = batch.nrm_sup(batch.Z[e] - point)
+        drift = np.abs(actual - val) > 1e-9 * (1.0 + val)
+        if drift.any():
+            raise InternalInconsistencyError(
+                f"witness distance {actual[drift][0]} drifted from closed form {val[drift][0]}")
     w = int(np.argmax(vals))
     e = engines[w]
-    if w not in picks:
+    if member[w]:
         dec = ConvexDecomposition(np.array([1.0]), [e.z.copy()])
         return w, DistanceBracket(0.0, 0.0, "trivial", "member-shortcut", witness=dec,
                                   meta={"support": "z"})
-    j, weights, gens, sc = picks[w]
+    j = int(pick[w])
+    weights, gens, sc = e._witness(c, key, j)
     method = "prototype-pull" if c == 1.0 else "prototype-pull-scaled"
     return w, DistanceBracket(
         0.0, float(vals[w]), "trivial", method, witness=ConvexDecomposition(weights, list(gens)),
-        meta={"support": e.supports[j][0], "pulls": sc.tolist()},
+        meta={"support": batch.names[j], "pulls": sc.tolist()},
     )
 
 
 def _build_engines(
     space: Space, n: int, zs: Sequence, seed: int, budget: int
 ) -> List[_UpperEngine]:
-    """The upper engines of the tuples zs for one (space, n, seed, budget), built together.
+    """The upper engines of the tuples zs for one (space, n, seed, budget): the views of one batch.
 
-    Three stages, each one batch across the engines:
+    Three stages, each a fixed number of array calls for the whole batch:
 
     * pools: the z-free units (canonical unit, norming section, their
       negatives, the seeded directions) are made once, each engine adds its
       block mean and its blocks with both signs, and every unit of the
       batch is scaled just inside the unit ball by one call of the norm
-      plan's ``into_ball``, shrunk by 1 - 1e-13.  On a
-      sup-decomposable space the partition overwrites of every engine are
-      one array, from one norm evaluation of all blocks.  ``__init__``
-      makes each engine's prototypes from these rows; the norms of every z
-      and the prototype promise take one call each for the batch, of the
-      fused block-mean and sup evaluator (``_mean_sup_evaluator``);
+      plan's ``into_ball``, shrunk by 1 - 1e-13.  On a sup-decomposable
+      space the partition overwrites of every engine are one array, from
+      one norm evaluation of all blocks.  Each engine's prototypes are its
+      units tiled over the n blocks, then its overwrites; one ``np.unique``
+      over (engine, row rounded to 12 digits) keys keeps one prototype per
+      distinct row of an engine, numbered by first occurrence
+      (``_first_rows``), into the flat pool.  The norms of every z and the
+      prototype promise take one call each of the fused block-mean and sup
+      evaluator (``_mean_sup_evaluator``);
     * greedy: the chains grow in lock step (``_grow_chains``), which keeps
       chain-1 (the nearest vertex) and every chain support whose polish
-      settled as solved at c = 1;
+      settled as solved at c = 1; the support table follows
+      (``_EngineBatch.tabulate``);
     * supports at c = 1: the partition supports and the chain supports
       whose polish hit the greedy cap, one accurate stack per support size
       (``_solve_scale``).
+
+    ``_UpperEngine.__init__`` runs once per tuple and makes its view.
     """
     budget = max(1, int(budget))
     di, amb = dim(space), ambient_space(space, n)
-    Z = np.stack([as_coords(amb, z) for z in zs])
-    rng = np.random.default_rng(seed)
-    shared = [canonical_unit(space), norming_section(space),
-              -canonical_unit(space), -norming_section(space)]
-    seeded = [rng.standard_normal(di) for _ in range(budget)]
-    raw = []
-    for z in Z:
-        zb = z.reshape(n, di)
-        raw += shared + [zb.mean(axis=0)] + [b for x in zb for b in (x, -x)] + seeded
+    batch = _EngineBatch(space, n, budget, as_coord_rows(amb, zs).copy())
+    E = len(batch.Z)
+    # per engine: the shared units, the block mean, each block then its
+    # negative, the seeded directions
+    zb, unit, section = batch.Z.reshape(E, n, di), canonical_unit(space), norming_section(space)
+    raw = np.empty((E, 5 + 2 * n + budget, di))
+    raw[:, 0], raw[:, 1], raw[:, 2], raw[:, 3] = unit, section, -unit, -section
+    raw[:, 4] = zb.mean(axis=1)
+    raw[:, 5 : 5 + 2 * n : 2], raw[:, 6 : 6 + 2 * n : 2] = zb, -zb
+    raw[:, 5 + 2 * n :] = np.random.default_rng(seed).standard_normal((budget, di))
     # strictly inside the ball; a zero block of z gives no unit
-    U, keep = norm_plan(space).into_ball(np.stack(raw), shrink=1.0 - 1e-13)
-    units = np.split(U, np.cumsum(keep.reshape(len(Z), -1).sum(axis=1))[:-1])
+    units, keep = norm_plan(space).into_ball(raw.reshape(-1, di), shrink=1.0 - 1e-13)
+    n_units = keep.reshape(E, -1).sum(axis=1)
     # centralizer-style partition overwrites: every block of z clipped into
     # the ball, and for parts = 1, 2, ..., 16 each group of sup slots set to
     # its canonical units
@@ -1024,106 +1173,126 @@ def _build_engines(
             off, sub = slots[s]
             masks[r, 0, off : off + dim(sub)] = True
             fill[r, 0, off : off + dim(sub)] = canonical_unit(sub)
-    blocks = Z.reshape(-1, di)
+    blocks = batch.Z.reshape(-1, di)
     if slots:
         blocks = blocks / np.maximum(norm_evaluator(space)(blocks), 1.0)[:, None]
-    overwrites = np.where(masks, fill, blocks.reshape(len(Z), 1, n, di))
-    overwrites = overwrites.reshape(len(Z), len(masks), n * di)
-    z_mean, z_sup = _mean_sup_evaluator(space, n)(Z)
-    engines = [
-        _UpperEngine(space, n, z, budget, np.concatenate([np.tile(u, (1, n)), o]), len(u),
-                     float(sup), float(mean))
-        for z, u, o, sup, mean in zip(Z, units, overwrites, z_sup, z_mean)
-    ]
-    # the pulls start every prototype inside the feasible set
-    pools = np.concatenate([e.pool for e in engines])
-    mean, sup = engines[0].nrm_mean_sup(pools)
+    overwrites = np.where(masks, fill, blocks.reshape(E, 1, n, di))
+    over = batch.set_pool(np.tile(units, (1, n)), n_units,
+                          overwrites.reshape(E, len(masks), n * di))
+    mean, sup = batch.nrm_mean_sup(batch.pool)
     broken = (mean < 1.0 - 1e-9) | (sup > 1.0 + 1e-12)
     if np.any(broken):
         raise InternalInconsistencyError(
             f"prototypes {np.nonzero(broken)[0].tolist()} of the batch break the promise "
             "mean norm >= 1 - 1e-9, sup norm <= 1 + 1e-12"
         )
-    _grow_chains(engines)
-    _solve_scale(engines, 1.0)
+    engines = [_UpperEngine(batch, i) for i in range(E)]
+    _grow_chains(engines[0], over, min(len(slots), 16))
+    _solve_scale(engines[0], np.ones(E, dtype=bool), 1.0)
     return engines
 
 
-def _grow_chains(engines: Sequence[_UpperEngine]) -> None:
+def _tie_scan(V: np.ndarray) -> np.ndarray:
+    """Per row of V, the column a left-to-right scan keeps.
+
+    The scan keeps the first finite entry, then each entry more than 1e-12
+    below the one it keeps.  No entry before a kept one lies more than
+    1e-12 below it, so the next one kept is the first entry anywhere that
+    does: the scan jumps from kept entry to kept entry, all rows at once,
+    one array step per jump.
+    """
+    rows = np.arange(len(V))
+    at = np.isfinite(V).argmax(axis=1)
+    while True:
+        later = V < V[rows, at][:, None] - 1e-12
+        jump = later.any(axis=1)
+        if not jump.any():
+            return at
+        at = np.where(jump, later.argmax(axis=1), at)
+
+
+def _grow_chains(lead: _UpperEngine, over: np.ndarray, parts: int) -> None:
     """Each engine's nested greedy supports, the chains of a batch grown in lock step.
 
     A chain starts at the constant prototype nearest z and grows by the
-    candidate (one of the 16 nearest) whose extended support lies nearest
-    z, the first on a near tie, up to its cap or until a support reaches z.
-    At step L every chain still growing has length L, so the extended
-    supports of all engines form one stack of size L + 1.  An engine's
-    supports are its chain prefixes and its partition families.  Chain-1
-    and each chosen extension whose 8-sweep polish settled are recorded as
-    solved at c = 1 (``_solve_support``), with the weights and distance
-    already computed.
+    candidate (one of the 16 nearest, an (E, 16) table from one stable
+    argsort) whose extended support lies nearest z, the first on a near tie
+    (``_tie_scan``), up to its cap or until a support reaches z.  At step L
+    every chain still growing has length L, so the extended supports of all
+    engines form one stack of size L + 1.  An engine's supports are its
+    chain prefixes and its partition families, tabulated at the end.
+    Chain-1 and each chosen extension whose 8-sweep polish settled are
+    recorded as solved at c = 1 (``_solve_support``), with the weights and
+    distance already computed.
     """
-    lead = engines[0]
-    vertex_d = np.split(
-        lead.nrm_sup(np.concatenate([e.z[None, :] - e.pool[: e._n_const] for e in engines])),
-        np.cumsum([e._n_const for e in engines])[:-1])
-    candidates = []
-    for e, vd in zip(engines, vertex_d):
-        candidates.append([int(j) for j in np.argsort(vd, kind="stable")[:16]])
-        j = int(np.argmin(vd))
-        e.chain = [j]
-        e._scaled[1.0][1][(j,)] = (np.ones(1), float(vd[j]))  # chain-1 is the vertex
-    caps = [min(e._n_const, max(4, min(12, e.budget + 4))) for e in engines]
-    growing = [i for i, e in enumerate(engines) if len(e.chain) < caps[i]]
-    while growing:
-        steps = [(i, [j for j in candidates[i] if j not in engines[i].chain]) for i in growing]
-        steps = [(i, js) for i, js in steps if js]
-        if not steps:
-            break
-        gens = np.concatenate(
-            [engines[i].pool[[engines[i].chain + [j] for j in js]] for i, js in steps])
-        Z = np.concatenate([np.broadcast_to(engines[i].z, (len(js),) + lead.z.shape) for i, js in steps])
-        lams, vals, settled = lead._solve_support(gens, Z, accurate=False)
-        growing, at = [], 0
-        for i, js in steps:
-            e, best = engines[i], at
-            for k in range(at + 1, at + len(js)):
-                if vals[k] < vals[best] - 1e-12:
-                    best = k
-            e.chain.append(js[best - at])
-            if settled[best]:  # the accurate solve of this chain support
-                e._scaled[1.0][1][tuple(e.chain)] = (lams[best], float(vals[best]))
-            at += len(js)
-            if vals[best] > 1e-13 and len(e.chain) < caps[i]:
-                growing.append(i)
-    for e in engines:
-        e.supports = [(f"chain-{L}", tuple(e.chain[:L])) for L in range(1, len(e.chain) + 1)]
-        e.supports += [(f"partition-{parts}", tuple(idxs))
-                       for parts, idxs in sorted(e.partition_supports.items())]
-        e._sizes = np.array([len(idxs) for _, idxs in e.supports])
+    batch = lead.batch
+    E, start, n_const, owner = len(batch.Z), batch.start, batch.n_const, batch.owner
+    const = batch.local < n_const[owner]
+    vd = np.full((E, int(n_const.max())), np.inf)
+    vd[owner[const], batch.local[const]] = batch.nrm_sup(batch.Z[owner[const]] - batch.pool[const])
+    candidates = np.argsort(vd, axis=1, kind="stable")[:, :16]
+    W = candidates.shape[1]
+    open_ = np.arange(W) < n_const[:, None]  # a candidate not yet in the chain
+    open_[:, 0] = False
+    caps = np.minimum(n_const, max(4, min(12, batch.budget + 4)))
+    cap = int(caps.max())
+    chain, length = np.zeros((E, cap), dtype=np.intp), np.ones(E, dtype=np.intp)
+    mu, d, solved = np.zeros((E, cap, cap)), np.zeros((E, cap)), np.zeros((E, cap), dtype=bool)
+    chain[:, 0] = candidates[:, 0]
+    # chain-1 is the vertex
+    mu[:, 0, 0], d[:, 0], solved[:, 0] = 1.0, vd[np.arange(E), chain[:, 0]], True
+    growing = np.nonzero((length < caps) & open_.any(axis=1))[0]
+    L = 1
+    while len(growing):
+        g, k = np.nonzero(open_[growing])
+        e = growing[g]
+        idx = np.concatenate([chain[e, :L], candidates[e, k][:, None]], axis=1)
+        lams, vals, settled = lead._solve_support(
+            batch.pool[start[e][:, None] + idx], batch.Z[e], accurate=False)
+        table, at = np.full((len(growing), W), np.inf), np.zeros((len(growing), W), dtype=np.intp)
+        table[g, k], at[g, k] = vals, np.arange(len(e))
+        best = _tie_scan(table)
+        r = at[np.arange(len(growing)), best]
+        chain[growing, L] = candidates[growing, best]
+        open_[growing, best] = False
+        # a settled polish is the accurate solve of this chain support
+        mu[growing, L, : L + 1], d[growing, L], solved[growing, L] = lams[r], vals[r], settled[r]
+        length[growing] = L + 1
+        L += 1
+        growing = growing[(vals[r] > 1e-13) & (L < caps[growing]) & open_[growing].any(axis=1)]
+    L = int(length.max())
+    batch.tabulate(chain[:, :L], length, over, parts)
+    scale = batch.scale(1.0)
+    scale.mu[:, :L, :L], scale.d[:, :L] = mu[:, :L, :L], d[:, :L]
+    scale.solved[:, :L] |= solved[:, :L]
 
 
-def _solve_scale(engines: Sequence[_UpperEngine], c: float) -> None:
-    """Each engine's pool scaled by c and each support's (mu_C, d_C) on it, solved once per c.
+def _solve_scale(lead: _UpperEngine, todo: np.ndarray, c: float) -> None:
+    """The pool scaled by c and each support's (mu_C, d_C) on it, once per c, for the engines todo.
 
-    The distinct supports of every engine not yet solved at c are one
-    accurate stack per support size, each row with its own engine's z.  At
+    todo is an (E,) mask; lead is any engine of the batch and supplies the
+    solver.  The supports of those engines not yet solved at c are one accurate
+    stack per support size, each row with its own engine's z; a partition
+    support that repeats its size's chain support takes that solution.  At
     c = 1 that leaves the partition supports and the chain supports whose
     greedy polish hit its cap: ``_grow_chains`` keeps the others.
     """
-    rows = []
-    for e in engines:
-        if c not in e._scaled:
-            e._scaled[c] = (c * e.pool, {})
-        pool, found = e._scaled[c]
-        rows += [(e, pool, found, idxs) for idxs in dict.fromkeys(idxs for _, idxs in e.supports)
-                 if idxs not in found]
-    for K in sorted({len(row[3]) for row in rows}):
-        group = [row for row in rows if len(row[3]) == K]
-        lams, vals, _ = engines[0]._solve_support(
-            np.stack([pool[list(idxs)] for _, pool, _, idxs in group]),
-            np.stack([e.z for e, _, _, _ in group]), accurate=True)
-        for (_, _, found, idxs), lam, v in zip(group, lams, vals):
-            found[idxs] = (lam, float(v))
+    batch = lead.batch
+    scale = batch.scale(c)
+    need = ~scale.solved & todo[:, None]
+    if not need.any():
+        return
+    own = need & ~batch.repeat
+    for K in sorted(set(batch.sizes[own.any(axis=0)].tolist())):
+        e, j = np.nonzero(own & (batch.sizes == K))
+        lams, vals, _ = lead._solve_support(
+            scale.pool[batch.start[e][:, None] + batch.idx[e, j, :K]], batch.Z[e], accurate=True)
+        scale.mu[e, j, :K], scale.d[e, j] = lams, vals
+    # partition-k takes the solution of chain-k, L columns to its left
+    e, j = np.nonzero(need & batch.repeat)
+    t = j - batch.n_chain
+    scale.mu[e, j], scale.d[e, j] = scale.mu[e, t], scale.d[e, t]
+    scale.solved |= need
 
 
 def _pool_scale(alpha: float) -> float:
@@ -1137,8 +1306,8 @@ def _pull_rows(nrm_mean_sup, pool: np.ndarray, Z: np.ndarray, eps: float,
 
     Feasible means mean norm >= 1 - eps and sup norm <= alpha; both are
     convex constraints, so each row's feasible s form an interval from 0.
-    Each bisection step reads both from one call of ``nrm_mean_sup`` (an
-    engine's ``_mean_sup_evaluator``).  Every row is bisected on its own
+    Each bisection step reads both from one call of ``nrm_mean_sup`` (a
+    batch's ``_mean_sup_evaluator``).  Every row is bisected on its own
     (Z is one row per row of pool, or one row for all), however many rows
     share the call.
     """
@@ -1152,36 +1321,47 @@ def _pull_rows(nrm_mean_sup, pool: np.ndarray, Z: np.ndarray, eps: float,
     return lo
 
 
-def _prime_pulls(engines: Sequence[_UpperEngine], params: CmParams) -> None:
-    """Fill the pull and closed-form caches of engines of one (space, n), once per (eps, alpha).
+def _rows(engines: Sequence[_UpperEngine]) -> Tuple[_EngineBatch, np.ndarray]:
+    """The batch of engines and their rows in it."""
+    return engines[0].batch, np.fromiter((e.i for e in engines), np.intp, len(engines))
 
-    The rows of every non-member engine without pulls at (eps, alpha) are
-    stacked with their own z and pulled by one bisection.  Below alpha = 1
-    the engines' supports at the scaled pool are solved first, as one stack
-    per support size across them (``_solve_scale``).  The closed forms
-    d_C / Z of all their supports follow, one stack per size, whatever m.
+
+def _prime_pulls(engines: Sequence[_UpperEngine], params: CmParams) -> _Pulls:
+    """Fill the pulls and closed forms of engines of one batch, once per (eps, alpha); return them.
+
+    The prototypes of every non-member engine without pulls at
+    (eps, alpha) are pulled toward their own z by one bisection.  Below
+    alpha = 1 the engines' supports at the scaled pool are solved first,
+    as one stack per support size (``_solve_scale``).  The closed forms
+    d_C / Z of all their supports follow, whatever m: per support size k,
+    the batch's index matrices of that size (``groups``) gather one (N, k)
+    stack of weights and pulls, whose row sums have exactly k terms, and
+    the forms scatter into the (E, S) table.
     """
+    batch, rows = _rows(engines)
     key = (params.epsilon, params.alpha)
+    primed = batch.pulls.get(key)
+    if primed is None:
+        member = batch.members(params)
+        primed = batch.pulls[key] = _Pulls(member, np.full(len(batch.pool), np.nan),
+                                           np.full(batch.valid.shape, np.inf), ~member)
+    if not primed.pending[rows].any():
+        return primed
+    todo = np.zeros(len(batch.Z), dtype=bool)
+    todo[rows] = primed.pending[rows]
     c = _pool_scale(params.alpha)
-    todo = [e for e in engines if not e._is_member(params) and key not in e._pull_cache]
-    if not todo:
-        return
-    _solve_scale(todo, c)
-    pools = [e._scaled[c][0] for e in todo]
-    Z = np.concatenate([np.broadcast_to(e.z, pool.shape) for e, pool in zip(todo, pools)])
-    s = _pull_rows(todo[0].nrm_mean_sup, np.concatenate(pools), Z, *key)
-    by_size: Dict[int, list] = {}
-    for e, pulls in zip(todo, np.split(s, np.cumsum([len(pool) for pool in pools])[:-1])):
-        e._pull_cache[key], e._closed[key] = pulls, np.empty(len(e.supports))
-        solutions = e._scaled[c][1]
-        for j, (_, idxs) in enumerate(e.supports):
-            mu, d = solutions[idxs]
-            by_size.setdefault(len(idxs), []).append((e._closed[key], j, mu, d, pulls[list(idxs)]))
-    for group in by_size.values():
-        closed, js, mu, d, sc = zip(*group)
-        vals = np.array(d) / (np.array(mu) / (1.0 - np.array(sc))).sum(axis=1)
-        for out, j, val in zip(closed, js, vals):
-            out[j] = val
+    _solve_scale(engines[0], todo, c)
+    scale, every = batch.scales[c], todo.all()
+    pulled = todo[batch.owner]
+    primed.pulls[pulled] = _pull_rows(batch.nrm_mean_sup, scale.pool[pulled],
+                                      batch.Z[batch.owner[pulled]], *key)
+    for K, e, j, g in batch.groups:
+        if not every:
+            e, j, g = e[todo[e]], j[todo[e]], g[todo[e]]
+        total = (scale.mu[e, j, :K] / (1.0 - primed.pulls[g])).sum(axis=1)
+        primed.closed[e, j] = scale.d[e, j] / total
+    primed.pending &= ~todo
+    return primed
 
 
 def dist_to_cm_upper(
@@ -1192,10 +1372,10 @@ def dist_to_cm_upper(
     Deterministic for fixed seed; the value is nonincreasing under enlarging
     m, eps, or alpha (alpha >= 1), because the candidate enumeration is
     parameter-free and each candidate's closed-form value is monotone.
-    The engine is built once per (space, n, z, seed, budget) and reused
-    from a small LRU, since nothing it builds depends on (m, eps, alpha);
-    every call still evaluates the engine (``_best_upper`` on a batch of
-    one) with its drift check and validates the witness.
+    The engine is built once per (space, n, z, seed, budget), as a batch of
+    one, and reused from a small LRU, since nothing it builds depends on
+    (m, eps, alpha); every call still evaluates the engine (``value``) with
+    its drift check and validates the witness.
     """
     z = as_coords(ambient_space(space, params.n), z)
     engine = _engine(space, params.n, z.tobytes(), seed, max(1, int(budget)))

@@ -71,9 +71,9 @@ def test_criterion_2_annulus_certificates(gate):
             for _ in range(n):
                 v = rng.standard_normal(M.size)
                 z.append(LipFunction(v / lip_seminorm(M, LipFunction(v))))
-            constructed = ivakhno_construct(M, z, fam, eps)
+            constructed = ivakhno_construct(M, z, fam)
             for k in (1, 2, 3):
-                rep = ivakhno_verify(M, z, constructed, k, eps, fam)
+                rep = ivakhno_verify(M, z, constructed, k, fam)
                 assert rep.passed, (trial, k, [c.name for c in rep.failing()])
                 for c in rep.checks:
                     if c.name.startswith("sup-bound"):

@@ -266,12 +266,12 @@ class TestIvakhnoPanel:
 
     def test_empty_family_constructs_nothing(self):
         M, fam, z = self.make()
-        assert ivakhno_construct(M, z, RingFamily([], self.EPS), self.EPS) == []
+        assert ivakhno_construct(M, z, RingFamily([], self.EPS)) == []
 
     def test_zero_function_branch(self):
         M, fam, _ = self.make()
         zero = [LipFunction(np.zeros(M.size))]
-        built = ivakhno_construct(M, zero, fam, self.EPS)
+        built = ivakhno_construct(M, zero, fam)
         for entry, tup in zip(fam.entries, built):
             f = tup[0]
             # flat except a bump of height rho at the far ring point
@@ -281,15 +281,15 @@ class TestIvakhnoPanel:
 
     def test_constructed_tuples_verify(self):
         M, fam, z = self.make()
-        built = ivakhno_construct(M, z, fam, self.EPS)
+        built = ivakhno_construct(M, z, fam)
         assert len(built) == len(fam.entries)
         for k in range(1, len(built) + 1):
-            rep = ivakhno_verify(M, z, built, k, self.EPS, family=fam)
+            rep = ivakhno_verify(M, z, built, k, family=fam)
             assert rep.passed, [c.name for c in rep.checks if not c.passed]
 
     def test_witness_quotient_is_exactly_one(self):
         M, fam, z = self.make()
-        built = ivakhno_construct(M, z, fam, self.EPS)
+        built = ivakhno_construct(M, z, fam)
         n = len(z)
         for entry, tup in zip(fam.entries, built):
             tot = sum(f.values for f in tup)
@@ -298,20 +298,20 @@ class TestIvakhnoPanel:
 
     def test_mix_bound_at_three(self):
         M, fam, z = self.make()
-        built = ivakhno_construct(M, z, fam, self.EPS)
-        rep = ivakhno_verify(M, z, built, 3, self.EPS, family=fam)
+        built = ivakhno_construct(M, z, fam)
+        rep = ivakhno_verify(M, z, built, 3, family=fam)
         mix = [c for c in rep.checks if c.name.startswith("mix-approx")]
         assert mix and all(c.value <= (4.0 + 2.0 * self.EPS) / 3.0 + 1e-9 for c in mix)
 
     def test_single_average_bound_is_loose(self):
         M, fam, z = self.make()
-        built = ivakhno_construct(M, z, fam, self.EPS)
-        rep = ivakhno_verify(M, z, built, 1, self.EPS, family=fam)
+        built = ivakhno_construct(M, z, fam)
+        rep = ivakhno_verify(M, z, built, 1, family=fam)
         assert rep.passed
 
     def test_rescaled_tuples_are_plain_members(self):
         M, fam, z = self.make()
-        built = ivakhno_construct(M, z, fam, self.EPS)
+        built = ivakhno_construct(M, z, fam)
         n = len(z)
         for tup in built:
             scaled = [LipFunction(f.values / (1.0 + self.EPS)) for f in tup]
@@ -325,7 +325,7 @@ class TestIvakhnoPanel:
         v = np.zeros(M.size)
         v[1] = 2.0 * M.d(0, 1)
         with pytest.raises(PreconditionError, match="seminorm"):
-            ivakhno_construct(M, [LipFunction(v)], fam, self.EPS)
+            ivakhno_construct(M, [LipFunction(v)], fam)
 
     @settings(max_examples=10, deadline=None)
     @given(st.integers(0, 2**31 - 1), st.integers(1, 3))
@@ -335,9 +335,9 @@ class TestIvakhnoPanel:
         assert isinstance(fam, RingFamily)
         rng = np.random.default_rng(seed)
         z = unit_seminorm_tuple(M, rng, n)
-        built = ivakhno_construct(M, z, fam, 0.6)
+        built = ivakhno_construct(M, z, fam)
         for k in (1, len(built)):
-            rep = ivakhno_verify(M, z, built, k, 0.6, family=fam)
+            rep = ivakhno_verify(M, z, built, k, family=fam)
             assert rep.passed
             assert all(c.slack >= -1e-9 for c in rep.checks)
 

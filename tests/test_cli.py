@@ -304,6 +304,18 @@ def test_parameters_outside_their_domain_exit_two(capsys, tmp_path, argv, says):
     assert out == "" and says in err and not out_path.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    pytest.param(["dk", "--space", "lp(2", "--n", "2", "--eps", "2", "--k", "x", "--seed", "0"], id="dk"),
+    pytest.param(["cert", "--space", "lp(2", "--n", "2", "--eps", "2", "--m", "1", "--seed", "0"], id="cert"),
+])
+def test_the_parameter_check_comes_before_the_space(capsys, argv):
+    # an input bad in its epsilon and in its space (and, on dk, its k range)
+    # gets the same first refusal on both commands
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_INPUT and out == ""
+    assert "epsilon must lie in (0, 1)" in err and "lp(2" not in err
+
+
 class TestDk:
     def test_scalar_grid_profile_csv(self, capsys):
         code, out, err = run(

@@ -26,6 +26,7 @@ from hullgap.hullgeom import (
     ConvexDecomposition,
     DistanceBracket,
     _batch_segment_min,
+    ambient_space,
     cm_member_check,
     dist_to_cm_grid,
     dist_to_cm_upper,
@@ -49,6 +50,7 @@ from hullgap.spaces import (
     norm_evaluator,
     norm_plan,
     parse_space,
+    sample_unit_ball,
 )
 
 SCALARS = LpFinite(2.0, 1)
@@ -61,9 +63,39 @@ def dual_norm_of(space, phi) -> float:
 
 
 def at_scale(engine, c: float):
-    """An engine's pool scaled by c and each support's (mu_C, d_C) on it."""
-    hullgeom._solve_scale([engine], c)
-    return engine._scaled[c]
+    """An engine's pool scaled by c and each support's (mu_C, d_C) on it, solved for it alone."""
+    b, i = engine.batch, engine.i
+    hullgeom._solve_scale(engine, np.arange(len(b.Z)) == i, c)
+    scale = b.scales[c]
+    return scale.pool[b.start[i] : b.start[i + 1]], {
+        idxs: (scale.mu[i, j, : len(idxs)], float(scale.d[i, j]))
+        for j, (_, idxs) in zip(np.nonzero(b.valid[i])[0], supports_of(engine))}
+
+
+def pool_of(engine):
+    """An engine's prototypes: its rows of the batch's pool."""
+    b, i = engine.batch, engine.i
+    return b.pool[b.start[i] : b.start[i + 1]]
+
+
+def chain_of(engine):
+    """An engine's greedy chain, as indices into its pool."""
+    b, i = engine.batch, engine.i
+    return b.idx[i, b.length[i] - 1, : b.length[i]].tolist()
+
+
+def supports_of(engine):
+    """An engine's (name, pool indices) supports, in the order its upper's tie rule reads them."""
+    b, i = engine.batch, engine.i
+    return [(b.names[j], tuple(b.idx[i, j, : b.sizes[j]].tolist())) for j in np.nonzero(b.valid[i])[0]]
+
+
+def own_pulls(engine, key):
+    """An engine's pulls at key = (eps, alpha), its closed forms, and whether it was primed."""
+    b, i = engine.batch, engine.i
+    primed = b.pulls[key]
+    done = not (primed.member[i] or primed.pending[i])
+    return primed.pulls[b.start[i] : b.start[i + 1]], primed.closed[i][b.valid[i]], done
 
 
 POOL = [
@@ -282,6 +314,41 @@ class TestDecompositions:
         assert validate_decomposition(SCALARS, p.with_m(2), two)
         bad_w = ConvexDecomposition([0.7, 0.7], [np.array([1.0, 0.9])] * 2)
         assert not validate_decomposition(SCALARS, p.with_m(2), bad_w)
+
+    def test_one_bad_generator_among_several_fails(self, monkeypatch):
+        # four members and one generator whose mean misses 1 - eps, in every
+        # position; each check is one evaluator call, whatever the count
+        p = CmParams(n=2, epsilon=0.1, m=5)
+        good = [np.array([1.0, 0.9]), np.array([0.9, 1.0]), np.array([1.0, 1.0]), np.array([0.85, 0.95])]
+        calls, make = [], hullgeom._mean_sup_evaluator
+
+        def counting(*args):
+            ev = make(*args)
+            return lambda X: calls.append(len(X)) or ev(X)
+
+        monkeypatch.setattr(hullgeom, "_mean_sup_evaluator", counting)
+        assert validate_decomposition(SCALARS, p, ConvexDecomposition(np.full(4, 0.25), good))
+        for at in range(5):
+            gens = good[:at] + [np.array([1.0, 0.7])] + good[at:]
+            assert not validate_decomposition(SCALARS, p, ConvexDecomposition(np.full(5, 0.2), gens))
+        assert calls == [4] + [5] * 5
+        with pytest.raises(DimensionMismatch):
+            validate_decomposition(SCALARS, p, ConvexDecomposition([0.5, 0.5], [good[0], np.ones(3)]))
+
+    @pytest.mark.parametrize("text, n", [("lp(2,1)", 2), ("lp(inf,2)", 3), ("dsum(2, lp(1,2), lp(inf,1))", 2)])
+    def test_validation_agrees_with_the_member_check_of_each_generator(self, text, n):
+        # seeded decompositions whose generators straddle both constraints
+        sp, rng = parse_space(text), np.random.default_rng(21)
+        outcomes = []
+        for _ in range(60):
+            m = int(rng.integers(1, 5))
+            p = CmParams(n, float(rng.uniform(0.05, 0.5)), float(rng.uniform(1.0, 1.3)), m)
+            ball = sample_unit_ball(ambient_space(sp, n), m, int(rng.integers(1000)))
+            gens = [g * rng.uniform(0.8, 1.4) for g in ball]
+            loop = all(cm_member_check(sp, p, g).passed for g in gens)
+            assert validate_decomposition(sp, p, ConvexDecomposition(np.full(m, 1.0 / m), gens)) == loop
+            outcomes.append(loop)
+        assert 0 < sum(outcomes) < len(outcomes)
 
     def test_bracket_inversion_detected(self):
         with pytest.raises(InternalInconsistencyError, match="inverted"):
@@ -1057,7 +1124,7 @@ class TestOnePullRule:
         hullgeom._engine.cache_clear()
         dist_to_cm_upper(self.SPACE, self.Z, CmParams(2, 0.1, 1.0, 1), budget=3)
         engine = hullgeom._engine(self.SPACE, 2, np.array(self.Z).tobytes(), 0, 3)
-        batch = len({idxs for _, idxs in engine.supports})
+        batch = len({idxs for _, idxs in supports_of(engine)})
         built = sum(solves)
         after = []
         for m in (1, 2, 3):
@@ -1108,13 +1175,13 @@ class TestBatchedRows:
         engs = hullgeom._build_engines(sp, 2, [z, -0.7 * np.array(z)[::-1]], 3, 2)
         rng = np.random.default_rng(11)
         for K in (1, 2, 3, 4):
-            rows = [(e, rng.choice(len(e.pool), K, replace=False)) for _ in range(3) for e in engs]
-            rows += [(e, np.array(e.chain[:K])) for e in engs if len(e.chain) >= K]
-            gens, Z = np.stack([e.pool[idx] for e, idx in rows]), np.stack([e.z for e, _ in rows])
+            rows = [(e, rng.choice(len(pool_of(e)), K, replace=False)) for _ in range(3) for e in engs]
+            rows += [(e, np.array(chain_of(e)[:K])) for e in engs if len(chain_of(e)) >= K]
+            gens, Z = np.stack([pool_of(e)[idx] for e, idx in rows]), np.stack([e.z for e, _ in rows])
             for accurate in (False, True):
                 lams, vals, settled = engs[0]._solve_support(gens, Z, accurate=accurate)
                 for (e, row), lam, val, done in zip(rows, lams, vals, settled):
-                    lam1, val1, done1 = e._solve_support(e.pool[row][None], e.z[None], accurate=accurate)
+                    lam1, val1, done1 = e._solve_support(pool_of(e)[row][None], e.z[None], accurate=accurate)
                     assert np.array_equal(lam, lam1[0]) and val == val1[0], (K, row)
                     assert done == done1[0]
 
@@ -1132,17 +1199,17 @@ class TestBatchedRows:
         sp, z, seed = self.CAPPED
         e = hullgeom._build_engines(sp, 2, [z], seed, 1)[0]
         rng = np.random.default_rng(14)
-        rows = [e.chain[:3]] + [rng.choice(len(e.pool), K, replace=False) for K in (2, 3, 4, 5)
+        rows = [chain_of(e)[:3]] + [rng.choice(len(pool_of(e)), K, replace=False) for K in (2, 3, 4, 5)
                                 for _ in range(20)]
         open_after_2 = []  # per size, the rows a 2-sweep polish leaves open
         for sweeps in (2, 8):
             for k in (2, 3, 4, 5):
-                G = np.stack([e.pool[list(r)] for r in rows if len(r) == k])
+                G = np.stack([pool_of(e)[list(r)] for r in rows if len(r) == k])
                 Z = np.broadcast_to(e.z, (G.shape[0], G.shape[2]))
                 start = hullgeom._euclid_surrogate(G, Z)
-                dists = e.nrm_sup((Z[:, None, :] - G).reshape(-1, G.shape[2])).reshape(G.shape[:2])
-                lam, settled = hullgeom._polish_true_norm(e.amb, G, Z, start, sweeps, dists)
-                lam60, settled60 = hullgeom._polish_true_norm(e.amb, G, Z, start, 60, dists)
+                dists = e.batch.nrm_sup((Z[:, None, :] - G).reshape(-1, G.shape[2])).reshape(G.shape[:2])
+                lam, settled = hullgeom._polish_true_norm(e.batch.amb, G, Z, start, sweeps, dists)
+                lam60, settled60 = hullgeom._polish_true_norm(e.batch.amb, G, Z, start, 60, dists)
                 assert np.array_equal(lam[settled], lam60[settled]), (sweeps, k)
                 assert settled60[settled].all()
                 if sweeps == 8 and k == 3:
@@ -1163,15 +1230,16 @@ class TestBatchedRows:
         members = [eng._is_member(params) for eng in primed]
         assert members.count(False) >= 3
         for z, eng, member in zip(zs, primed, members):
+            pulls, closed, done = own_pulls(eng, (0.2, alpha))
             if member:  # value answers a member without pulls
-                assert (0.2, alpha) not in eng._pull_cache
+                assert not done and np.isnan(pulls).all() and np.isinf(closed).all()
                 continue
             own = hullgeom._build_engines(sp, n, [z], 1, 1)[0]
             pool = at_scale(own, hullgeom._pool_scale(alpha))[0]
-            own_pulls = hullgeom._pull_rows(own.nrm_mean_sup, pool, own.z[None, :], 0.2, alpha)
-            assert np.array_equal(eng._pull_cache[0.2, alpha], own_pulls)
+            alone = hullgeom._pull_rows(own.batch.nrm_mean_sup, pool, own.z[None, :], 0.2, alpha)
+            assert done and np.array_equal(pulls, alone)
             # the closed forms of every support size come with the pulls
-            assert not np.isnan(eng._closed[0.2, alpha]).any() and eng._sizes.max() >= 3
+            assert np.isfinite(closed).all() and max(len(idxs) for _, idxs in supports_of(eng)) >= 3
 
         # a larger m at the same (eps, alpha) only filters the supports
         def bracket(pick):
@@ -1197,8 +1265,8 @@ class TestBatchedRows:
         engs = hullgeom._build_engines(sp, 2, [z, -0.7 * np.array(z)[::-1]], 3, 2)
         rng = np.random.default_rng(12)
         for K in (2, 3, 5):
-            rows = [(e, rng.choice(len(e.pool), K, replace=False)) for _ in range(3) for e in engs]
-            G, Z = np.stack([e.pool[idx] for e, idx in rows]), np.stack([e.z for e, _ in rows])
+            rows = [(e, rng.choice(len(pool_of(e)), K, replace=False)) for _ in range(3) for e in engs]
+            G, Z = np.stack([pool_of(e)[idx] for e, idx in rows]), np.stack([e.z for e, _ in rows])
             b = np.zeros(G.shape[2] + 1)
             b[-1] = 1.0
             for g, zr, lam in zip(G, Z, hullgeom._euclid_surrogate(G, Z)):
@@ -1253,7 +1321,8 @@ class TestBatchedEngines:
     @staticmethod
     def state(e):
         """The pool, chain and supports, the solutions at c = 1 and below, and values."""
-        out = [e.pool.tobytes(), e._n_const, e.chain, e.supports, e.z_sup, e.z_mean]
+        b = e.batch
+        out = [pool_of(e).tobytes(), b.n_const[e.i], chain_of(e), supports_of(e), b.z_sup[e.i], b.z_mean[e.i]]
         for c in (1.0, hullgeom._pool_scale(0.95)):
             pool, solutions = at_scale(e, c)
             out.append(pool.tobytes())
@@ -1261,7 +1330,7 @@ class TestBatchedEngines:
         for m in (1, 2, 4):
             for eps in (0.1, 0.3):
                 for alpha in (0.95, 1.0, 1.3):
-                    b = e.value(CmParams(e.n, eps, alpha, m))
+                    b = e.value(CmParams(e.batch.n, eps, alpha, m))
                     w = b.witness
                     out.append((b.upper, b.upper_method, b.meta, w.weights.tobytes(),
                                 [g.tobytes() for g in w.generators]))
@@ -1269,8 +1338,11 @@ class TestBatchedEngines:
 
     # a sweep profile's candidates, plus z = 0 (its blocks have no unit, and
     # its chain closes at length 2 on a support through 0) and a member z
+    # at budget 8 on sup(2, lp(inf,8)) the chains reach 12 generators and
+    # the partition families 16, so a sum over a padded stack would reassociate
     @pytest.mark.parametrize("sp, n, budget", [
         (LpFinite(INF, 3), 2, 1), (SupTuple(2, LpFinite(INF, 2)), 2, 8), (LpFinite(3.0, 2), 2, 1),
+        (SupTuple(2, LpFinite(INF, 8)), 1, 8),
     ])
     def test_together_equals_alone(self, sp, n, budget):
         member = 0.9 * np.tile(canonical_unit(sp), n)
@@ -1278,12 +1350,14 @@ class TestBatchedEngines:
         together = hullgeom._build_engines(sp, n, zs, 5, budget)
         # the scaled supports of every non-member engine as one batch too
         hullgeom._prime_pulls(together, CmParams(n, 0.2, 0.95))
-        caps = [min(e._n_const, max(4, min(12, budget + 4))) for e in together]
-        closed = [len(e.chain) < cap for e, cap in zip(together, caps)]
+        caps = [min(e.batch.n_const[e.i], max(4, min(12, budget + 4))) for e in together]
+        closed = [len(chain_of(e)) < cap for e, cap in zip(together, caps)]
         assert closed[-2] and together[-1]._is_member(CmParams(n, 0.2, 0.95))
-        assert len({len(e.chain) for e in together}) > 1
+        assert len({len(chain_of(e)) for e in together}) > 1
         if sp == LpFinite(3.0, 2):
             assert len(set(caps)) > 1  # and at different caps
+        if dim(sp) == 16:
+            assert max(len(chain_of(e)) for e in together) == 12 and max(together[0].batch.sizes) == 16
         for z, e in zip(zs, together):
             alone = hullgeom._build_engines(sp, n, [z], 5, budget)[0]
             assert self.state(e) == self.state(alone)
@@ -1295,25 +1369,36 @@ class TestBatchedEngines:
                 [g.tobytes() for g in w.generators])
 
     @staticmethod
-    def loop_upper(e, p):
-        """The smallest closed form d_C / Z computed support by support, or 0 for a member."""
+    def loop_closed(e, p):
+        """Every support's closed form d_C / Z, computed support by support."""
+        pool, solutions = at_scale(e, hullgeom._pool_scale(p.alpha))
+        s = hullgeom._pull_rows(e.batch.nrm_mean_sup, pool, e.z[None, :], p.epsilon, p.alpha)
+        return [solutions[idxs][1] / float(np.sum(solutions[idxs][0] / (1.0 - s[list(idxs)])))
+                for _, idxs in supports_of(e)]
+
+    @classmethod
+    def loop_upper(cls, e, p):
+        """The smallest closed form over the supports of at most m generators, or 0 for a member."""
         if e._is_member(p):
             return 0.0
-        pool, solutions = at_scale(e, hullgeom._pool_scale(p.alpha))
-        s = hullgeom._pull_rows(e.nrm_mean_sup, pool, e.z[None, :], p.epsilon, p.alpha)
-        return min(solutions[idxs][1] / float(np.sum(solutions[idxs][0] / (1.0 - s[list(idxs)])))
-                   for _, idxs in e.supports if len(idxs) <= p.m)
+        return min(v for v, (_, idxs) in zip(cls.loop_closed(e, p), supports_of(e)) if len(idxs) <= p.m)
 
-    @pytest.mark.parametrize("text, n", [("lp(inf,3)", 2), ("lp(inf,1)", 6), ("lp(3,2)", 2)])
-    def test_batch_upper_is_the_best_own_value(self, text, n):
+    @pytest.mark.parametrize("text, n, budget", [
+        *[pytest.param(text, n, 1, id=f"{text}-{n}") for text, n in (("lp(inf,3)", 2), ("lp(inf,1)", 6),
+                                                                      ("lp(3,2)", 2))],
+        ("sup(2, lp(inf,8))", 1, 8), ("lp(1.5,3)", 2, 8),
+    ])
+    def test_batch_upper_is_the_best_own_value(self, text, n, budget):
         # a profile's batch plus a member z, against each engine built and
-        # asked alone, and against the closed forms computed one by one; the
+        # asked alone, and against the closed forms computed one by one: the
+        # chosen ones, and at m = 1 every one of the batch's table, whose
+        # sums of 9 to 16 terms a padded stack would reassociate; the
         # largest upper is tied between engines at most of these params, and
         # the first of them must win
         sp = parse_space(text)
-        zs = [v for _, v in _adversaries(sp, n, 1, 5)] + [0.9 * np.tile(canonical_unit(sp), n)]
-        batch = hullgeom._build_engines(sp, n, zs, 5, 1)
-        alone = [hullgeom._build_engines(sp, n, [z], 5, 1)[0] for z in zs]
+        zs = [v for _, v in _adversaries(sp, n, budget, 5)] + [0.9 * np.tile(canonical_unit(sp), n)]
+        batch = hullgeom._build_engines(sp, n, zs, 5, budget)
+        alone = [hullgeom._build_engines(sp, n, [z], 5, budget)[0] for z in zs]
         ties = 0
         for m in (1, 2, 3):
             for eps, alpha in ((0.2, 1.0), (0.35, 0.95)):
@@ -1325,6 +1410,10 @@ class TestBatchedEngines:
                 assert i == ups.index(max(ups))
                 assert self.bracket(b) == self.bracket(own[i])
                 ties += ups.count(max(ups)) > 1
+                if m == 1:
+                    for e, a in zip(batch, alone):
+                        if not e._is_member(p):
+                            assert own_pulls(e, (eps, alpha))[1].tolist() == self.loop_closed(a, p)
         assert batch[-1].value(p).upper_method == "member-shortcut"
         assert ties >= 2
 
@@ -1335,37 +1424,44 @@ class TestBatchedEngines:
         i, b = hullgeom._best_upper(batch, p)
         loser = batch[(i + 1) % len(batch)]
         assert not loser._is_member(p) and loser.value(p).upper < b.upper
-        monkeypatch.setitem(loser._closed, (0.2, 1.0), 0.5 * loser._closed[0.2, 1.0])
+        loser.batch.pulls[0.2, 1.0].closed[loser.i] *= 0.5
         with pytest.raises(InternalInconsistencyError, match="drifted"):
             hullgeom._best_upper(batch, p)
 
     def test_prototype_keys_match_the_tuple_keys(self):
         # rows equal to 12 digits, or up to the sign of a zero, are one
-        # prototype; the pool and the partition supports are those the
-        # tuple keys of np.round(row, 12) give
+        # prototype of their engine; each engine's pool and partition
+        # supports are those the tuple keys of np.round(row, 12) give
         sp, n = LpFinite(INF, 2), 2
         u = np.array([0.5, -0.0, 0.25, 0.0])
         # seven tiled units, then the overwrites of parts 1 (one row) and 2 (two)
         protos = np.array([u, u + 0.0, u + 3e-14, [0.5, -1e-14, 0.25, -0.0], u + 1e-11,
                            -u, u + [0.0, 0.0, 0.0, 4e-13],
                            u + 1e-11, -u + 2e-13, [0.9, 0.1, -0.3, 0.0]])
-        e = hullgeom._UpperEngine(sp, n, np.zeros(4), 1, protos, 7, 0.0, 0.0)
-        index_of, kept, idx = {}, [], []
-        for row in protos:
-            key = tuple(np.round(row, 12))
-            if key not in index_of:
-                index_of[key] = len(kept)
-                kept.append(row)
-            idx.append(index_of[key])
-        assert np.array_equal(e.pool, np.stack(kept)) and len(kept) == 4
-        assert e._n_const == max(idx[:7]) + 1 == 3
-        assert e.partition_supports == {1: idx[7:8], 2: idx[8:10]} == {1: [1], 2: [2, 3]}
+        # a second engine with the last five units and the same overwrites
+        engines = [(protos[:7], protos[7:]), (protos[2:7], protos[7:])]
+        batch = hullgeom._EngineBatch(sp, n, 1, np.zeros((2, 4)))
+        over = batch.set_pool(np.concatenate([units for units, _ in engines]), np.array([7, 5]),
+                              np.stack([rows for _, rows in engines]))
+        assert batch.start.tolist() == [0, 4, 8] and batch.owner.tolist() == [0] * 4 + [1] * 4
+        for i, (units, rows) in enumerate(engines):
+            index_of, kept, idx = {}, [], []
+            for row in np.concatenate([units, rows]):
+                key = tuple(np.round(row, 12))
+                if key not in index_of:
+                    index_of[key] = len(kept)
+                    kept.append(row)
+                idx.append(index_of[key])
+            pool = pool_of(hullgeom._UpperEngine(batch, i))
+            assert np.array_equal(pool, np.stack(kept)) and len(kept) == 4
+            assert batch.n_const[i] == max(idx[: len(units)]) + 1 == 3
+            assert (over[i, :1].tolist(), over[i, 1:].tolist()) == (idx[-3:-2], idx[-2:]) == ([1], [2, 3])
 
     @staticmethod
     def settled_in_greedy(e, idxs):
         """Whether the greedy stage's 8-sweep solve of a chain support settled."""
-        return (idxs == tuple(e.chain[: len(idxs)])
-                and e._solve_support(e.pool[list(idxs)][None], e.z[None], accurate=False)[2][0])
+        return (idxs == tuple(chain_of(e)[: len(idxs)])
+                and e._solve_support(pool_of(e)[list(idxs)][None], e.z[None], accurate=False)[2][0])
 
     @pytest.mark.parametrize("sp, zs, seed, budget", [
         (sp, [v for _, v in _adversaries(sp, n, budget, 5)] + [np.zeros(n * dim(sp))], 5, budget)
@@ -1386,19 +1482,21 @@ class TestBatchedEngines:
         engines = hullgeom._build_engines(sp, 2, zs, seed, budget)
         monkeypatch.undo()
         kept = 0
+        batch = engines[0].batch
+        assert batch.scales[1.0].pool is batch.pool and batch.scales[1.0].solved[batch.valid].all()
         for e in engines:
-            pool, found = e._scaled[1.0]
-            assert pool is e.pool and set(found) == {idxs for _, idxs in e.supports}
+            _, found = at_scale(e, 1.0)
+            assert set(found) == {idxs for _, idxs in supports_of(e)}
             for idxs, (lam, d) in found.items():
-                lam1, d1, _ = solve(e, e.pool[list(idxs)][None], e.z[None], accurate=True)
+                lam1, d1, _ = solve(e, pool_of(e)[list(idxs)][None], e.z[None], accurate=True)
                 assert lam.tobytes() == lam1[0].tobytes() and d == d1[0], idxs
-                resolved = (e.pool[list(idxs)].tobytes(), e.z.tobytes()) in accurate_rows
+                resolved = (pool_of(e)[list(idxs)].tobytes(), e.z.tobytes()) in accurate_rows
                 assert resolved != self.settled_in_greedy(e, idxs), idxs
                 kept += not resolved
         assert kept >= len(engines)  # at least every chain-1
         if sp == TestBatchedRows.CAPPED[0]:  # the capped chain-3 support took the re-solve
             e = engines[0]
-            assert accurate_rows == [(e.pool[e.chain[:3]].tobytes(), e.z.tobytes())]
+            assert accurate_rows == [(pool_of(e)[chain_of(e)[:3]].tobytes(), e.z.tobytes())]
 
     def test_a_settled_build_makes_no_accurate_stack(self, monkeypatch):
         # lp(4,2) has no partition supports: when every greedy row settles,
@@ -1417,8 +1515,9 @@ class TestBatchedEngines:
         dist_to_cm_upper(sp, z, CmParams(2, 0.2, 1.0, 1), budget=1)
         engine = hullgeom._engine(sp, 2, np.array(z).tobytes(), 0, 1)
         hullgeom._engine.cache_clear()
-        assert engine.partition_supports == {} and len(engine.chain) > 2
-        assert calls == [(K, False, True) for K in range(2, len(engine.chain) + 1)]
+        assert [name for name, _ in supports_of(engine) if name.startswith("partition")] == []
+        assert len(chain_of(engine)) > 2
+        assert calls == [(K, False, True) for K in range(2, len(chain_of(engine)) + 1)]
 
     def test_one_stack_per_step_for_a_whole_profile(self, monkeypatch):
         sizes, engines = [], []  # support size of each stack; the profile's engines
@@ -1436,14 +1535,81 @@ class TestBatchedEngines:
         monkeypatch.setattr(dkprofile, "_build_engines", keep)
         estimate_dk(LpFinite(INF, 3), 2, 0.2, k_range=(1, 2, 3), budget=1, seed=5)
         monkeypatch.undo()
-        longest = max(len(e.chain) for e in engines)
+        longest = max(len(chain_of(e)) for e in engines)
         # the c = 1 stage solves only the sizes the greedy stage left open:
         # here the partition supports, and no chain support of size 4 or 5
-        open_sizes = sorted({len(idxs) for e in engines for _, idxs in e.supports
+        open_sizes = sorted({len(idxs) for e in engines for _, idxs in supports_of(e)
                              if not self.settled_in_greedy(e, idxs)})
         assert sizes == list(range(2, longest + 1)) + open_sizes
         assert longest == 5 and open_sizes == [1, 2, 3]
         assert len(sizes) < len(engines) == 23
+
+
+    @pytest.mark.parametrize("size", [1, 5, 40])
+    def test_one_drift_norm_call_and_one_witness_per_call(self, monkeypatch, size):
+        # every non-member engine is checked in one norm evaluation, and only
+        # the winner's decomposition is built, however large the batch
+        # opposed blocks keep every tuple out of the set, but the last of 40
+        sp, n, rng = LpFinite(INF, 3), 2, np.random.default_rng(9)
+        u = rng.uniform(-1.0, 1.0, (size, 3))
+        zs = np.concatenate([u, -rng.uniform(0.5, 1.0, (size, 1)) * u], axis=1)
+        if size == 40:
+            zs[-1] = 0.95 * np.tile(canonical_unit(sp), n)
+        engines = hullgeom._build_engines(sp, n, zs, 3, 1)
+        batch, norms, witnessed = engines[0].batch, [], []
+        nrm_sup, witness = batch.nrm_sup, hullgeom._UpperEngine._witness
+        batch.nrm_sup = lambda X: norms.append(len(X)) or nrm_sup(X)
+
+        def recording(self, *args):
+            witnessed.append(self.i)
+            return witness(self, *args)
+
+        monkeypatch.setattr(hullgeom._UpperEngine, "_witness", recording)
+        for eps, alpha in ((0.2, 1.0), (0.3, 1.2)):
+            for m in (1, 2, 3):
+                p = CmParams(n, eps, alpha, m)
+                live = [not e._is_member(p) for e in engines]
+                del norms[:], witnessed[:]
+                w, b = hullgeom._best_upper(engines, p)
+                assert norms == [sum(live)] and witnessed == [w] and live[w]
+                assert sum(live) == size - (size == 40)
+                assert b.upper == max(e.value(p).upper for e in engines)
+
+    def test_one_view_per_candidate(self, monkeypatch):
+        # a profile makes one engine view per candidate and no other
+        made, init = [], hullgeom._UpperEngine.__init__
+
+        def counting(self, batch, i):
+            made.append(i)
+            init(self, batch, i)
+
+        monkeypatch.setattr(hullgeom._UpperEngine, "__init__", counting)
+        sp, n = LpFinite(INF, 3), 2
+        estimate_dk(sp, n, 0.2, k_range=(1, 2, 3), budget=1, seed=5)
+        assert made == list(range(len(_adversaries(sp, n, 1, 5))))
+
+    def test_tie_scan_is_the_left_to_right_scan(self):
+        # rows of near ties (within and just past 1e-12 at several scales),
+        # with infinite entries, against the scan one entry at a time
+        def scan(row):
+            best, low = -1, np.inf
+            for k, v in enumerate(row):
+                if v < low - 1e-12:
+                    best, low = k, v
+            return best
+
+        rng = np.random.default_rng(17)
+        blocked = 0
+        for _ in range(300):
+            C, W = int(rng.integers(1, 30)), int(rng.integers(1, 17))
+            steps = rng.choice([0.0, 1e-13, 5e-13, 9e-13, 1e-12, 1.1e-12, 2e-12, 1e-9], (C, W))
+            V = np.abs(rng.choice([0.0, 1e-14, 0.5, 1.7, 1e4], (C, 1)) + steps * rng.choice([-1, 1], (C, W)))
+            V[rng.random((C, W)) < 0.3] = np.inf
+            V[np.arange(C), rng.integers(0, W, C)] = rng.uniform(0.0, 2.0, C)
+            want = [scan(row) for row in V]
+            assert hullgeom._tie_scan(V).tolist() == want
+            blocked += sum(w != int(np.argmin(row)) for w, row in zip(want, V))
+        assert blocked > 100
 
 
 class TestKidGroups:
