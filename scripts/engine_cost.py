@@ -5,10 +5,10 @@ budget 1) on tuples drawn uniformly from [-1, 1]^(n d) with seed 0, and asks
 each batch for its best upper at k = 1, 2 and 3 (``_best_upper``, eps 0.2,
 alpha 1), as ``estimate_dk`` does for a profile.  The cost per extra engine
 is the difference of the two batches' process CPU times divided by 60; the
-script prints the median over the repeats, with the median time of each
+script prints the median over 30 repeats, with the median time of each
 batch size:
 
-    PYTHONPATH=src python scripts/engine_cost.py [--space "lp(inf,1)"] [--n 6] [--repeats 30]
+    PYTHONPATH=src python scripts/engine_cost.py [--space "lp(inf,1)"] [--n 6]
 """
 
 import argparse
@@ -19,7 +19,7 @@ import numpy as np
 from hullgap.hullgeom import CmParams, _best_upper, _build_engines
 from hullgap.spaces import dim, parse_space
 
-SIZES, KS, EPS = (20, 80), (1, 2, 3), 0.2
+SIZES, KS, EPS, REPEATS = (20, 80), (1, 2, 3), 0.2, 30
 
 
 def batch_seconds(space, n: int, zs: np.ndarray) -> float:
@@ -35,13 +35,12 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--space", default="lp(inf,1)")
     ap.add_argument("--n", type=int, default=6)
-    ap.add_argument("--repeats", type=int, default=30)
     args = ap.parse_args()
     space = parse_space(args.space)
     zs = np.random.default_rng(0).uniform(-1.0, 1.0, (max(SIZES), args.n * dim(space)))
     batch_seconds(space, args.n, zs[: SIZES[0]])  # warm-up
     times = {size: [] for size in SIZES}
-    for _ in range(args.repeats):
+    for _ in range(REPEATS):
         for size in SIZES:
             times[size].append(batch_seconds(space, args.n, zs[:size]))
     lo, hi = (np.array(times[size]) for size in SIZES)

@@ -901,9 +901,6 @@ class _UpperEngine:
 
     # -- parameter-dependent stage --------------------------------------
 
-    def _is_member(self, params: CmParams) -> bool:
-        return bool(self.batch.members(params)[self.i])
-
     def _witness(self, c: float, key: Tuple[float, float], j: int):
         """Weights, generators and pulls of support column j, pulled at key = (eps, alpha) on scale c.
 
@@ -1074,11 +1071,11 @@ def _best_upper(engines: Sequence[_UpperEngine], params: CmParams) -> Tuple[int,
     An engine's upper is 0 for a member z, else its first strictly smallest
     closed form over the supports of size at most m, one masked argmin over
     the engines' rows of the (E, S) closed-form table; the winner is the
-    first strictly largest.  Every non-member engine's chosen support is
-    checked against its closed form: one gather of its weights and pulled
-    generators, padded to the widest support with zero weights, and one
-    norm evaluation for all of them, within 1e-9.  Only the winner's
-    decomposition and bracket are built, by its ``_witness``.
+    first strictly largest, and only its decomposition is built, by its
+    ``_witness``.  Every non-member engine's point is checked against its
+    closed form, within 1e-9, by one norm evaluation: the winner's witness
+    point, and the other engines' points from one gather of their chosen
+    supports' weights and pulled generators (``_support_points``).
     """
     batch, rows = _rows(engines)
     primed = _prime_pulls(engines, params)
@@ -1087,33 +1084,51 @@ def _best_upper(engines: Sequence[_UpperEngine], params: CmParams) -> Tuple[int,
     closed = np.where(batch.sizes <= params.m, primed.closed[rows], np.inf)
     pick = closed.argmin(axis=1)
     vals = np.where(member, 0.0, closed[np.arange(len(rows)), pick])
-    live = ~member
-    if live.any():
-        e, j, val = (rows, pick, vals) if live.all() else (rows[live], pick[live], vals[live])
-        scale = batch.scales[c]
-        g = batch.start[e][:, None] + batch.idx[e, j]
-        sc = primed.pulls[g]
-        lam = scale.mu[e, j] / (1.0 - sc)
-        gens = (1.0 - sc)[:, :, None] * scale.pool[g] + sc[:, :, None] * batch.Z[e][:, None, :]
-        point = np.einsum("ck,ckd->cd", lam, gens) / lam.sum(axis=1)[:, None]
-        actual = batch.nrm_sup(batch.Z[e] - point)
+    w = int(np.argmax(vals))
+    e = engines[w]
+    # the checked engines and their points: the other non-members (none in
+    # a batch of one) by one gather, then the winner by its witness
+    others = np.flatnonzero(~member)
+    others = others[others != w]
+    at, points = [others], []
+    if len(others):
+        points.append(_support_points(batch, primed, c, rows[others], pick[others]))
+    if member[w]:
+        bracket = DistanceBracket(0.0, 0.0, "trivial", "member-shortcut", meta={"support": "z"},
+                                  witness=ConvexDecomposition(np.array([1.0]), [e.z.copy()]))
+    else:
+        j = int(pick[w])
+        weights, pulled, sc = e._witness(c, key, j)
+        bracket = DistanceBracket(
+            0.0, float(vals[w]), "trivial", "prototype-pull" if c == 1.0 else "prototype-pull-scaled",
+            witness=ConvexDecomposition(weights, list(pulled)),
+            meta={"support": batch.names[j], "pulls": sc.tolist()})
+        at.append([w])
+        points.append(np.einsum("j,jd->d", weights, pulled)[None])
+    if points:
+        at = np.concatenate(at)
+        val = vals[at]
+        actual = batch.nrm_sup(batch.Z[rows[at]] - np.concatenate(points))
         drift = np.abs(actual - val) > 1e-9 * (1.0 + val)
         if drift.any():
             raise InternalInconsistencyError(
                 f"witness distance {actual[drift][0]} drifted from closed form {val[drift][0]}")
-    w = int(np.argmax(vals))
-    e = engines[w]
-    if member[w]:
-        dec = ConvexDecomposition(np.array([1.0]), [e.z.copy()])
-        return w, DistanceBracket(0.0, 0.0, "trivial", "member-shortcut", witness=dec,
-                                  meta={"support": "z"})
-    j = int(pick[w])
-    weights, gens, sc = e._witness(c, key, j)
-    method = "prototype-pull" if c == 1.0 else "prototype-pull-scaled"
-    return w, DistanceBracket(
-        0.0, float(vals[w]), "trivial", method, witness=ConvexDecomposition(weights, list(gens)),
-        meta={"support": batch.names[j], "pulls": sc.tolist()},
-    )
+    return w, bracket
+
+
+def _support_points(batch: "_EngineBatch", primed: _Pulls, c: float, i: np.ndarray,
+                    j: np.ndarray) -> np.ndarray:
+    """The points of engines i's supports j, pulled at primed on scale c: one gather, (N, D).
+
+    The supports are padded to the widest with zero weights, so these
+    points are for the drift check's 1e-9 comparison only.
+    """
+    scale = batch.scales[c]
+    g = batch.start[i][:, None] + batch.idx[i, j]
+    sc = primed.pulls[g]
+    lam = scale.mu[i, j] / (1.0 - sc)
+    gens = (1.0 - sc)[:, :, None] * scale.pool[g] + sc[:, :, None] * batch.Z[i][:, None, :]
+    return np.einsum("ck,ckd->cd", lam, gens) / lam.sum(axis=1)[:, None]
 
 
 def _build_engines(
@@ -1223,7 +1238,8 @@ def _grow_chains(lead: _UpperEngine, over: np.ndarray, parts: int) -> None:
     chain prefixes and its partition families, tabulated at the end.
     Chain-1 and each chosen extension whose 8-sweep polish settled are
     recorded as solved at c = 1 (``_solve_support``), with the weights and
-    distance already computed.
+    distance already computed.  lead is any engine of the batch: the stacks
+    are solved by its ``_solve_support``, the one solver of every stage.
     """
     batch = lead.batch
     E, start, n_const, owner = len(batch.Z), batch.start, batch.n_const, batch.owner
@@ -1270,9 +1286,10 @@ def _grow_chains(lead: _UpperEngine, over: np.ndarray, parts: int) -> None:
 def _solve_scale(lead: _UpperEngine, todo: np.ndarray, c: float) -> None:
     """The pool scaled by c and each support's (mu_C, d_C) on it, once per c, for the engines todo.
 
-    todo is an (E,) mask; lead is any engine of the batch and supplies the
-    solver.  The supports of those engines not yet solved at c are one accurate
-    stack per support size, each row with its own engine's z; a partition
+    todo is an (E,) mask; lead is any engine of the batch, whose
+    ``_solve_support`` solves the stacks.  The supports of those engines
+    not yet solved at c are one accurate stack per support size, each row
+    with its own engine's z; a partition
     support that repeats its size's chain support takes that solution.  At
     c = 1 that leaves the partition supports and the chain supports whose
     greedy polish hit its cap: ``_grow_chains`` keeps the others.
@@ -1322,8 +1339,11 @@ def _pull_rows(nrm_mean_sup, pool: np.ndarray, Z: np.ndarray, eps: float,
 
 
 def _rows(engines: Sequence[_UpperEngine]) -> Tuple[_EngineBatch, np.ndarray]:
-    """The batch of engines and their rows in it."""
-    return engines[0].batch, np.fromiter((e.i for e in engines), np.intp, len(engines))
+    """The batch of engines and their rows in it; the engines must be views of one batch."""
+    batch = engines[0].batch
+    if any(e.batch is not batch for e in engines):
+        raise ValueError("the engines are views of more than one batch")
+    return batch, np.fromiter((e.i for e in engines), np.intp, len(engines))
 
 
 def _prime_pulls(engines: Sequence[_UpperEngine], params: CmParams) -> _Pulls:
@@ -1351,13 +1371,12 @@ def _prime_pulls(engines: Sequence[_UpperEngine], params: CmParams) -> _Pulls:
     todo[rows] = primed.pending[rows]
     c = _pool_scale(params.alpha)
     _solve_scale(engines[0], todo, c)
-    scale, every = batch.scales[c], todo.all()
+    scale = batch.scales[c]
     pulled = todo[batch.owner]
     primed.pulls[pulled] = _pull_rows(batch.nrm_mean_sup, scale.pool[pulled],
                                       batch.Z[batch.owner[pulled]], *key)
     for K, e, j, g in batch.groups:
-        if not every:
-            e, j, g = e[todo[e]], j[todo[e]], g[todo[e]]
+        e, j, g = e[todo[e]], j[todo[e]], g[todo[e]]
         total = (scale.mu[e, j, :K] / (1.0 - primed.pulls[g])).sum(axis=1)
         primed.closed[e, j] = scale.d[e, j] / total
     primed.pending &= ~todo

@@ -90,6 +90,11 @@ def supports_of(engine):
     return [(b.names[j], tuple(b.idx[i, j, : b.sizes[j]].tolist())) for j in np.nonzero(b.valid[i])[0]]
 
 
+def is_member(engine, params) -> bool:
+    """Whether an engine's tuple lies in the set at params."""
+    return bool(engine.batch.members(params)[engine.i])
+
+
 def own_pulls(engine, key):
     """An engine's pulls at key = (eps, alpha), its closed forms, and whether it was primed."""
     b, i = engine.batch, engine.i
@@ -1227,7 +1232,7 @@ class TestBatchedRows:
         params = CmParams(n, 0.2, alpha)
         primed = hullgeom._build_engines(sp, n, zs, 1, 1)
         hullgeom._prime_pulls(primed, params)
-        members = [eng._is_member(params) for eng in primed]
+        members = [is_member(eng, params) for eng in primed]
         assert members.count(False) >= 3
         for z, eng, member in zip(zs, primed, members):
             pulls, closed, done = own_pulls(eng, (0.2, alpha))
@@ -1352,7 +1357,7 @@ class TestBatchedEngines:
         hullgeom._prime_pulls(together, CmParams(n, 0.2, 0.95))
         caps = [min(e.batch.n_const[e.i], max(4, min(12, budget + 4))) for e in together]
         closed = [len(chain_of(e)) < cap for e, cap in zip(together, caps)]
-        assert closed[-2] and together[-1]._is_member(CmParams(n, 0.2, 0.95))
+        assert closed[-2] and is_member(together[-1], CmParams(n, 0.2, 0.95))
         assert len({len(chain_of(e)) for e in together}) > 1
         if sp == LpFinite(3.0, 2):
             assert len(set(caps)) > 1  # and at different caps
@@ -1379,7 +1384,7 @@ class TestBatchedEngines:
     @classmethod
     def loop_upper(cls, e, p):
         """The smallest closed form over the supports of at most m generators, or 0 for a member."""
-        if e._is_member(p):
+        if is_member(e, p):
             return 0.0
         return min(v for v, (_, idxs) in zip(cls.loop_closed(e, p), supports_of(e)) if len(idxs) <= p.m)
 
@@ -1412,7 +1417,7 @@ class TestBatchedEngines:
                 ties += ups.count(max(ups)) > 1
                 if m == 1:
                     for e, a in zip(batch, alone):
-                        if not e._is_member(p):
+                        if not is_member(e, p):
                             assert own_pulls(e, (eps, alpha))[1].tolist() == self.loop_closed(a, p)
         assert batch[-1].value(p).upper_method == "member-shortcut"
         assert ties >= 2
@@ -1423,10 +1428,35 @@ class TestBatchedEngines:
         p = CmParams(n, 0.2, 1.0, 2)
         i, b = hullgeom._best_upper(batch, p)
         loser = batch[(i + 1) % len(batch)]
-        assert not loser._is_member(p) and loser.value(p).upper < b.upper
+        assert not is_member(loser, p) and loser.value(p).upper < b.upper
         loser.batch.pulls[0.2, 1.0].closed[loser.i] *= 0.5
         with pytest.raises(InternalInconsistencyError, match="drifted"):
             hullgeom._best_upper(batch, p)
+
+    @pytest.mark.parametrize("size", [1, 5])
+    def test_the_returned_witness_is_the_checked_one(self, monkeypatch, size):
+        # a winner's witness moved halfway to z halves its distance, which
+        # no longer matches the closed form it reports
+        sp, n = LpFinite(3.0, 2), 2
+        batch = hullgeom._build_engines(sp, n, [v for _, v in _adversaries(sp, n, 1, 5)][:size], 5, 1)
+        p = CmParams(n, 0.2, 1.0, 2)
+        assert hullgeom._best_upper(batch, p)[1].upper > 0.0
+        witness = hullgeom._UpperEngine._witness
+
+        def moved(self, *args):
+            weights, gens, sc = witness(self, *args)
+            return weights, 0.5 * (gens + self.z), sc
+
+        monkeypatch.setattr(hullgeom._UpperEngine, "_witness", moved)
+        with pytest.raises(InternalInconsistencyError, match="drifted"):
+            hullgeom._best_upper(batch, p)
+
+    def test_engines_of_two_batches_are_refused(self):
+        sp, n = LpFinite(3.0, 2), 2
+        zs = [v for _, v in _adversaries(sp, n, 1, 5)][:2]
+        one, two = (hullgeom._build_engines(sp, n, [z], 5, 1)[0] for z in zs)
+        with pytest.raises(ValueError, match="more than one batch"):
+            hullgeom._best_upper([one, two], CmParams(n, 0.2, 1.0, 2))
 
     def test_prototype_keys_match_the_tuple_keys(self):
         # rows equal to 12 digits, or up to the sign of a zero, are one
@@ -1568,7 +1598,7 @@ class TestBatchedEngines:
         for eps, alpha in ((0.2, 1.0), (0.3, 1.2)):
             for m in (1, 2, 3):
                 p = CmParams(n, eps, alpha, m)
-                live = [not e._is_member(p) for e in engines]
+                live = [not is_member(e, p) for e in engines]
                 del norms[:], witnessed[:]
                 w, b = hullgeom._best_upper(engines, p)
                 assert norms == [sum(live)] and witnessed == [w] and live[w]
