@@ -110,30 +110,6 @@ def ambient_space(space: Space, n: int) -> SupTuple:
     return SupTuple(n, space)
 
 
-@dataclass(frozen=True)
-class MemberReport:
-    sup_norm: float
-    mean_norm: float
-    sup_ok: bool
-    mean_ok: bool
-
-    @property
-    def passed(self) -> bool:
-        return self.sup_ok and self.mean_ok
-
-
-def cm_member_check(space: Space, params: CmParams, g) -> MemberReport:
-    """Check the two membership constraints, reporting both computed values."""
-    x = as_coords(ambient_space(space, params.n), g)
-    mean, sup = (float(v[0]) for v in _mean_sup_evaluator(space, params.n)(x[None, :]))
-    return MemberReport(
-        sup_norm=sup,
-        mean_norm=mean,
-        sup_ok=sup <= params.alpha + STRICTNESS_TOL,
-        mean_ok=mean > 1.0 - params.epsilon - STRICTNESS_TOL,
-    )
-
-
 @dataclass(frozen=True, eq=False)
 class ConvexDecomposition:
     """Weights plus generator tuples witnessing a point of the m-fold hull."""
@@ -160,7 +136,8 @@ class ConvexDecomposition:
 
 def validate_decomposition(space: Space, params: CmParams, dec: ConvexDecomposition) -> bool:
     """Whether dec is a point of the m-fold hull: at most m generators, weights on the simplex
-    (to 1e-12), and every generator passing ``cm_member_check``, all from one evaluator call."""
+    (to 1e-12), and every generator in the set, its sup norm at most alpha and its block-mean
+    norm above 1 - epsilon (both to ``STRICTNESS_TOL``), all from one evaluator call."""
     if len(dec.generators) > params.m:
         return False
     if np.any(dec.weights < -1e-12) or abs(float(dec.weights.sum()) - 1.0) > 1e-12:
@@ -838,7 +815,10 @@ class _UpperEngine:
 
     So one engine answers every (m, eps, alpha) for its tuple: the pulls
     and the closed forms of all its supports are computed once per (eps,
-    alpha), and m only filters the supports by size.
+    alpha), and m only filters the supports by size.  A pull is bisected
+    once for every alpha of one eps and pool scale whose test sup <= alpha
+    agrees at each point its bisection evaluated: the other alphas take its
+    bits (``_prime_pulls``).
 
     An engine holds no arrays of its own: it is a view of row i of the
     ``_EngineBatch`` whose flat arrays hold every engine's pool, supports,
@@ -938,10 +918,16 @@ class _Scale:
 @dataclass(eq=False)
 class _Pulls:
     """Per (eps, alpha): which tuples are members (E,), the pull of every prototype (P,), the
-    closed form of every support (E, S), and which non-member engines still lack them (E,)."""
+    largest sup norm its bisection evaluated (P,), the closed form of every support (E, S),
+    and which non-member engines still lack them (E,).
+
+    ``sup`` decides which pulls another alpha of the same eps and pool scale
+    may take as its own (``_prime_pulls``).
+    """
 
     member: np.ndarray
     pulls: np.ndarray
+    sup: np.ndarray
     closed: np.ndarray
     pending: np.ndarray
 
@@ -1318,8 +1304,9 @@ def _pool_scale(alpha: float) -> float:
 
 
 def _pull_rows(nrm_mean_sup, pool: np.ndarray, Z: np.ndarray, eps: float,
-               alpha: float) -> np.ndarray:
-    """Per row, the largest s found by bisection with (1 - s) pool + s Z feasible.
+               alpha: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Per row, the largest s found by bisection with (1 - s) pool + s Z feasible, and the
+    largest sup norm the bisection evaluated.
 
     Feasible means mean norm >= 1 - eps and sup norm <= alpha; both are
     convex constraints, so each row's feasible s form an interval from 0.
@@ -1327,15 +1314,29 @@ def _pull_rows(nrm_mean_sup, pool: np.ndarray, Z: np.ndarray, eps: float,
     batch's ``_mean_sup_evaluator``).  Every row is bisected on its own
     (Z is one row per row of pool, or one row for all), however many rows
     share the call.
+
+    The bisection runs 60 steps, or stops earlier at its fixed point: once
+    every row's midpoint equals its lo or its hi, each further step would
+    evaluate that point again and take the same branch (an hi of 1 is Z
+    itself, a non-member wherever a row is pulled), so the bits are those
+    of all 60 steps.  The interval after t steps is 2^-t wide with dyadic
+    ends, so no midpoint rounds onto an end before step 54.
+
+    Each row's largest evaluated sup norm tells ``_prime_pulls`` at which
+    other alphas its bisection takes the same branches.
     """
     lo, hi = np.zeros(len(pool)), np.ones(len(pool))
-    for _ in range(60):
+    top = np.full(len(pool), -INF)
+    for step in range(60):
         mid = (lo + hi) / 2.0
+        if step >= 53 and np.all((mid == lo) | (mid == hi)):
+            break
         pts = (1.0 - mid)[:, None] * pool + mid[:, None] * Z
         mean, sup = nrm_mean_sup(pts)
+        top = np.maximum(top, sup)
         ok = (mean >= 1.0 - eps) & (sup <= alpha)
         lo, hi = np.where(ok, mid, lo), np.where(ok, hi, mid)
-    return lo
+    return lo, top
 
 
 def _rows(engines: Sequence[_UpperEngine]) -> Tuple[_EngineBatch, np.ndarray]:
@@ -1350,13 +1351,22 @@ def _prime_pulls(engines: Sequence[_UpperEngine], params: CmParams) -> _Pulls:
     """Fill the pulls and closed forms of engines of one batch, once per (eps, alpha); return them.
 
     The prototypes of every non-member engine without pulls at
-    (eps, alpha) are pulled toward their own z by one bisection.  Below
-    alpha = 1 the engines' supports at the scaled pool are solved first,
-    as one stack per support size (``_solve_scale``).  The closed forms
-    d_C / Z of all their supports follow, whatever m: per support size k,
-    the batch's index matrices of that size (``groups``) gather one (N, k)
-    stack of weights and pulls, whose row sums have exactly k terms, and
-    the forms scatter into the (E, S) table.
+    (eps, alpha) are pulled toward their own z.  Below alpha = 1 the
+    engines' supports at the scaled pool are solved first, as one stack
+    per support size (``_solve_scale``).
+
+    A row's bisection reads alpha only through sup <= alpha at the points
+    it evaluates, so a row already bisected at (eps, a0) on the same pool
+    scale c took every branch it would take at alpha when each of those
+    points has sup norm at most min(a0, alpha): it is taken from there, bit
+    for bit.  Every alpha >= 1 has c = 1; each alpha below 1 its own c, so
+    those never share.  The remaining rows are one bisection; rows are
+    independent in the evaluator, so any subset gets the same bits.
+
+    The closed forms d_C / Z of all the engines' supports follow, whatever
+    m: per support size k, the batch's index matrices of that size
+    (``groups``) gather one (N, k) stack of weights and pulls, whose row
+    sums have exactly k terms, and the forms scatter into the (E, S) table.
     """
     batch, rows = _rows(engines)
     key = (params.epsilon, params.alpha)
@@ -1364,6 +1374,7 @@ def _prime_pulls(engines: Sequence[_UpperEngine], params: CmParams) -> _Pulls:
     if primed is None:
         member = batch.members(params)
         primed = batch.pulls[key] = _Pulls(member, np.full(len(batch.pool), np.nan),
+                                           np.full(len(batch.pool), np.nan),
                                            np.full(batch.valid.shape, np.inf), ~member)
     if not primed.pending[rows].any():
         return primed
@@ -1373,8 +1384,15 @@ def _prime_pulls(engines: Sequence[_UpperEngine], params: CmParams) -> _Pulls:
     _solve_scale(engines[0], todo, c)
     scale = batch.scales[c]
     pulled = todo[batch.owner]
-    primed.pulls[pulled] = _pull_rows(batch.nrm_mean_sup, scale.pool[pulled],
-                                      batch.Z[batch.owner[pulled]], *key)
+    for (eps, a0), other in batch.pulls.items():
+        if eps == params.epsilon and a0 != params.alpha and _pool_scale(a0) == c:
+            # NaN (a row not bisected there) compares False
+            same = pulled & (other.sup <= min(a0, params.alpha))
+            primed.pulls[same], primed.sup[same] = other.pulls[same], other.sup[same]
+            pulled &= ~same
+    if pulled.any():
+        primed.pulls[pulled], primed.sup[pulled] = _pull_rows(
+            batch.nrm_mean_sup, scale.pool[pulled], batch.Z[batch.owner[pulled]], *key)
     for K, e, j, g in batch.groups:
         e, j, g = e[todo[e]], j[todo[e]], g[todo[e]]
         total = (scale.mu[e, j, :K] / (1.0 - primed.pulls[g])).sum(axis=1)

@@ -383,16 +383,30 @@ def _lp_norm(p: float, r: np.ndarray) -> np.ndarray:
     if p == 2.0:  # the root of 0.5 is np.sqrt, bit for bit
         return _lp_root(2.0, np.einsum("td,td->t", r, r), r.T)
     a = np.abs(r)
-    with np.errstate(over="ignore", under="ignore"):  # _lp_root redoes those rows
-        total = np.add.reduce(a ** p, axis=1)
-    return _lp_root(p, total, a.T)
+    return _lp_root(p, _row_power_sums(p, a), a.T)
 
 
 def _lp_combine(p: float, fs) -> np.ndarray:
     """The l_p combination (1 < p < inf) of the terms fs, one row of T values each."""
-    with np.errstate(over="ignore", under="ignore"):  # _lp_root redoes those rows
-        total = functools.reduce(np.add, [fk ** p for fk in fs])
-    return _lp_root(p, total, fs)
+    return _lp_root(p, _term_power_sums(p, fs), fs)
+
+
+# The p-th powers and their sums leave the float range only on the rows that
+# _lp_root redoes, so they run with overflow and underflow ignored.  As
+# decorators, the two errstates are made once, at import, where a ``with
+# np.errstate(...)`` block would make a new one and enter it on every call.
+
+
+@np.errstate(over="ignore", under="ignore")
+def _row_power_sums(p: float, a: np.ndarray) -> np.ndarray:
+    """The sum of the p-th powers of each row of a >= 0."""
+    return np.add.reduce(a ** p, axis=1)
+
+
+@np.errstate(over="ignore", under="ignore")
+def _term_power_sums(p: float, fs) -> np.ndarray:
+    """The sum of the p-th powers of the terms fs >= 0, term after term."""
+    return functools.reduce(np.add, [fk ** p for fk in fs])
 
 
 # below this a sum of p-th powers may have lost digits to subnormal terms

@@ -22,12 +22,12 @@ from hullgap.errors import (
     ParameterError,
 )
 from hullgap.hullgeom import (
+    STRICTNESS_TOL,
     CmParams,
     ConvexDecomposition,
     DistanceBracket,
     _batch_segment_min,
     ambient_space,
-    cm_member_check,
     dist_to_cm_grid,
     dist_to_cm_upper,
     grid_guard_report,
@@ -42,6 +42,7 @@ from hullgap.spaces import (
     FunctionModule,
     LpFinite,
     SupTuple,
+    as_coords,
     canonical_unit,
     dim,
     dual_plan,
@@ -88,6 +89,27 @@ def supports_of(engine):
     """An engine's (name, pool indices) supports, in the order its upper's tie rule reads them."""
     b, i = engine.batch, engine.i
     return [(b.names[j], tuple(b.idx[i, j, : b.sizes[j]].tolist())) for j in np.nonzero(b.valid[i])[0]]
+
+
+@dataclasses.dataclass(frozen=True)
+class MemberReport:
+    sup_norm: float
+    mean_norm: float
+    sup_ok: bool
+    mean_ok: bool
+
+    @property
+    def passed(self) -> bool:
+        return self.sup_ok and self.mean_ok
+
+
+def member_check(space, params, g) -> MemberReport:
+    """Both membership constraints of one generator, with the two computed norms: the
+    per-generator reference of ``validate_decomposition``."""
+    x = as_coords(ambient_space(space, params.n), g)
+    mean, sup = (float(v[0]) for v in hullgeom._mean_sup_evaluator(space, params.n)(x[None, :]))
+    return MemberReport(sup, mean, sup <= params.alpha + STRICTNESS_TOL,
+                        mean > 1.0 - params.epsilon - STRICTNESS_TOL)
 
 
 def is_member(engine, params) -> bool:
@@ -269,36 +291,49 @@ class TestParams:
 
 
 class TestMemberCheck:
+    """The two membership constraints of one generator: the reference member check, and
+    ``validate_decomposition`` on the one-generator decomposition, which must agree with it."""
+
+    @staticmethod
+    def validated(space, p, g) -> bool:
+        return validate_decomposition(space, p, ConvexDecomposition([1.0], [g]))
+
     def test_accepts_boundary_member(self):
         p = CmParams(n=2, epsilon=0.1)
-        rep = cm_member_check(SCALARS, p, [1.0, 0.8])
+        rep = member_check(SCALARS, p, [1.0, 0.8])
         assert rep.sup_norm == pytest.approx(1.0)
         assert rep.mean_norm == pytest.approx(0.9)
         assert rep.passed
+        assert self.validated(SCALARS, p, [1.0, 0.8])
 
     def test_rejects_weak_mean(self):
         p = CmParams(n=2, epsilon=0.1)
-        rep = cm_member_check(SCALARS, p, [1.0, 0.7])
+        rep = member_check(SCALARS, p, [1.0, 0.7])
         assert rep.mean_norm == pytest.approx(0.85)
         assert rep.sup_ok and not rep.mean_ok
+        assert not self.validated(SCALARS, p, [1.0, 0.7])
 
     def test_rejects_large_sup(self):
         p = CmParams(n=2, epsilon=0.1)
-        rep = cm_member_check(SCALARS, p, [1.2, 0.9])
+        rep = member_check(SCALARS, p, [1.2, 0.9])
         assert not rep.sup_ok
+        assert not self.validated(SCALARS, p, [1.2, 0.9])
 
     def test_widened_bound_admits_more(self):
         p = CmParams(n=2, epsilon=0.1, alpha=1.1)
-        assert cm_member_check(SCALARS, p, [1.05, 0.95]).passed
+        assert member_check(SCALARS, p, [1.05, 0.95]).passed
+        assert self.validated(SCALARS, p, [1.05, 0.95])
+        assert not self.validated(SCALARS, CmParams(n=2, epsilon=0.1), [1.05, 0.95])
 
     def test_norms_stay_finite_at_a_huge_tuple(self):
         p = CmParams(n=2, epsilon=0.1)
         for text in ("lp(2,2)", "lp(4,2)", "dsum(2, lp(1,1), lp(1,1))"):
             sp = parse_space(text)
             g = 1e200 * np.concatenate([canonical_unit(sp), 0.5 * canonical_unit(sp)])
-            rep = cm_member_check(sp, p, g)
+            rep = member_check(sp, p, g)
             assert rep.sup_norm == 1e200, text
             assert rep.mean_norm == pytest.approx(0.75e200, rel=1e-15), text
+            assert not self.validated(sp, p, g), text
 
 
 class TestDecompositions:
@@ -350,7 +385,7 @@ class TestDecompositions:
             p = CmParams(n, float(rng.uniform(0.05, 0.5)), float(rng.uniform(1.0, 1.3)), m)
             ball = sample_unit_ball(ambient_space(sp, n), m, int(rng.integers(1000)))
             gens = [g * rng.uniform(0.8, 1.4) for g in ball]
-            loop = all(cm_member_check(sp, p, g).passed for g in gens)
+            loop = all(member_check(sp, p, g).passed for g in gens)
             assert validate_decomposition(sp, p, ConvexDecomposition(np.full(m, 1.0 / m), gens)) == loop
             outcomes.append(loop)
         assert 0 < sum(outcomes) < len(outcomes)
@@ -1241,7 +1276,7 @@ class TestBatchedRows:
                 continue
             own = hullgeom._build_engines(sp, n, [z], 1, 1)[0]
             pool = at_scale(own, hullgeom._pool_scale(alpha))[0]
-            alone = hullgeom._pull_rows(own.batch.nrm_mean_sup, pool, own.z[None, :], 0.2, alpha)
+            alone = hullgeom._pull_rows(own.batch.nrm_mean_sup, pool, own.z[None, :], 0.2, alpha)[0]
             assert done and np.array_equal(pulls, alone)
             # the closed forms of every support size come with the pulls
             assert np.isfinite(closed).all() and max(len(idxs) for _, idxs in supports_of(eng)) >= 3
@@ -1377,7 +1412,7 @@ class TestBatchedEngines:
     def loop_closed(e, p):
         """Every support's closed form d_C / Z, computed support by support."""
         pool, solutions = at_scale(e, hullgeom._pool_scale(p.alpha))
-        s = hullgeom._pull_rows(e.batch.nrm_mean_sup, pool, e.z[None, :], p.epsilon, p.alpha)
+        s = hullgeom._pull_rows(e.batch.nrm_mean_sup, pool, e.z[None, :], p.epsilon, p.alpha)[0]
         return [solutions[idxs][1] / float(np.sum(solutions[idxs][0] / (1.0 - s[list(idxs)])))
                 for _, idxs in supports_of(e)]
 
@@ -1640,6 +1675,146 @@ class TestBatchedEngines:
             assert hullgeom._tie_scan(V).tolist() == want
             blocked += sum(w != int(np.argmin(row)) for w, row in zip(want, V))
         assert blocked > 100
+
+
+def sixty_step_pulls(nrm_mean_sup, pool, Z, eps, alpha):
+    """The pulls of the plain 60-step bisection: the reference of the stopped one."""
+    lo, hi = np.zeros(len(pool)), np.ones(len(pool))
+    for _ in range(60):
+        mid = (lo + hi) / 2.0
+        mean, sup = nrm_mean_sup((1.0 - mid)[:, None] * pool + mid[:, None] * Z)
+        ok = (mean >= 1.0 - eps) & (sup <= alpha)
+        lo, hi = np.where(ok, mid, lo), np.where(ok, hi, mid)
+    return lo
+
+
+def tuples_at_sup(sp, n, sups, seed):
+    """One seeded tuple per entry of sups, with that sup norm: its first block has norm sup,
+    the others a norm drawn from [0.6, 1] times it."""
+    rng = np.random.default_rng(seed)
+    B = rng.standard_normal((len(sups), n, dim(sp)))
+    scale = rng.uniform(0.6, 1.0, (len(sups), n))
+    scale[:, 0] = 1.0
+    scale *= np.asarray(sups)[:, None] / norm_evaluator(sp)(B.reshape(-1, dim(sp))).reshape(len(sups), n)
+    return (B * scale[:, :, None]).reshape(len(sups), -1)
+
+
+class TestSharedPulls:
+    """The stopped bisection, and pulls shared between alphas of one eps and pool scale."""
+
+    SPACES = [("lp(4,2)", 2), ("lp(1.5,2)", 2), ("dsum(2, lp(1,2), lp(inf,1))", 2),
+              ("lp(inf,3)", 2), ("lp(inf,1)", 6)]
+    # two tuples inside the unit ball, two with a sup norm in (1, 1.3), two above 1.3
+    SUPS = (0.8, 0.9, 1.1, 1.2, 1.4, 1.6)
+
+    @staticmethod
+    def counting_pulls(monkeypatch):
+        """Patch ``_pull_rows`` to record the rows of each call; return the record."""
+        rows, pull = [], hullgeom._pull_rows
+
+        def counted(nrm_mean_sup, pool, *args):
+            rows.append(len(pool))
+            return pull(nrm_mean_sup, pool, *args)
+
+        monkeypatch.setattr(hullgeom, "_pull_rows", counted)
+        return rows
+
+    @staticmethod
+    def pending_rows(engines, params):
+        """The pool rows that a first priming at params would pull."""
+        batch = engines[0].batch
+        return ~batch.members(params)[batch.owner]
+
+    @pytest.mark.parametrize("text, n", SPACES)
+    def test_stopped_bisection_equals_sixty_steps(self, text, n):
+        sp = parse_space(text)
+        engines = hullgeom._build_engines(sp, n, tuples_at_sup(sp, n, self.SUPS, 2), 1, 1)
+        batch, steps = engines[0].batch, []
+
+        def counting(X):
+            steps[-1] += 1
+            return batch.nrm_mean_sup(X)
+
+        pulled_outside = 0
+        for eps in (0.1, 0.3):
+            for alpha in (0.95, 1.0, 1.3):
+                rows = self.pending_rows(engines, CmParams(n, eps, alpha))
+                pool = batch.scale(hullgeom._pool_scale(alpha)).pool[rows]
+                Z = batch.Z[batch.owner[rows]]
+                steps.append(0)
+                s, top = hullgeom._pull_rows(counting, pool, Z, eps, alpha)
+                assert np.array_equal(s, sixty_step_pulls(batch.nrm_mean_sup, pool, Z, eps, alpha))
+                # the bisection evaluated the pulled point itself
+                assert np.all(top >= batch.nrm_mean_sup((1.0 - s)[:, None] * pool + s[:, None] * Z)[1])
+                pulled_outside += int(np.sum(batch.z_sup[batch.owner[rows]] > 1.0))
+        assert pulled_outside > 0
+        # no row reaches its fixed point before step 54; a row pulled by
+        # less than 2^-6 has none within 60 steps, and keeps its call going
+        assert all(54 <= k <= 60 for k in steps) and min(steps) < 60, steps
+
+    def test_a_pull_below_one_ulp_of_one_is_bisected_to_the_end(self):
+        # a prototype one ulp inside the unit sup ball, pulled toward z = (c, c):
+        # the pull is about 2^-53 / (c - 1), found only after step 53
+        pool = np.full((4, 2), 1.0 - 2.0 ** -53)
+        Z = np.array([[4.0, 4.0], [16.0, 16.0], [1e3, 1e3], [1.5, 1.5]])
+        nrm_mean_sup = hullgeom._mean_sup_evaluator(LpFinite(INF, 1), 2)
+        for rows in ([0], [1], [0, 1, 2], [3], [0, 3]):
+            s, _ = hullgeom._pull_rows(nrm_mean_sup, pool[rows], Z[rows], 0.1, 1.0)
+            want = sixty_step_pulls(nrm_mean_sup, pool[rows], Z[rows], 0.1, 1.0)
+            assert np.array_equal(s, want), rows
+        assert 0.0 < want[0] < 2.0 ** -53
+
+    @pytest.mark.parametrize("first, second", [(1.0, 1.3), (1.3, 1.0)])
+    @pytest.mark.parametrize("text, n", SPACES)
+    def test_a_shared_key_equals_a_fresh_batch(self, text, n, first, second, monkeypatch):
+        sp = parse_space(text)
+        zs = tuples_at_sup(sp, n, self.SUPS, 3)
+        shared = hullgeom._build_engines(sp, n, zs, 1, 1)
+        hullgeom._prime_pulls(shared, CmParams(n, 0.2, first))
+        rows = self.counting_pulls(monkeypatch)
+        hullgeom._prime_pulls(shared, CmParams(n, 0.2, second))
+        monkeypatch.undo()
+        assert sum(rows) < np.sum(self.pending_rows(shared, CmParams(n, 0.2, second)))
+        fresh = hullgeom._build_engines(sp, n, zs, 1, 1)
+        hullgeom._prime_pulls(fresh, CmParams(n, 0.2, second))
+        got, want = shared[0].batch.pulls[0.2, second], fresh[0].batch.pulls[0.2, second]
+        for field in ("member", "pulls", "sup", "closed", "pending"):
+            assert np.array_equal(getattr(got, field), getattr(want, field), equal_nan=True), field
+        for m in (1, 2):
+            a = hullgeom._best_upper(shared, CmParams(n, 0.2, second, m))
+            b = hullgeom._best_upper(fresh, CmParams(n, 0.2, second, m))
+            assert a[0] == b[0] and TestBatchedEngines.bracket(a[1]) == TestBatchedEngines.bracket(b[1])
+
+    @pytest.mark.parametrize("text, n", SPACES)
+    def test_only_rows_whose_sup_binds_are_bisected_again(self, text, n, monkeypatch):
+        sp = parse_space(text)
+        engines = hullgeom._build_engines(sp, n, tuples_at_sup(sp, n, self.SUPS, 4), 1, 1)
+        batch = engines[0].batch
+        at_one = hullgeom._prime_pulls(engines, CmParams(n, 0.2, 1.0))
+        rows = self.counting_pulls(monkeypatch)
+        hullgeom._prime_pulls(engines, CmParams(n, 0.2, 1.3))
+        pending = self.pending_rows(engines, CmParams(n, 0.2, 1.3))
+        binds = pending & (at_one.sup > 1.0)
+        assert rows == [int(np.sum(binds))]
+        assert 0 < np.sum(binds) < np.sum(pending)
+        # a tuple inside the unit ball keeps every point of its segments there
+        assert np.all(batch.z_sup[batch.owner[binds]] > 1.0)
+
+    def test_no_pull_is_shared_below_alpha_one_or_across_eps(self, monkeypatch):
+        sp, n = parse_space("lp(4,2)"), 2
+        engines = hullgeom._build_engines(sp, n, tuples_at_sup(sp, n, self.SUPS, 5), 1, 1)
+        rows = self.counting_pulls(monkeypatch)
+        asked = [(0.2, 0.95), (0.2, 0.97), (0.2, 1.0), (0.3, 1.3), (0.3, 0.95)]
+        for eps, alpha in asked:
+            hullgeom._prime_pulls(engines, CmParams(n, eps, alpha))
+        assert rows == [int(np.sum(self.pending_rows(engines, CmParams(n, eps, alpha))))
+                        for eps, alpha in asked]
+        monkeypatch.undo()
+        fresh = hullgeom._build_engines(sp, n, tuples_at_sup(sp, n, self.SUPS, 5), 1, 1)
+        hullgeom._prime_pulls(fresh, CmParams(n, 0.2, 0.97))
+        got, want = engines[0].batch.pulls[0.2, 0.97], fresh[0].batch.pulls[0.2, 0.97]
+        assert np.array_equal(got.pulls, want.pulls, equal_nan=True)
+        assert np.array_equal(got.closed, want.closed)
 
 
 class TestKidGroups:
